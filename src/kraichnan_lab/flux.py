@@ -54,10 +54,10 @@ class FluxTable:
     def to_csv(self) -> str:
         p = self.params
         buf = io.StringIO()
-        buf.write("xi,F,residual,K,d,alpha,s,m\n")
+        buf.write("xi,F,residual,K,d,alpha,s\n")
         for x, f, r in zip(self.xi_values, self.F_values, self.residuals):
-            buf.write(f"{x!r},{f!r},{r!r},{self.K_used!r},{p.d},"
-                      f"{p.alpha!r},{p.s!r},{p.m!r}\n")
+            buf.write(f"{float(x)!r},{float(f)!r},{float(r)!r},"
+                      f"{float(self.K_used)!r},{p.d},{p.alpha!r},{p.s!r}\n")
         return buf.getvalue()
 
 

@@ -17,11 +17,10 @@ from typing import Optional
 import numpy as np
 from scipy import special as _scisp
 
-from .errors import (CaseOutOfRange, DomainError, HigherOrderPole,
+from .errors import (CaseOutOfRange, DomainError, HigherOrderPole, PoleError,
                      StripViolation, ToleranceNotReached)
-from .quad import quadpack
-from .specfun import (ModelParams, _log_gamma_array, gamma_fn, sphere_surface,
-                      POLE_TOL)
+from .quad import angular_quad, quadpack, tail_quad
+from .specfun import ModelParams, gamma_fn, sphere_surface, POLE_TOL
 
 __all__ = [
     "GammaProduct", "AsymptoticTerm", "KReport",
@@ -85,16 +84,17 @@ class GammaProduct:
         offs = np.array([f[1] for f in self.factors])
         pows = np.array([f[2] for f in self.factors])
         args = coefs[:, None] * flat[None, :] + offs[:, None]
-        # reject evaluation at poles of any retained factor
+        # reject evaluation at poles of any retained factor; a reciprocal
+        # factor at a pole of its Gamma is a zero of the product
         near = (args.real < 0.5) & (np.abs(args - np.round(args.real)) < POLE_TOL) \
             & (np.round(args.real) <= 0)
         if np.any(near & (pows[:, None] == 1)):
-            raise DomainError("GammaProduct evaluated at a pole; use residue_at")
-        lg = _log_gamma_array(args)
+            raise PoleError("GammaProduct evaluated at a pole; use residue_at")
+        lg = _scisp.loggamma(np.where(near, 1.0, args))
         tot = (pows[:, None] * lg).sum(axis=0)
         if self.prefactor != 1.0:
             tot = tot + np.log(complex(self.prefactor))
-        out = np.exp(tot)
+        out = np.where(near.any(axis=0), 0.0, np.exp(tot))
         return complex(out[0]) if scalar else out.reshape(zs.shape)
 
 
@@ -325,38 +325,19 @@ def k_constant_gamma(params: ModelParams) -> float:
     return val
 
 
-def _angular_one_minus(r: float, d: int, s: float, rel_tol: float) -> float:
-    """int_0^pi sin^d(t) (1 - (1 - 2 r cos t + r^2)^{-s}) dt."""
-    def g(t):
-        q = 1.0 - 2.0 * r * math.cos(t) + r * r
-        return math.sin(t) ** d * (1.0 - abs(q) ** (-s))
-    if abs(r - 1.0) < 1e-3:
-        tc = 0.25
-        def g_sub(u):
-            return 2.0 * u * g(u * u)
-        v1, _, _ = quadpack(g_sub, 0.0, math.sqrt(tc), rel_tol=rel_tol, limit=400)
-        v2, _, _ = quadpack(g, tc, math.pi, rel_tol=rel_tol, limit=400)
-        return v1 + v2
-    v, _, _ = quadpack(g, 0.0, math.pi, rel_tol=rel_tol, limit=400)
-    return v
-
-
 @functools.lru_cache(maxsize=None)
 def _k_integral_cached(d: int, a: float, s: float) -> float:
-    rel = 1e-11
-
     def body(r):
-        return r ** (-1.0 - 2.0 * a) * _angular_one_minus(r, d, s, rel)
+        def g(t):
+            q = 1.0 - 2.0 * r * math.cos(t) + r * r
+            return math.sin(t) ** d * (1.0 - abs(q) ** (-s))
+        return r ** (-1.0 - 2.0 * a) * angular_quad(g, r, 1e-11, 400)
 
     # r -> 0 is regular after the angular average (odd term cancels);
     # (r, t) = (1, 0) is the genuine singular corner
     v1, _, _ = quadpack(body, 0.0, 0.5, rel_tol=1e-10, limit=400)
     v2, _, _ = quadpack(body, 0.5, 2.0, points=[1.0], rel_tol=1e-10, limit=400)
-
-    def mapped(u):
-        r = 2.0 + u / (1.0 - u)
-        return body(r) / (1.0 - u) ** 2
-    v3, _, _ = quadpack(mapped, 0.0, 1.0, abs_tol=1e-14, rel_tol=1e-10, limit=400)
+    v3, _, _ = tail_quad(body, 2.0, 1e-14, 1e-10, 400)
 
     return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * (v1 + v2 + v3)
 

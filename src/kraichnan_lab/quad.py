@@ -19,7 +19,8 @@ from scipy import integrate as _sciint
 from .errors import DomainError, NonFiniteIntegrand, ToleranceNotReached
 from .specfun import ModelParams
 
-__all__ = ["QuadRequest", "QuadResult", "integrate_1d", "f_inner", "J_direct"]
+__all__ = ["QuadRequest", "QuadResult", "integrate_1d", "angular_quad",
+           "tail_quad", "f_inner", "J_direct"]
 
 
 @dataclass
@@ -76,11 +77,6 @@ def quadpack(fn, lo, hi, points=None, abs_tol=0.0, rel_tol=1e-10, limit=500):
     return value, err, ok
 
 
-def _quad_real(fn, lo, hi, points, abs_tol, rel_tol):
-    return quadpack(fn, lo, hi, points=points, abs_tol=abs_tol,
-                    rel_tol=rel_tol)
-
-
 def integrate_1d(req: QuadRequest) -> QuadResult:
     """Adaptive integral of req.integrand over req.interval.
 
@@ -100,10 +96,10 @@ def integrate_1d(req: QuadRequest) -> QuadResult:
                 t = lo + u / (1.0 - u)
                 return fn(t) / (1.0 - u) ** 2
             pts = [ (p - lo) / (1.0 + (p - lo)) for p in req.singular_points ]
-            value, err, ok = _quad_real(mapped, 0.0, 1.0, pts, req.abs_tol, req.rel_tol)
+            value, err, ok = quadpack(mapped, 0.0, 1.0, pts, req.abs_tol, req.rel_tol)
         else:
             pts = [p for p in req.singular_points if lo < p < hi]
-            value, err, ok = _quad_real(fn, lo, hi, pts, req.abs_tol, req.rel_tol)
+            value, err, ok = quadpack(fn, lo, hi, pts, req.abs_tol, req.rel_tol)
         return value, err, ok, fn.count
 
     if is_complex:
@@ -121,24 +117,32 @@ def integrate_1d(req: QuadRequest) -> QuadResult:
     return QuadResult(value=value, error_estimate=min(err, budget), evaluations=count)
 
 
-# angular integrand of the radial profile; the apparent singularity sits at
-# (r, theta) = (1, 0) where (1 - 2 r cos t + r^2) -> 0
-def _angular_profile(r: float, d: int, s: float, rel_tol: float) -> float:
-    def g(t):
-        q = 1.0 - 2.0 * r * math.cos(t) + r * r
-        return math.sin(t) ** d * abs(q) ** (-s)
+def angular_quad(g, r: float, rel_tol: float, limit: int) -> float:
+    """int_0^pi g(t) dt for an angular integrand built on
+    |1 - 2 r cos t + r^2|^{-s}, whose near-singularity sits at (r, t) = (1, 0).
 
+    Close to r = 1 the substitution t = u^2 concentrates nodes at the peak,
+    with the split point well clear of it.
+    """
     if abs(r - 1.0) < 1e-3:
-        # theta = u^2 substitution concentrates nodes at the near-singular
-        # endpoint; split point well clear of the peak
         tc = 0.25
         def g_sub(u):
             return 2.0 * u * g(u * u)
-        v1, e1, ok1 = _quad_real(g_sub, 0.0, math.sqrt(tc), [], 0.0, rel_tol)
-        v2, e2, ok2 = _quad_real(g, tc, math.pi, [], 0.0, rel_tol)
+        v1, _, _ = quadpack(g_sub, 0.0, math.sqrt(tc), rel_tol=rel_tol, limit=limit)
+        v2, _, _ = quadpack(g, tc, math.pi, rel_tol=rel_tol, limit=limit)
         return v1 + v2
-    v, e, ok = _quad_real(g, 0.0, math.pi, [], 0.0, rel_tol)
+    v, _, _ = quadpack(g, 0.0, math.pi, rel_tol=rel_tol, limit=limit)
     return v
+
+
+def tail_quad(body, lo: float, abs_tol: float, rel_tol: float, limit: int):
+    """int_lo^inf body(r) dr through r = lo + u/(1-u), which turns algebraic
+    decay into an integrable endpoint singularity at u = 1; returns
+    quadpack's (value, error_estimate, converged)."""
+    def mapped(u):
+        r = lo + u / (1.0 - u)
+        return body(r) / (1.0 - u) ** 2
+    return quadpack(mapped, 0.0, 1.0, abs_tol=abs_tol, rel_tol=rel_tol, limit=limit)
 
 
 def f_inner(r: float, params: ModelParams, rel_tol: float = 1e-12) -> float:
@@ -148,7 +152,11 @@ def f_inner(r: float, params: ModelParams, rel_tol: float = 1e-12) -> float:
     if r == 0.0:
         return 0.0
     d, s = params.d, params.s
-    return r ** (d - 1) * _angular_profile(r, d, s, rel_tol)
+
+    def g(t):
+        q = 1.0 - 2.0 * r * math.cos(t) + r * r
+        return math.sin(t) ** d * abs(q) ** (-s)
+    return r ** (d - 1) * angular_quad(g, r, rel_tol, 500)
 
 
 def J_direct(lam: float, params: ModelParams, rel_tol: float = 1e-9) -> float:
@@ -165,12 +173,8 @@ def J_direct(lam: float, params: ModelParams, rel_tol: float = 1e-9) -> float:
 
     # r = 1 is a kink of f (angular near-singularity); beyond r ~ 4 the
     # integrand is smooth with algebraic decay r^{-1-2a-2s}
-    v1, e1, ok1 = _quad_real(body, 0.0, 4.0, [1.0], 0.0, rel_tol)
-
-    def mapped(u):
-        r = 4.0 + u / (1.0 - u)
-        return body(r) / (1.0 - u) ** 2
-    v2, e2, ok2 = _quad_real(mapped, 0.0, 1.0, [], max(1e-300, rel_tol * abs(v1)), rel_tol)
+    v1, e1, ok1 = quadpack(body, 0.0, 4.0, [1.0], 0.0, rel_tol)
+    v2, e2, ok2 = tail_quad(body, 4.0, max(1e-300, rel_tol * abs(v1)), rel_tol, 500)
 
     value = v1 + v2
     err = e1 + e2

@@ -1,9 +1,8 @@
 """Complex special functions and the closed-form integrals used everywhere else.
 
-The Gamma evaluator is a Lanczos rational approximation (g = 607/128, 15
-terms) with a branch-corrected reflection for Re z < 1/2.  It is accurate to
-better than 1e-13 relative over Re z in [-50, 200], |Im z| <= 200, which is
-the window the Mellin machinery actually visits.
+log-Gamma is scipy's principal-branch ``loggamma``; this module adds the
+pole and finiteness checks.  The Mellin transforms of the model's radial
+profiles live as Gamma products in the mellin module.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from scipy import special as _scisp
 
 from .errors import DomainError, PoleError
 
@@ -20,10 +19,7 @@ __all__ = [
     "ModelParams",
     "log_gamma",
     "gamma_fn",
-    "beta_mellin",
     "sin_power_integral",
-    "mellin_h",
-    "mellin_f",
     "sphere_surface",
     "POLE_TOL",
 ]
@@ -31,29 +27,6 @@ __all__ = [
 # An argument closer than this to a pole is treated as *at* the pole.
 # Near-pole values must go through residues instead (mellin module).
 POLE_TOL = 1e-12
-
-LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-LOG_PI = math.log(math.pi)
-
-# Lanczos coefficients for g = 607/128, N = 15 (Godfrey's set).
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = np.array([
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-])
 
 
 @dataclass(frozen=True)
@@ -109,39 +82,6 @@ def _near_nonpositive_integer(z: complex, tol: float = POLE_TOL) -> bool:
     return n <= 0 and abs(z - n) < tol
 
 
-def _log_sin_pi(z):
-    """log(sin(pi z)) on the branch that keeps the reflection formula
-    continuous off the real axis.  Vectorized over numpy complex arrays."""
-    z = np.asarray(z, dtype=complex)
-    flip = z.imag < 0.0
-    zu = np.where(flip, np.conj(z), z)
-    # sin(pi z) = e^{-i pi z} (1 - e^{2 i pi z}) * (i/2) for Im z >= 0
-    out = (-1j * math.pi) * zu + np.log1p(-np.exp(2j * math.pi * zu)) \
-        + (0.5j * math.pi - math.log(2.0))
-    return np.where(flip, np.conj(out), out)
-
-
-def _log_gamma_array(z):
-    """Vectorized principal-branch log Gamma; no pole checking."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    refl = z.real < 0.5
-    zr = np.where(refl, 1.0 - z, z)
-
-    # Lanczos sum at zr (Re >= 0.5)
-    series = np.full(zr.shape, _LANCZOS_C[0], dtype=complex)
-    for k in range(1, len(_LANCZOS_C)):
-        series = series + _LANCZOS_C[k] / (zr + (k - 1))
-    t = zr + (_LANCZOS_G - 0.5)
-    lg = LOG_SQRT_2PI + (zr - 0.5) * np.log(t) - t + np.log(series)
-
-    if np.any(refl):
-        lg_refl = LOG_PI - _log_sin_pi(z) - lg
-        lg = np.where(refl, lg_refl, lg)
-    return lg[0] if scalar else lg
-
-
 def log_gamma(z) -> complex:
     """Principal-branch log Gamma(z).
 
@@ -150,7 +90,7 @@ def log_gamma(z) -> complex:
     z = _check_finite(z)
     if _near_nonpositive_integer(z):
         raise PoleError(f"log_gamma pole at z = {z!r}")
-    out = complex(_log_gamma_array(z))
+    out = complex(_scisp.loggamma(z))
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise DomainError(f"log_gamma produced a non-finite value at z = {z!r}")
     return out
@@ -159,29 +99,6 @@ def log_gamma(z) -> complex:
 def gamma_fn(z) -> complex:
     """Gamma(z) by exponentiating log_gamma."""
     return cmath.exp(log_gamma(z))
-
-
-def _real_gamma(x: float) -> float:
-    """Gamma at a real, non-pole argument (helper for the real formulas)."""
-    return gamma_fn(x).real
-
-
-def beta_mellin(s_exp: float, z) -> complex:
-    """Mellin transform of (1+t^2)^(-s_exp):
-
-        int_0^inf t^{z-1} (1+t^2)^{-s_exp} dt = G(z/2) G(s_exp - z/2) / (2 G(s_exp))
-
-    valid on the fundamental strip 0 < Re z < 2 s_exp.
-    """
-    if s_exp <= 0.0:
-        raise DomainError("beta_mellin requires s_exp > 0")
-    z = _check_finite(z)
-    if not (0.0 < z.real < 2.0 * s_exp):
-        raise DomainError(
-            f"z = {z!r} outside the fundamental strip 0 < Re z < {2 * s_exp}")
-    return cmath.exp(
-        log_gamma(z / 2.0) + log_gamma(s_exp - z / 2.0)
-        - math.log(2.0) - log_gamma(s_exp))
 
 
 def sin_power_integral(gamma_exp: float, eta_exp: float) -> float:
@@ -200,52 +117,3 @@ def sin_power_integral(gamma_exp: float, eta_exp: float) -> float:
         math.lgamma((gamma_exp + 1.0) / 2.0)
         + math.lgamma((eta_exp + 1.0) / 2.0)
         - math.lgamma((gamma_exp + eta_exp + 2.0) / 2.0))
-
-
-def _near_pole_of(z: complex, poles_start: float, step: float, tol=POLE_TOL) -> bool:
-    """True when z is within tol of poles_start + step*N0 (step may be negative
-    for descending ladders)."""
-    n = round((z.real - poles_start) / step)
-    if n < 0:
-        return False
-    return abs(z - (poles_start + step * n)) < tol
-
-
-def mellin_h(params: ModelParams, z) -> complex:
-    """Analytic continuation of the Mellin transform of h(r) = (1+r^2)^{-d/2-alpha}:
-
-        M[h, z] = G(z/2) G(d/2 + alpha - z/2) / (2 G(d/2 + alpha)),
-
-    meromorphic in z with simple poles at -2 N0 and d + 2 alpha + 2 N0.
-    """
-    d, a = params.d, params.alpha
-    z = _check_finite(z)
-    if _near_pole_of(z, 0.0, -2.0) or _near_pole_of(z, d + 2.0 * a, 2.0):
-        raise PoleError(f"mellin_h pole at z = {z!r}")
-    return cmath.exp(
-        log_gamma(z / 2.0) + log_gamma(d / 2.0 + a - z / 2.0)
-        - math.log(2.0) - log_gamma(d / 2.0 + a))
-
-
-def mellin_f(params: ModelParams, z) -> complex:
-    """Analytic continuation of M[f, 1-z] for
-    f(r) = r^{d-1} int_0^pi sin^d(t) |1 - 2 r cos t + r^2|^{-s} dt:
-
-        M[f, 1-z] = sqrt(pi) G((d-2s+2)/2) G((d+1)/2) / (2 G(s))
-                    * G((2s-d+z)/2) G((d-z)/2) / [ G((z+2)/2) G((2d-2s+2-z)/2) ]
-
-    with simple poles at z in (d + 2 N0) and (d - 2s - 2 N0); fundamental
-    strip d - 2s < Re z < d.
-    """
-    d, s = params.d, params.s
-    z = _check_finite(z)
-    if _near_pole_of(z, float(d), 2.0) or _near_pole_of(z, d - 2.0 * s, -2.0):
-        raise PoleError(f"mellin_f pole at z = {z!r}")
-    log_pref = (0.5 * LOG_PI
-                + log_gamma((d - 2.0 * s + 2.0) / 2.0)
-                + log_gamma((d + 1.0) / 2.0)
-                - math.log(2.0) - log_gamma(s))
-    return cmath.exp(
-        log_pref
-        + log_gamma((2.0 * s - d + z) / 2.0) + log_gamma((d - z) / 2.0)
-        - log_gamma((z + 2.0) / 2.0) - log_gamma((2.0 * d - 2.0 * s + 2.0 - z) / 2.0))

@@ -13,7 +13,6 @@ difference form so constant states have exactly zero rate, term by term.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -34,7 +33,6 @@ __all__ = [
     "balance_check", "evolve", "anomalous_dissipation_integral",
 ]
 
-KERNEL_BUILDER_VERSION = 1
 _NEAR_BAND = 4          # cells each side of the diagonal with sub-cell radial quadrature
 _GL12 = leggauss(12)
 _GL16 = leggauss(16)
@@ -222,16 +220,8 @@ def _absorb_rates(grid: RadialGrid, params: ModelParams, selfsimilar: bool):
     return pref * (lower + upper + tail)
 
 
-def _cache_key(grid: RadialGrid, params: ModelParams, selfsimilar, boundary):
-    raw = repr((KERNEL_BUILDER_VERSION, grid.d, float(params.alpha).hex(),
-                float(grid.rho_min).hex(), float(grid.rho_max).hex(), grid.n,
-                bool(selfsimilar), boundary))
-    return hashlib.sha256(raw.encode()).hexdigest()[:24]
-
-
 def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = False,
-                 boundary: str = "absorbing",
-                 cache_dir: Optional[str] = None) -> KernelMatrix:
+                 boundary: str = "absorbing") -> KernelMatrix:
     """Assemble the jump-kernel matrix on the grid.
 
     Row discretization: kappa_ij = (2 pi)^{-d/2} omega_{d-2}
@@ -243,10 +233,6 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
     """
     if boundary not in ("absorbing", "closed"):
         raise DomainError("boundary must be 'absorbing' or 'closed'")
-    if cache_dir is not None:
-        loaded = _load_cached(grid, params, selfsimilar, boundary, cache_dir)
-        if loaded is not None:
-            return loaded
 
     d, a = grid.d, params.alpha
     nodes = grid.nodes
@@ -287,43 +273,8 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
     else:
         absorb = np.zeros(n)
 
-    kernel = KernelMatrix(sigma=sigma, absorb=absorb, grid=grid, params=params,
-                          selfsimilar=selfsimilar, boundary=boundary)
-    if cache_dir is not None:
-        _save_cached(kernel, cache_dir)
-    return kernel
-
-
-def _cache_path(grid, params, selfsimilar, boundary, cache_dir):
-    import os
-    key = _cache_key(grid, params, selfsimilar, boundary)
-    return os.path.join(cache_dir, f"kernel_{key}.npz")
-
-
-def _load_cached(grid, params, selfsimilar, boundary, cache_dir):
-    import os
-    path = _cache_path(grid, params, selfsimilar, boundary, cache_dir)
-    if not os.path.exists(path):
-        return None
-    data = np.load(path)
-    # exact-match invalidation: node vector must be bit-identical
-    if data["nodes"].shape != grid.nodes.shape or not np.array_equal(data["nodes"], grid.nodes):
-        return None
-    return KernelMatrix(sigma=data["sigma"], absorb=data["absorb"], grid=grid,
-                        params=params, selfsimilar=bool(selfsimilar),
-                        boundary=boundary)
-
-
-def _save_cached(kernel: KernelMatrix, cache_dir):
-    import os
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(kernel.grid, kernel.params, kernel.selfsimilar,
-                       kernel.boundary, cache_dir)
-    tmp = path[:-len(".npz")] + "_tmp.npz"
-    with open(tmp, "wb") as fh:
-        np.savez(fh, sigma=kernel.sigma, absorb=kernel.absorb,
-                 nodes=kernel.grid.nodes)
-    os.replace(tmp, path)
+    return KernelMatrix(sigma=sigma, absorb=absorb, grid=grid, params=params,
+                        selfsimilar=selfsimilar, boundary=boundary)
 
 
 def default_dt(kernel: KernelMatrix) -> float:

@@ -12,8 +12,7 @@ import pytest
 
 from kraichnan_lab import flux, mc_spde, mellin, quad, spectral
 from kraichnan_lab.errors import TruncationWarning
-from kraichnan_lab.specfun import (ModelParams, gamma_fn, mellin_f,
-                                   sphere_surface)
+from kraichnan_lab.specfun import ModelParams, gamma_fn, sphere_surface
 
 K_GRID = [(d, a, f * d / 2.0) for d in (2, 3) for a in (0.25, 0.5, 0.75)
           for f in (0.2, 0.5, 0.8)]
@@ -79,17 +78,17 @@ def test_c02_parseval_vs_direct_quadrature():
 
 
 def test_c03_closed_form_vs_double_integral():
-    from kraichnan_lab.quad import quadpack, _angular_profile
+    from kraichnan_lab.quad import quadpack
     cases = [(2, 0.5, 0.2), (2, 0.5, 0.4), (2, 0.8, 0.3), (2, 0.8, 0.6),
              (2, 0.95, 0.5), (3, 0.6, 0.25), (3, 0.9, 0.45), (3, 1.2, 0.5),
              (3, 1.2, 0.9), (3, 1.4, 0.7)]
     worst = 0.0
     for d, s, w in cases:
         p = ModelParams(d=d, alpha=0.5, s=s)
-        closed = mellin_f(p, float(d) - w).real
+        closed = mellin.f_product(p)(float(d) - w).real
 
         def body(t):
-            return t ** (w - 1.0) * _angular_profile(t, d, s, 1e-12)
+            return t ** (w - d) * quad.f_inner(t, p, 1e-12)
         v1, _, _ = quadpack(body, 0.0, 2.0, points=[1.0], rel_tol=1e-11)
 
         def mapped(u):

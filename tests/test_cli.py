@@ -1,6 +1,7 @@
 """Experiment runner: schema validation, exit codes, artifact layout,
 reproducibility."""
 
+import csv
 import json
 import os
 
@@ -25,8 +26,15 @@ class TestValidate:
         assert out.startswith("ok")
         resolved = json.loads(out.split("\n", 1)[1])
         assert resolved["seed"] == 0
-        assert resolved["m"] == 0.0
+        assert "m" not in resolved
         assert resolved["grid"]["nodes"] == 512
+
+    def test_mass_field_rejected(self, tmp_path, capsys):
+        # the kernel and the flux always use unit mass, so a config mass
+        # would be reported without being used
+        path = write_cfg(tmp_path, m=0.0)
+        assert cli.main(["validate", path]) == 2
+        assert "schema" in capsys.readouterr().err
 
     def test_alpha_out_of_range(self, tmp_path, capsys):
         path = write_cfg(tmp_path, alpha=1.5)
@@ -58,7 +66,7 @@ class TestRun:
         out = tmp_path / "out"
         assert cli.main(["run", path, "--output-dir", str(out)]) == 0
         csv = (out / "flux_table.csv").read_text()
-        assert csv == "xi,F,residual,K,d,alpha,s,m\n"
+        assert csv == "xi,F,residual,K,d,alpha,s\n"
         summary = json.loads((out / "summary.json").read_text())
         assert summary["passed"] is True
         assert os.path.exists(out / "manifest.json")
@@ -91,6 +99,27 @@ class TestRun:
         assert (out1 / "summary.json").read_bytes() == \
             (out2 / "summary.json").read_bytes()
 
+    @pytest.mark.parametrize("overrides,table", [
+        ({"experiment": "k-constants", "alpha": 0.75, "s": 0.75},
+         "k_constants.csv"),
+        ({"grid": {"rho_min": 1.0, "rho_max": 30.0, "nodes": 4}},
+         "flux_table.csv"),
+        ({"experiment": "asymptotics",
+          "grid": {"rho_min": 10.0, "rho_max": 1000.0, "nodes": 4}},
+         "asymptotics.csv"),
+    ])
+    def test_tables_hold_plain_floats(self, tmp_path, overrides, table):
+        path = write_cfg(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--output-dir", str(out)]) == 0
+        with open(out / table, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            for key, cell in row.items():
+                if key != "route":
+                    float(cell)
+
     def test_output_dir_from_config(self, tmp_path):
         out = tmp_path / "from_cfg"
         path = write_cfg(tmp_path, output_dir=str(out),
@@ -114,3 +143,24 @@ class TestSmallSpectralRun:
         traj = (out / "trajectory.csv").read_text().strip().split("\n")
         assert traj[0] == "t,mass,norm_0.25,norm_0.75,boundary_fraction"
         assert len(traj) > 2
+
+
+class TestSmallMcEnsemble:
+    def test_records_every_stride_steps(self, tmp_path):
+        # 12 steps: records at steps 0, 5, 10 and the final step 12
+        dt = 1e-4
+        cfg = {
+            "experiment": "mc-ensemble", "d": 2, "alpha": 0.5, "s": 0.5,
+            "time": {"t_final": 12 * dt},
+            "lattice": {"n_max": 4, "n_samples": 64, "dt": dt},
+            "seed": 3,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--output-dir", str(out)]) in (0, 1)
+        tables = sorted(p.name for p in out.iterdir()
+                        if p.name.startswith("ensemble_t"))
+        assert tables == [f"ensemble_t{i}.csv" for i in range(4)]
+        summary = json.loads((out / "summary.json").read_text())
+        assert [c["id"] for c in summary["checks"]] == ["mc.master_equation_rates"]

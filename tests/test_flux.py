@@ -155,7 +155,7 @@ class TestResidualTable:
     def test_csv_header_and_rows(self):
         table = asymptotic_residual_table(P, [1.0, 2.0])
         lines = table.to_csv().strip().split("\n")
-        assert lines[0] == "xi,F,residual,K,d,alpha,s,m"
+        assert lines[0] == "xi,F,residual,K,d,alpha,s"
         assert len(lines) == 3
 
     def test_residual_bounded_at_large_xi(self):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from kraichnan_lab import mellin, quad
 from kraichnan_lab.errors import (CaseOutOfRange, DomainError, HigherOrderPole,
-                                  StripViolation)
+                                  PoleError, StripViolation)
 from kraichnan_lab.mellin import (GammaProduct, d_constant, expand_J,
                                   expansion_terms, f_product, h_product,
                                   jl_product, k_constant_appendix,
@@ -73,11 +73,16 @@ class TestResidues:
             assert -term.coefficient == pytest.approx(target, rel=1e-12)
 
     def test_product_residue_at_d_2alpha(self):
-        # coefficient equals M[f, 1-d-2alpha]
-        from kraichnan_lab.specfun import mellin_f
+        # coefficient equals M[f, 1-z] at z = d+2alpha, in closed form
+        # sqrt(pi) G((d-2s+2)/2) G((d+1)/2) / (2 G(s))
+        #   * G((2s-d+z)/2) G((d-z)/2) / [G((z+2)/2) G((2d-2s+2-z)/2)]
+        from scipy.special import gamma as G
         p = ModelParams(d=2, alpha=0.4, s=0.8)
-        term = residue_at(jl_product(p), p.d + 2.0 * p.alpha)
-        target = mellin_f(p, 1.0 * p.d + 2.0 * p.alpha).real
+        d, s, z = p.d, p.s, p.d + 2.0 * p.alpha
+        term = residue_at(jl_product(p), z)
+        target = (math.sqrt(math.pi) * G((d - 2 * s + 2) / 2) * G((d + 1) / 2)
+                  / (2 * G(s)) * G((2 * s - d + z) / 2) * G((d - z) / 2)
+                  / (G((z + 2) / 2) * G((2 * d - 2 * s + 2 - z) / 2)))
         assert term.coefficient == pytest.approx(target, rel=1e-12)
 
     def test_higher_order_rejected(self):
@@ -188,9 +193,12 @@ class TestKConstants:
     def test_integral_inner_vanishes_second_order_at_origin(self):
         # the odd first-order term of the angular average cancels, so
         # inner(r)/r^2 approaches a finite limit as r -> 0
-        from kraichnan_lab.mellin import _angular_one_minus
-        vals = [_angular_one_minus(r, 2, 0.5, 1e-11) / r ** 2
-                for r in (1e-2, 1e-3)]
+        def inner(r):
+            def g(t):
+                q = 1.0 - 2.0 * r * math.cos(t) + r * r
+                return math.sin(t) ** 2 * (1.0 - abs(q) ** -0.5)
+            return quad.angular_quad(g, r, 1e-11, 400)
+        vals = [inner(r) / r ** 2 for r in (1e-2, 1e-3)]
         assert abs(vals[1] - vals[0]) <= 1e-3 * abs(vals[0])
 
     def test_gamma_vs_residue_route(self):
@@ -290,5 +298,11 @@ class TestGammaProductProperties:
             GammaProduct(1.0, ((0.0, 1.0, +1),))
 
     def test_rejects_eval_at_pole(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(PoleError):
             h_product(P2)(3.0)
+
+    def test_reciprocal_factor_at_pole_is_zero(self):
+        inv = GammaProduct(1.0, ((1.0, 0.0, -1),))
+        assert inv(0.0) == 0.0
+        np.testing.assert_allclose(inv(np.array([-2.0, 1.0, 4.0])),
+                                   [0.0, 1.0, 1.0 / 6.0], rtol=1e-14)

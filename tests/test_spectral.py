@@ -97,17 +97,6 @@ class TestKernel:
     def test_absorb_rates_positive(self, small_kernel):
         assert np.all(small_kernel.absorb > 0.0)
 
-    def test_cache_roundtrip(self, tmp_path):
-        grid = RadialGrid.log_spaced(0.1, 10.0, 24, 2)
-        k1 = build_kernel(grid, P, cache_dir=str(tmp_path))
-        k2 = build_kernel(grid, P, cache_dir=str(tmp_path))
-        assert np.array_equal(k1.sigma, k2.sigma)
-        assert np.array_equal(k1.absorb, k2.absorb)
-        # a different alpha must not hit the same cache entry
-        p2 = ModelParams(d=2, alpha=0.6, s=0.75)
-        k3 = build_kernel(grid, p2, cache_dir=str(tmp_path))
-        assert not np.array_equal(k1.sigma, k3.sigma)
-
 
 class TestStep:
     def test_zero_state_stays_zero(self, small_kernel, small_grid):
