@@ -20,7 +20,7 @@ from scipy import special as _scisp
 from .errors import (CaseOutOfRange, DomainError, HigherOrderPole, PoleError,
                      StripViolation, ToleranceNotReached)
 from .quad import angular_quad, quadpack, tail_quad
-from .specfun import ModelParams, gamma_fn, sphere_surface, POLE_TOL
+from .specfun import ModelParams, gamma_fn, gamma_pole_index, sphere_surface
 
 __all__ = [
     "GammaProduct", "AsymptoticTerm", "KReport",
@@ -28,7 +28,7 @@ __all__ = [
     "poles_in_strip", "residue_at", "parseval_contour",
     "expand_J", "expansion_terms",
     "k_constant_gamma", "k_constant_integral", "k_constant_appendix",
-    "riesz_constant", "d_constant",
+    "riesz_constant", "d_constant", "k_report",
 ]
 
 
@@ -54,26 +54,11 @@ class GammaProduct:
         return GammaProduct(self.prefactor * other.prefactor,
                             self.factors + other.factors)
 
-    def _pole_ladders(self):
-        """(start, step, kind) ladders: poles for +1 factors, zeros for -1.
-
-        Γ(a z + b) hits a pole when a z + b = -n, i.e. z = -(n + b)/a for
-        n = 0, 1, 2, ...; step between consecutive hits is -1/a.
-        """
-        out = []
-        for coef, offset, power in self.factors:
-            out.append((-offset / coef, -1.0 / coef, power))
-        return out
-
-    def pole_order(self, x: float, tol: float = 1e-9) -> int:
+    def pole_order(self, x: float) -> int:
         """Net pole order at real location x (cancellation-aware); <= 0 means
         regular (or a zero)."""
-        order = 0
-        for start, step, power in self._pole_ladders():
-            n = round((x - start) / step)
-            if n >= 0 and abs(start + step * n - x) < tol * max(1.0, abs(x)):
-                order += power
-        return order
+        return sum(power for coef, offset, power in self.factors
+                   if gamma_pole_index(coef * x + offset) >= 0)
 
     def __call__(self, z):
         """Evaluate at complex z (scalar or array) through log space."""
@@ -86,8 +71,7 @@ class GammaProduct:
         args = coefs[:, None] * flat[None, :] + offs[:, None]
         # reject evaluation at poles of any retained factor; a reciprocal
         # factor at a pole of its Gamma is a zero of the product
-        near = (args.real < 0.5) & (np.abs(args - np.round(args.real)) < POLE_TOL) \
-            & (np.round(args.real) <= 0)
+        near = gamma_pole_index(args) >= 0
         if np.any(near & (pows[:, None] == 1)):
             raise PoleError("GammaProduct evaluated at a pole; use residue_at")
         lg = _scisp.loggamma(np.where(near, 1.0, args))
@@ -154,29 +138,19 @@ def poles_in_strip(expr: GammaProduct, lo: float, hi: float):
     pairs with factor cancellations accounted for."""
     if not lo < hi:
         raise DomainError("poles_in_strip requires lo < hi")
-    hits = {}
-    for start, step, power in expr._pole_ladders():
-        # n range with lo < start + step*n < hi, n >= 0
-        if step > 0:
-            n_lo = max(0, math.ceil((lo - start) / step + 1e-15))
-            n_hi = math.floor((hi - start) / step - 1e-15)
-        else:
-            n_lo = max(0, math.ceil((hi - start) / step + 1e-15))
-            n_hi = math.floor((lo - start) / step - 1e-15)
-        for n in range(n_lo, n_hi + 1):
-            x = start + step * n
-            if not (lo < x < hi):
-                continue
-            key = None
-            for k in hits:
-                if abs(k - x) < 1e-9 * max(1.0, abs(x)):
-                    key = k
-                    break
-            if key is None:
-                key = x
-                hits[key] = 0
-            hits[key] += power
-    return sorted((x, o) for x, o in hits.items() if o >= 1)
+    found = []
+    for coef, offset, power in expr.factors:
+        if power != +1:
+            continue  # reciprocal factors only cancel poles (pole_order)
+        # Gamma(coef z + offset) has its pole -n at z = -(n + offset) / coef
+        n_lo, n_hi = sorted(-(coef * z + offset) for z in (lo, hi))
+        for n in range(max(0, math.floor(n_lo)), math.ceil(n_hi) + 1):
+            x = -(n + offset) / coef
+            if lo < x < hi and not any(gamma_pole_index(coef * y + offset) == n
+                                       for y in found):
+                found.append(x)
+    return sorted((x, o) for x, o in ((x, expr.pole_order(x)) for x in found)
+                  if o >= 1)
 
 
 def residue_at(expr: GammaProduct, pole: float,
@@ -192,10 +166,9 @@ def residue_at(expr: GammaProduct, pole: float,
     hits_zero = []
     regular = []
     for coef, offset, power in expr.factors:
-        arg = coef * pole + offset
-        n = round(arg)
-        if n <= 0 and abs(arg - n) < 1e-9 * max(1.0, abs(pole)):
-            (hits_pole if power == +1 else hits_zero).append((coef, -int(n)))
+        n = int(gamma_pole_index(coef * pole + offset))
+        if n >= 0:
+            (hits_pole if power == +1 else hits_zero).append((coef, n))
         else:
             regular.append((coef, offset, power))
     if len(hits_pole) - len(hits_zero) != 1:

@@ -19,8 +19,8 @@ from scipy import integrate as _sciint
 from .errors import DomainError, NonFiniteIntegrand, ToleranceNotReached
 from .specfun import ModelParams
 
-__all__ = ["QuadRequest", "QuadResult", "integrate_1d", "angular_quad",
-           "tail_quad", "f_inner", "J_direct"]
+__all__ = ["QuadRequest", "QuadResult", "quadpack", "integrate_1d",
+           "angular_quad", "tail_quad", "f_inner", "J_direct"]
 
 
 @dataclass

@@ -11,6 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import special as _scisp
 
 from .errors import DomainError, PoleError
@@ -22,11 +23,14 @@ __all__ = [
     "sin_power_integral",
     "sphere_surface",
     "POLE_TOL",
+    "gamma_pole_index",
 ]
 
-# An argument closer than this to a pole is treated as *at* the pole.
-# Near-pole values must go through residues instead (mellin module).
-POLE_TOL = 1e-12
+# A Gamma argument closer than this to a nonpositive integer is treated as
+# *at* the pole, by log_gamma, by GammaProduct evaluation and by the residue
+# bookkeeping alike.  Near-pole values must go through residues instead
+# (mellin module).
+POLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,11 +79,12 @@ def _check_finite(z, what="argument"):
     return z
 
 
-def _near_nonpositive_integer(z: complex, tol: float = POLE_TOL) -> bool:
-    if z.real > 0.5:
-        return False
-    n = round(z.real)
-    return n <= 0 and abs(z - n) < tol
+def gamma_pole_index(arg):
+    """n >= 0 where arg lies within POLE_TOL of the pole -n of Gamma, and -1
+    elsewhere (elementwise; the one pole test of the library)."""
+    arg = np.asarray(arg, dtype=complex)
+    n = -np.round(arg.real)
+    return np.where((n >= 0) & (np.abs(arg + n) < POLE_TOL), n, -1).astype(int)
 
 
 def log_gamma(z) -> complex:
@@ -88,7 +93,7 @@ def log_gamma(z) -> complex:
     Raises PoleError at the nonpositive integers (within POLE_TOL).
     """
     z = _check_finite(z)
-    if _near_nonpositive_integer(z):
+    if gamma_pole_index(z) >= 0:
         raise PoleError(f"log_gamma pole at z = {z!r}")
     out = complex(_scisp.loggamma(z))
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):

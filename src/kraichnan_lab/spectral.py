@@ -9,6 +9,13 @@ the anomalous-dissipation time integral.
 The kernel is stored in symmetric "flux form" sigma_ij = w_i kappa_ij, which
 the builder makes exactly symmetric; rates are computed in the gain-loss
 difference form so constant states have exactly zero rate, term by term.
+
+Because sigma is symmetric and every loss term is diagonal, the rate
+operator L is similar to the symmetric S = W^{1/2} L W^{-1/2}.  One
+eigendecomposition S = V diag(lam) V^T gives the exact solution
+a(t) = W^{-1/2} V e^{lam t} V^T W^{1/2} a(0) at any t, with no stability
+limit, and the time integral of the mass in closed form.  The explicit RK4
+`step` is kept as the independent reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -29,13 +36,15 @@ from .specfun import ModelParams, sphere_surface
 
 __all__ = [
     "RadialGrid", "SpectrumState", "KernelMatrix", "BalanceReport",
-    "Trajectory", "build_kernel", "step", "default_dt", "sobolev_norm",
-    "balance_check", "evolve", "anomalous_dissipation_integral",
+    "Trajectory", "build_kernel", "step", "propagate", "default_dt",
+    "sobolev_norm", "balance_check", "evolve", "anomalous_dissipation_integral",
 ]
 
 _NEAR_BAND = 4          # cells each side of the diagonal with sub-cell radial quadrature
 _GL12 = leggauss(12)
 _GL16 = leggauss(16)
+# memory cap on the block of record states evolve holds at once
+_RECORD_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -83,9 +92,6 @@ class SpectrumState:
         if not np.all(np.isfinite(self.values)):
             raise DomainError("spectrum has non-finite entries")
 
-    def copy(self) -> "SpectrumState":
-        return SpectrumState(self.grid, self.values.copy(), self.time, self.params)
-
 
 @dataclass
 class KernelMatrix:
@@ -100,6 +106,8 @@ class KernelMatrix:
     boundary: str
     _row_sums: Optional[np.ndarray] = field(default=None, repr=False)
     _max_loss: Optional[float] = field(default=None, repr=False)
+    _modes: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None,
+                                                            repr=False)
 
     @property
     def entries(self) -> np.ndarray:
@@ -123,6 +131,17 @@ class KernelMatrix:
         if self._max_loss is None:
             self._max_loss = float(self.loss_rates().max())
         return self._max_loss
+
+    def modes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues lam (ascending, <= 0 up to round-off) and orthonormal
+        eigenvectors V of S = W^{-1/2} sigma W^{-1/2} - diag(loss_rates()),
+        the symmetric operator similar to the rate: L = W^{-1/2} S W^{1/2}."""
+        if self._modes is None:
+            r = 1.0 / np.sqrt(self.grid.weights)
+            sym = self.sigma * np.outer(r, r)
+            sym[np.diag_indices_from(sym)] -= self.loss_rates()
+            self._modes = np.linalg.eigh(sym)
+        return self._modes
 
     def rate(self, a: np.ndarray) -> np.ndarray:
         """Gain-loss rate (sigma @ a - a * row_sums) / w, minus absorption
@@ -282,9 +301,25 @@ def default_dt(kernel: KernelMatrix) -> float:
     return 0.25 / kernel.max_loss_rate()
 
 
+def _check_spectrum(values: np.ndarray, where: str):
+    """Reject non-finite values, and values below -1e-12 times the maximum of
+    their column; negative values are never clamped."""
+    if not np.all(np.isfinite(values)):
+        raise ComputeError(f"non-finite spectrum after {where}")
+    peak = np.atleast_1d(values.max(axis=0, initial=0.0))
+    low = np.atleast_1d(values.min(axis=0))
+    bad = np.flatnonzero((peak > 0) & (low < -1e-12 * peak))
+    if bad.size:
+        k = bad[0]
+        raise NegativityError(
+            f"spectrum negative beyond tolerance after {where}: "
+            f"min = {low[k]:.3e}, max = {peak[k]:.3e}")
+
+
 def step(state: SpectrumState, kernel: KernelMatrix, dt: float) -> SpectrumState:
-    """One explicit RK4 step of the gain-loss system.  Negative values are a
-    hard error beyond the round-off band; they are never clamped."""
+    """One explicit RK4 step of the gain-loss system: the reference the exact
+    propagator is tested against.  Negative values are a hard error beyond
+    the round-off band; they are never clamped."""
     if dt <= 0:
         raise DomainError("dt must be positive")
     max_loss = kernel.max_loss_rate()
@@ -297,21 +332,40 @@ def step(state: SpectrumState, kernel: KernelMatrix, dt: float) -> SpectrumState
     k3 = kernel.rate(a + 0.5 * dt * k2)
     k4 = kernel.rate(a + dt * k3)
     new = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(new)):
-        raise ComputeError("non-finite spectrum after step")
-    peak = float(new.max(initial=0.0))
-    if peak > 0 and float(new.min()) < -1e-12 * peak:
-        raise NegativityError(
-            f"spectrum negative beyond tolerance: min = {new.min():.3e}, max = {peak:.3e}")
+    _check_spectrum(new, "step")
     return SpectrumState(grid=state.grid, values=new, time=state.time + dt,
                          params=state.params)
+
+
+def _mode_values(kernel: KernelMatrix, a: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Exact states a(t0 + tau) for each tau in taus, as the columns of an
+    (n, len(taus)) array: one matrix product for the whole block."""
+    lam, vecs = kernel.modes()
+    sw = np.sqrt(kernel.grid.weights)
+    coef = vecs.T @ (sw * a)
+    return (vecs @ (coef[:, None] * np.exp(np.outer(lam, taus)))) / sw[:, None]
+
+
+def propagate(state: SpectrumState, kernel: KernelMatrix, t: float) -> SpectrumState:
+    """Exact solution of the master equation at time t >= state.time:
+    W^{-1/2} V e^{lam (t - t0)} V^T W^{1/2} a from the kernel's modes.
+    Negative values beyond the round-off band are a hard error, as in
+    `step`; they are never clamped."""
+    if t < state.time:
+        raise DomainError("propagate runs forward in time only")
+    new = _mode_values(kernel, state.values, np.array([t - state.time]))[:, 0]
+    _check_spectrum(new, "propagation")
+    return SpectrumState(grid=state.grid, values=new, time=t, params=state.params)
+
+
+def _norm_weights(grid: RadialGrid, s_query: float) -> np.ndarray:
+    return grid.nodes ** (-2.0 * s_query) * grid.weights
 
 
 def sobolev_norm(state: SpectrumState, s_query: float) -> float:
     """Quadrature of int |xi|^{-2 s_query} a(|xi|) d xi on the grid
     (s_query = 0 gives the total spectral mass)."""
-    rho = state.grid.nodes
-    return float(np.sum(rho ** (-2.0 * s_query) * state.values * state.grid.weights))
+    return float(_norm_weights(state.grid, s_query) @ state.values)
 
 
 @dataclass
@@ -389,85 +443,89 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _boundary_fraction(state: SpectrumState) -> float:
-    n = state.grid.n
-    k = max(1, math.ceil(0.05 * n))
-    w = state.grid.weights
-    a = state.values
-    total = float(np.sum(a * w))
-    if total <= 0:
-        return 0.0
-    edge = float(np.sum(a[:k] * w[:k]) + np.sum(a[-k:] * w[-k:]))
-    return edge / total
+def _boundary_fraction(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+    """Share of the mass held by the outer 5% of nodes on either end, for
+    each column of values (zero where the mass is not positive)."""
+    k = max(1, math.ceil(0.05 * grid.n))
+    wa = grid.weights[:, None] * values.reshape(grid.n, -1)
+    total = wa.sum(axis=0)
+    edge = wa[:k].sum(axis=0) + wa[-k:].sum(axis=0)
+    return np.where(total > 0, edge / np.where(total > 0, total, 1.0), 0.0)
 
 
 def evolve(initial: SpectrumState, kernel: KernelMatrix, t_final: float,
            dt: Optional[float] = None, trackers: Sequence[float] = (),
            stop_on_truncation: bool = True) -> Trajectory:
-    """March the master equation to t_final recording mass, the tracked
-    Sobolev norms and the boundary mass fraction at every step.
+    """Solve the master equation to t_final exactly from the kernel's modes,
+    recording mass, the tracked Sobolev norms and the boundary mass fraction
+    every dt.  Records are computed in blocks of bounded memory.
 
-    Issues TruncationWarning (and stops, unless told otherwise) as soon as
-    the outer 5% of nodes on either end hold more than 1% of the mass.
+    Issues TruncationWarning (and stops, unless told otherwise) at the first
+    record where the outer 5% of nodes on either end hold more than 1% of the
+    mass.
     """
     if dt is None:
         dt = default_dt(kernel)
-    state = initial.copy()
-    times, mass, bfrac = [state.time], [sobolev_norm(state, 0.0)], [
-        _boundary_fraction(state)]
-    norms = {float(s): [sobolev_norm(state, s)] for s in trackers}
+    grid, t0 = initial.grid, initial.time
+    n_steps = max(1, int(math.ceil((t_final - t0) / dt)))
+    taus = dt * np.arange(1, n_steps + 1)
+    probes = np.array([_norm_weights(grid, s) for s in (0.0, *trackers)])
+    sums = [probes @ initial.values[:, None]]
+    bfrac = [_boundary_fraction(grid, initial.values)]
+    last = initial.values
     truncated = False
     t_trunc = None
-    n_steps = max(1, int(math.ceil((t_final - state.time) / dt)))
-    for _ in range(n_steps):
-        state = step(state, kernel, dt)
-        times.append(state.time)
-        mass.append(sobolev_norm(state, 0.0))
-        for s in norms:
-            norms[s].append(sobolev_norm(state, s))
-        bf = _boundary_fraction(state)
+    block = max(1, _RECORD_BLOCK_BYTES // (8 * grid.n))
+    for b0 in range(0, n_steps, block):
+        vals = _mode_values(kernel, initial.values, taus[b0:b0 + block])
+        bf = _boundary_fraction(grid, vals)
+        first = None if truncated else next(iter(np.flatnonzero(bf > 0.01)), None)
+        if first is not None and stop_on_truncation:
+            vals, bf = vals[:, :first + 1], bf[:first + 1]
+        _check_spectrum(vals, "propagation")
+        sums.append(probes @ vals)
         bfrac.append(bf)
-        if bf > 0.01 and not truncated:
+        last = vals[:, -1]
+        if first is not None:
             truncated = True
-            t_trunc = state.time
+            t_trunc = t0 + float(taus[b0 + first])
             warnings.warn(
-                f"boundary cells hold {bf:.1%} of the mass at t = {state.time:.4g};"
+                f"boundary cells hold {bf[first]:.1%} of the mass at t = {t_trunc:.4g};"
                 " full-space comparisons are invalid beyond this time",
                 TruncationWarning)
             if stop_on_truncation:
                 break
-    return Trajectory(times=np.array(times), mass=np.array(mass),
-                      norms={s: np.array(v) for s, v in norms.items()},
-                      boundary_fraction=np.array(bfrac), truncated=truncated,
-                      truncation_time=t_trunc, final_state=state)
+    sums = np.concatenate(sums, axis=1)
+    times = np.concatenate(([t0], t0 + taus[:sums.shape[1] - 1]))
+    final = SpectrumState(grid=grid, values=last.copy(), time=float(times[-1]),
+                          params=initial.params)
+    return Trajectory(times=times, mass=sums[0],
+                      norms={float(s): sums[1 + i] for i, s in enumerate(trackers)},
+                      boundary_fraction=np.concatenate(bfrac), truncated=truncated,
+                      truncation_time=t_trunc, final_state=final)
 
 
-def anomalous_dissipation_integral(initial: SpectrumState, kernel: KernelMatrix,
-                                   t_max: float, dt: Optional[float] = None):
+def anomalous_dissipation_integral(initial: SpectrumState, kernel: KernelMatrix):
     """(integral, reference) for the scale-free energy-decay identity:
-    integral = int_0^inf mass dt (trapezoid to t_max plus a power-law tail
-    extrapolation), reference = ||a_0|| in the norm of index alpha-1 divided
-    by the dissipation constant at s = 1 - alpha."""
+    integral = int_0^inf mass dt, in closed form from the kernel's modes as
+    sum_k (sqrt(w).v_k) (v_k.sqrt(w) a_0) / (-lam_k); reference = ||a_0|| in
+    the norm of index alpha-1 divided by the dissipation constant at
+    s = 1 - alpha.
+
+    Raises DomainError for a closed boundary without viscosity, where the
+    mass is conserved and the integral diverges."""
     if not kernel.selfsimilar:
         raise DomainError("anomalous dissipation integral needs the scale-free kernel")
+    if kernel.boundary == "closed" and kernel.params.nu == 0.0:
+        raise DomainError("a closed boundary with nu = 0 conserves mass: "
+                          "the time integral of the mass diverges")
     params = initial.params
     a = params.alpha
     if float(np.max(initial.values)) == 0.0:
         return 0.0, 0.0
-    traj = evolve(initial, kernel, t_max, dt=dt, trackers=(),
-                  stop_on_truncation=False)
-    integral = float(np.trapezoid(traj.mass, traj.times))
-    # power-law tail fit over the late part of the run (the decay exponent
-    # approaches its terminal value from below, so fit close to t_max)
-    t_end = traj.times[-1]
-    sel = traj.times >= t_end / 2.0
-    tt, mm = traj.times[sel], traj.mass[sel]
-    pos = mm > 0
-    if pos.sum() >= 2 and mm[pos][-1] > 0:
-        slope, _ = np.polyfit(np.log(tt[pos]), np.log(mm[pos]), 1)
-        beta = -slope
-        if beta > 1.0:
-            integral += float(mm[-1] * t_end / (beta - 1.0))
+    lam, vecs = kernel.modes()
+    sw = np.sqrt(initial.grid.weights)
+    integral = float(np.sum((sw @ vecs) * (vecs.T @ (sw * initial.values)) / -lam))
     k_ref = _mellin.k_constant_gamma(ModelParams(d=params.d, alpha=a, s=1.0 - a))
     reference = sobolev_norm(initial, 1.0 - a) / k_ref
     return integral, reference

@@ -88,14 +88,24 @@ class TestRun:
         body = (out / "k_constants.csv").read_text().strip().split("\n")
         assert body[0] == "route,value" and len(body) == 4
 
-    def test_rerun_byte_identical(self, tmp_path):
-        path = write_cfg(tmp_path, grid={"rho_min": 1.0, "rho_max": 30.0,
-                                         "nodes": 4})
+    @pytest.mark.parametrize("overrides,table", [
+        ({"grid": {"rho_min": 1.0, "rho_max": 30.0, "nodes": 4}},
+         "flux_table.csv"),
+        # the two below read the kernel's LAPACK eigendecomposition
+        ({"experiment": "selfsimilar-balance", "selfsimilar": True,
+          "grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 64},
+          "time": {"t_final": 0.5}},
+         "selfsimilar_balance.csv"),
+        ({"experiment": "dissipation-integral", "selfsimilar": True,
+          "grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 64}},
+         "dissipation_integral.csv"),
+    ], ids=["flux-table", "selfsimilar-balance", "dissipation-integral"])
+    def test_rerun_byte_identical(self, tmp_path, overrides, table):
+        path = write_cfg(tmp_path, **overrides)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert cli.main(["run", path, "--output-dir", str(out1)]) == 0
         assert cli.main(["run", path, "--output-dir", str(out2)]) == 0
-        assert (out1 / "flux_table.csv").read_bytes() == \
-            (out2 / "flux_table.csv").read_bytes()
+        assert (out1 / table).read_bytes() == (out2 / table).read_bytes()
         assert (out1 / "summary.json").read_bytes() == \
             (out2 / "summary.json").read_bytes()
 

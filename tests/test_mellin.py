@@ -301,6 +301,14 @@ class TestGammaProductProperties:
         with pytest.raises(PoleError):
             h_product(P2)(3.0)
 
+    def test_pole_rule_shared_by_order_and_evaluation(self):
+        # a point 1e-10 from the pole at z = 3 is the pole both for the
+        # residue bookkeeping and for evaluation
+        z = 3.0 + 1e-10
+        assert h_product(P2).pole_order(z) == 1
+        with pytest.raises(PoleError):
+            h_product(P2)(z)
+
     def test_reciprocal_factor_at_pole_is_zero(self):
         inv = GammaProduct(1.0, ((1.0, 0.0, -1),))
         assert inv(0.0) == 0.0

@@ -1,6 +1,7 @@
-"""Public names: every module's __all__ resolves, and so does every function
-the benchmark's tracer wraps (perfbench/tracing.py looks them up by name, so
-deleting or renaming one would break traced runs without failing a test)."""
+"""Public names: every module's __all__ resolves, every name a module takes
+from a sibling is public there, and every function the benchmark's tracer
+wraps resolves (perfbench/tracing.py looks them up by name, so deleting or
+renaming one would break traced runs without failing a test)."""
 
 import ast
 import functools
@@ -32,6 +33,36 @@ def test_all_names_resolve(name):
     mod = importlib.import_module(f"kraichnan_lab.{name}")
     for attr in getattr(mod, "__all__", ()):
         assert hasattr(mod, attr), f"kraichnan_lab.{name}.__all__ lists {attr!r}"
+
+
+def _sibling_uses(name):
+    """(sibling, name) pairs the module takes from sibling modules, through
+    `from .x import n` or `alias.n` after `from . import x as alias`."""
+    with open(importlib.import_module(f"kraichnan_lab.{name}").__file__) as fh:
+        tree = ast.parse(fh.read())
+    aliases, uses = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                aliases.update((a.asname or a.name, a.name) for a in node.names
+                               if a.name in MODULES)
+            elif node.module in MODULES:
+                uses.update((node.module, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            uses.add((aliases[node.value.id], node.attr))
+    return sorted(uses)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_sibling_imports_are_public(name):
+    for sibling, attr in _sibling_uses(name):
+        mod = importlib.import_module(f"kraichnan_lab.{sibling}")
+        # a module without __all__ exports its names without a leading "_"
+        public = getattr(mod, "__all__", None)
+        ok = attr in public if public is not None else not attr.startswith("_")
+        assert ok, f"kraichnan_lab.{name} uses {sibling}.{attr}, which is not public"
 
 
 @pytest.mark.parametrize("target", _tracing_targets())

@@ -31,7 +31,7 @@ class TestLogGamma:
         got = log_gamma(2.3 + 1.7j)
         assert abs(got - LOG_GAMMA_2p3_1p7) <= 1e-12 * abs(LOG_GAMMA_2p3_1p7)
 
-    @pytest.mark.parametrize("z", [0.0, -1.0, -2.0, -7.0])
+    @pytest.mark.parametrize("z", [0.0, -1.0, -2.0, -7.0, -2.0 + 1e-10])
     def test_poles_rejected(self, z):
         with pytest.raises(PoleError):
             log_gamma(z)

@@ -2,7 +2,6 @@
 identities, evolution diagnostics."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +12,11 @@ from kraichnan_lab.errors import (DomainError, StabilityViolation,
 from kraichnan_lab.spectral import (KernelMatrix, RadialGrid, SpectrumState,
                                     anomalous_dissipation_integral,
                                     balance_check, build_kernel, default_dt,
-                                    evolve, sobolev_norm, step)
+                                    evolve, propagate, sobolev_norm, step)
 from kraichnan_lab.specfun import ModelParams
 
 P = ModelParams(d=2, alpha=0.5, s=0.75)
+P_NU = ModelParams(d=2, alpha=0.5, s=0.75, nu=0.05)
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,15 @@ def small_kernel_closed(small_grid):
 @pytest.fixture(scope="module")
 def ss_kernel(small_grid):
     return build_kernel(small_grid, P, selfsimilar=True, boundary="absorbing")
+
+
+@pytest.fixture(scope="module")
+def nu_kernel(small_grid, small_kernel):
+    # the exchange kernel is nu-independent; viscosity only adds the
+    # diagonal decay 2 nu |xi|^2, so the viscous kernel reuses sigma
+    return KernelMatrix(sigma=small_kernel.sigma, absorb=small_kernel.absorb,
+                        grid=small_grid, params=P_NU, selfsimilar=False,
+                        boundary="absorbing")
 
 
 def bump_state(grid, center=1.0, width=0.4):
@@ -201,44 +210,75 @@ class TestEvolve:
         assert header == "t,mass,norm_0.25,norm_0.75,boundary_fraction"
 
 
+class TestPropagate:
+    @pytest.mark.parametrize("kernel_name",
+                             ["small_kernel", "small_kernel_closed", "nu_kernel"])
+    def test_matches_rk4(self, request, small_grid, kernel_name):
+        kernel = request.getfixturevalue(kernel_name)
+        st = SpectrumState(small_grid, bump_state(small_grid).values, 0.0,
+                           kernel.params)
+        ref = st
+        dt = default_dt(kernel)
+        for _ in range(40):
+            ref = step(ref, kernel, dt)
+        got = propagate(st, kernel, ref.time)
+        assert got.time == ref.time
+        assert np.max(np.abs(got.values - ref.values)) <= 1e-10 * ref.values.max()
+
+    def test_rejects_backward_time(self, small_kernel, small_grid):
+        with pytest.raises(DomainError):
+            propagate(bump_state(small_grid), small_kernel, -1e-3)
+
+
 class TestDissipationIntegral:
     def test_zero_state(self, ss_kernel, small_grid):
         st = SpectrumState(small_grid, np.zeros(small_grid.n), 0.0, P)
-        assert anomalous_dissipation_integral(st, ss_kernel, 1.0) == (0.0, 0.0)
+        assert anomalous_dissipation_integral(st, ss_kernel) == (0.0, 0.0)
 
     def test_requires_selfsimilar_kernel(self, small_kernel, small_grid):
         with pytest.raises(DomainError):
-            anomalous_dissipation_integral(bump_state(small_grid),
-                                           small_kernel, 1.0)
+            anomalous_dissipation_integral(bump_state(small_grid), small_kernel)
+
+    def test_closed_scale_free_kernel_diverges(self, ss_kernel, small_grid):
+        closed = KernelMatrix(sigma=ss_kernel.sigma, absorb=np.zeros(small_grid.n),
+                              grid=small_grid, params=P, selfsimilar=True,
+                              boundary="closed")
+        with pytest.raises(DomainError):
+            anomalous_dissipation_integral(bump_state(small_grid), closed)
 
     def test_linearity_ratio_invariant(self, ss_kernel, small_grid):
         st = bump_state(small_grid)
         st4 = SpectrumState(small_grid, 4.0 * st.values, 0.0, P)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            i1, r1 = anomalous_dissipation_integral(st, ss_kernel, 0.5)
-            i4, r4 = anomalous_dissipation_integral(st4, ss_kernel, 0.5)
+        i1, r1 = anomalous_dissipation_integral(st, ss_kernel)
+        i4, r4 = anomalous_dissipation_integral(st4, ss_kernel)
         assert i4 == pytest.approx(4.0 * i1, rel=1e-10)
         assert r4 == pytest.approx(4.0 * r1, rel=1e-12)
+
+    def test_closed_form_is_trapezoid_plus_remainder(self, ss_kernel, small_grid):
+        # dense (geometrically graded) trapezoid of the propagated mass on
+        # [0, T], plus the exact remainder int_T^inf mass dt from the modes
+        st = bump_state(small_grid)
+        T = 1.0
+        times = np.concatenate(([0.0], np.geomspace(1e-5, T, 2000)))
+        mass = [sobolev_norm(propagate(st, ss_kernel, t), 0.0) for t in times]
+        lam, vecs = ss_kernel.modes()
+        sw = np.sqrt(small_grid.weights)
+        tail = float(np.sum((sw @ vecs) * (vecs.T @ (sw * st.values))
+                            * np.exp(lam * T) / -lam))
+        integral, _ = anomalous_dissipation_integral(st, ss_kernel)
+        assert np.trapezoid(mass, times) + tail == pytest.approx(integral, rel=1e-6)
 
 
 class TestViscousDrift:
     def test_viscosity_speeds_decay_and_keeps_identity(self, small_grid,
-                                                       small_kernel):
-        # the exchange kernel is nu-independent; viscosity only adds the
-        # diagonal decay 2 nu |xi|^2, so the viscous kernel reuses sigma
-        p_nu = ModelParams(d=2, alpha=0.5, s=0.75, nu=0.05)
-        kern = KernelMatrix(sigma=small_kernel.sigma,
-                            absorb=small_kernel.absorb, grid=small_grid,
-                            params=p_nu, selfsimilar=False,
-                            boundary="absorbing")
-        st = SpectrumState(small_grid, bump_state(small_grid).values, 0.0, p_nu)
-        dt = default_dt(kern)
+                                                       small_kernel, nu_kernel):
+        st = SpectrumState(small_grid, bump_state(small_grid).values, 0.0, P_NU)
+        dt = default_dt(nu_kernel)
         state = st
         n_steps = 20
         for _ in range(n_steps):
-            state = step(state, kern, dt)
-            rep = balance_check(state, kern, p_nu.s)
+            state = step(state, nu_kernel, dt)
+            rep = balance_check(state, nu_kernel, P_NU.s)
             assert abs(rep.lhs - rep.rhs) <= 1e-12 * abs(rep.lhs)
         # inviscid twin loses strictly less mass over the same horizon
         state0 = bump_state(small_grid)
