@@ -9,8 +9,7 @@ absorbing spectral boundary.  The Ito drift uses the exact per-mode
 corrector c_{Lam,xi} = xi^T Q_Lam(0) xi.
 
 Randomness comes from counter-based Philox streams keyed by (seed, step
-index), so results are bit-identical for a fixed (seed, n_samples)
-regardless of how the work is scheduled.
+index), so an identical LatticeConfig gives bit-identical output.
 """
 
 from __future__ import annotations
@@ -26,8 +25,12 @@ from .errors import DomainError, InvalidSampleRate
 __all__ = [
     "LatticeConfig", "NoiseModes", "FieldSample", "EnsembleStats",
     "build_noise_modes", "default_dt", "em_step", "run_ensemble",
-    "sobolev_estimate", "lattice_master_rate",
+    "sobolev_estimate", "lattice_master_rate", "rate_agreement",
+    "MC_RECORD_STRIDE",
 ]
+
+# steps between ensemble records for the master-equation rate check
+MC_RECORD_STRIDE = 5
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,6 @@ class FieldSample:
     spec: np.ndarray   # (N, N//2+1) complex
     n_max: int
     fft_size: int
-    real_field: bool = True
 
     @staticmethod
     def zeros(noise: NoiseModes) -> "FieldSample":
@@ -248,16 +250,9 @@ def _step_noise(cfg: LatticeConfig, n_half: int, step_index: int) -> np.ndarray:
 def _band_modes(n_max: int):
     """Distinct representatives covering the full band: kx = 0 column in full
     plus kx >= 1 half; with multiplicity 2 for the implicit (-kx, -ky)."""
-    reps = []
-    mult = []
-    for ky in range(-n_max, n_max + 1):
-        reps.append((0, ky))
-        mult.append(1)
-    for kx in range(1, n_max + 1):
-        for ky in range(-n_max, n_max + 1):
-            reps.append((kx, ky))
-            mult.append(2)
-    return np.array(reps, dtype=int), np.array(mult, dtype=float)
+    reps = [(kx, ky) for kx in range(n_max + 1) for ky in range(-n_max, n_max + 1)]
+    mult = [1.0 if kx == 0 else 2.0 for kx, _ in reps]
+    return np.array(reps, dtype=int), np.array(mult)
 
 
 @dataclass
@@ -288,7 +283,7 @@ class EnsembleStats:
     def to_csv(self) -> str:
         lines = ["t,kx,ky,mean_sq,std_err"]
         for (kx, ky), m, s in zip(self.modes, self.mean_spectrum, self.std_err):
-            lines.append(f"{self.time!r},{kx},{ky},{m!r},{s!r}")
+            lines.append(f"{self.time!r},{kx},{ky},{float(m)!r},{float(s)!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -374,29 +369,47 @@ def lattice_master_rate(noise: NoiseModes, spectrum: Dict[Tuple[int, int], float
         d/dt E|rho(k)|^2 = sum_j kappa(k, k-j) [a(k-j)] - c_k a(k),
 
     with gains only from in-band modes (dropped modes act as absorbers).
-    Returns a map over the half band, like EnsembleStats."""
-    cfg = noise.cfg
-    n = cfg.n_max
-    size = 2 * n + 1
-    a = np.zeros((size, size))
+    kappa(k, k-j) = sigma_j^2 (e_j.k)^2 expands into three zero-padded FFT
+    convolutions of the band spectrum, and c_k is the stepper's Ito
+    corrector.  Returns a map over the half band, like EnsembleStats."""
+    n = noise.cfg.n_max
+    a = np.zeros((2 * n + 1, 2 * n + 1))
     for (kx, ky), v in spectrum.items():
         a[kx + n, ky + n] = v
-    rates = np.zeros_like(a)
-    KX, KY = np.meshgrid(np.arange(-n, n + 1), np.arange(-n, n + 1),
-                         indexing="ij")
-    for (kx, ky), sig, e in zip(noise.k_half, noise.sigma, noise.e_pol):
-        for sx, sy in ((kx, ky), (-kx, -ky)):
-            w = sig ** 2 * (e[0] * KX + e[1] * KY) ** 2
-            shifted = np.zeros_like(a)
-            x0, x1 = max(0, sx), min(size, size + sx)
-            y0, y1 = max(0, sy), min(size, size + sy)
-            shifted[x0:x1, y0:y1] = a[x0 - sx:x1 - sx, y0 - sy:y1 - sy]
-            rates += w * (shifted - a)
-    out = {}
-    for kx in range(0, n + 1):
-        for ky in range(-n, n + 1):
-            out[(kx, ky)] = float(rates[kx + n, ky + n])
-    return out
+    # weights of kx^2, kx ky and ky^2 in sigma_j^2 (e_j.k)^2, at j and -j
+    ex, ey = noise.e_pol.T
+    jx, jy = noise.k_half.T + n
+    weights = np.zeros((3,) + a.shape)
+    weights[:, jx, jy] = weights[:, 2 * n - jx, 2 * n - jy] = (
+        noise.sigma ** 2 * np.array([ex * ex, 2.0 * ex * ey, ey * ey]))
+    # padded to the 4n + 1 support of the linear convolution: no wrap-around
+    shape = (4 * n + 1, 4 * n + 1)
+    conv = np.fft.irfft2(np.fft.rfft2(weights, s=shape)
+                         * np.fft.rfft2(a, s=shape), s=shape)
+    kx, ky = _band_modes(n)[0].T
+    gain = conv[:, kx + 2 * n, ky + 2 * n]
+    rates = (kx * kx * gain[0] + kx * ky * gain[1] + ky * ky * gain[2]
+             - noise.corrector_grid[ky % noise.fft_size, kx] * a[kx + n, ky + n])
+    return {(int(x), int(y)): float(r) for x, y, r in zip(kx, ky, rates)}
+
+
+def rate_agreement(noise: NoiseModes, stats: Sequence[EnsembleStats]) -> float:
+    """Fraction of half-band modes whose measured rate over the last record
+    interval, diff_mean / diff_dt, lies within 3 standard errors
+    (+ 1e-9 max|model|) of lattice_master_rate at the interval's midpoint
+    spectrum.  Records MC_RECORD_STRIDE steps apart keep the fast modes from
+    relaxing within the interval."""
+    if len(stats) < 2:
+        raise DomainError("the rate check needs at least two ensemble records")
+    prev, last = stats[-2], stats[-1]
+    smap_last = last.spectrum_map()
+    mid = {k: 0.5 * (v + smap_last[k]) for k, v in prev.spectrum_map().items()}
+    rates = lattice_master_rate(noise, mid)
+    model = np.array([rates[(int(kx), int(ky))] for kx, ky in last.modes])
+    slack = 1e-9 * np.abs(model).max()
+    hits = (np.abs(last.diff_mean / last.diff_dt - model)
+            <= 3.0 * (last.diff_std_err / last.diff_dt) + slack)
+    return float(hits.mean())
 
 
 def sobolev_estimate(stats: EnsembleStats, s_query: float):

@@ -205,14 +205,13 @@ def test_c08_anomalous_dissipation_integral(ref_grid, ss_kernel):
 
 
 def test_c09_monte_carlo_lattice_master_equation():
-    # default dt = 0.1 / max per-mode corrector; records every 5 steps so
-    # the per-interval rate comparison is not polluted by the relaxation of
-    # the fast (large |k|) modes within a record interval
+    # default dt = 0.1 / max per-mode corrector; records every
+    # MC_RECORD_STRIDE steps, the precondition of mc_spde.rate_agreement
     probe = mc_spde.build_noise_modes(
         mc_spde.LatticeConfig(n_max=16, alpha=0.5, dt=1.0, n_samples=1))
     c_max = float(probe.corrector_grid.max())
     dt = 0.1 / c_max
-    n_steps, stride = 160, 5
+    n_steps, stride = 160, mc_spde.MC_RECORD_STRIDE
     T = n_steps * dt
     records = [k * stride * dt for k in range(n_steps // stride + 1)]
 
@@ -230,20 +229,7 @@ def test_c09_monte_carlo_lattice_master_equation():
         return noise, stats
 
     noise, stats = run(dt)
-    prev, last = stats[-2], stats[-1]
-    smap_last = last.spectrum_map()
-    mid = {k: 0.5 * (v + smap_last.get(k, 0.0))
-           for k, v in prev.spectrum_map().items()}
-    model = mc_spde.lattice_master_rate(noise, mid)
-    scale = max(abs(v) for v in model.values())
-    hits = total = 0
-    for idx, (kx, ky) in enumerate(map(tuple, last.modes)):
-        emp = last.diff_mean[idx] / last.diff_dt
-        se = last.diff_std_err[idx] / last.diff_dt
-        total += 1
-        if abs(emp - model[(kx, ky)]) <= 3.0 * se + 1e-9 * scale:
-            hits += 1
-    frac = hits / total
+    frac = mc_spde.rate_agreement(noise, stats)
 
     # L2 conservation: the truncated lattice model itself loses L2 through
     # the absorbing spectral boundary; the deviation of the measured drift

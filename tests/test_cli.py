@@ -172,5 +172,25 @@ class TestSmallMcEnsemble:
         tables = sorted(p.name for p in out.iterdir()
                         if p.name.startswith("ensemble_t"))
         assert tables == [f"ensemble_t{i}.csv" for i in range(4)]
+        for name in tables:
+            with open(out / name, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows
+            for row in rows:
+                for cell in row.values():
+                    float(cell)
         summary = json.loads((out / "summary.json").read_text())
         assert [c["id"] for c in summary["checks"]] == ["mc.master_equation_rates"]
+
+    def test_run_shorter_than_half_a_step_exits_2(self, tmp_path):
+        # t_final < dt / 2 rounds to zero steps: a single record, no rate
+        cfg = {
+            "experiment": "mc-ensemble", "d": 2, "alpha": 0.5, "s": 0.5,
+            "time": {"t_final": 1e-4},
+            "lattice": {"n_max": 4, "n_samples": 8, "dt": 1e-3},
+            "seed": 3,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--output-dir",
+                         str(tmp_path / "out")]) == 2

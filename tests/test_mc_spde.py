@@ -240,6 +240,39 @@ class TestLatticeMasterRate:
                     for (kx, ky), r in rates.items())
         assert total < 0.0  # absorbing boundary only removes mass
 
+    def test_matches_direct_sum_over_noise_modes(self, noise4):
+        """d/dt a(k) = sum_j sigma_j^2 (e_j.k)^2 [a(k-j) 1{k-j in band}
+        - a(k)], j over both members of every noise pair."""
+        rng = np.random.default_rng(12)
+        n = CFG4.n_max
+        # not reality-symmetric: a(-k) != a(k)
+        spec = {(kx, ky): float(rng.uniform(0.0, 1.0))
+                for kx in range(-n, n + 1) for ky in range(-n, n + 1)}
+        rates = lattice_master_rate(noise4, spec)
+        expect = {}
+        for kx in range(0, n + 1):
+            for ky in range(-n, n + 1):
+                acc = 0.0
+                for kv, sig, e in zip(noise4.k_half, noise4.sigma, noise4.e_pol):
+                    w = sig ** 2 * (e[0] * kx + e[1] * ky) ** 2
+                    for sgn in (+1, -1):
+                        src = (kx - sgn * kv[0], ky - sgn * kv[1])
+                        gain = spec[src] if max(map(abs, src)) <= n else 0.0
+                        acc += w * (gain - spec[(kx, ky)])
+                expect[(kx, ky)] = acc
+        assert set(rates) == set(expect)
+        scale = max(abs(v) for v in expect.values())
+        err = max(abs(rates[k] - expect[k]) for k in expect)
+        assert err <= 1e-13 * scale
+
+
+class TestRateAgreement:
+    def test_needs_two_records(self, noise4):
+        fs = FieldSample.from_modes(noise4, {(1, 0): 1.0})
+        stats = run_ensemble(CFG4, fs, 1e-3, record_times=[1e-3])
+        with pytest.raises(DomainError):
+            mc_spde.rate_agreement(noise4, stats)
+
 
 class TestMidBandConsistency:
     @staticmethod
