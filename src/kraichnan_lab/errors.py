@@ -35,7 +35,7 @@ class ToleranceNotReached(KraichnanLabError):
 
 
 class NonFiniteIntegrand(KraichnanLabError):
-    """Integrand returned NaN or inf at a quadrature node."""
+    """A quadrature value came out NaN or inf (the integrand did somewhere)."""
 
 
 class CaseOutOfRange(DomainError):

@@ -18,8 +18,8 @@ from typing import List, Sequence
 
 from . import mellin, quad
 from .errors import DomainError
-from .quad import quadpack
-from .specfun import ModelParams, gamma_fn, sphere_surface
+from .quad import quadpack, radial_quad
+from .specfun import ModelParams, gamma_fn, sin_power_integral, sphere_surface
 
 __all__ = [
     "FluxTable", "G_term", "flux_F", "flux_F_m", "flux_F_selfsimilar",
@@ -69,7 +69,7 @@ def G_term(xi_abs: float, params: ModelParams) -> float:
         raise DomainError("G_term requires |xi| > 0")
     d, a, s = params.d, params.alpha, params.s
     radial = gamma_fn(d / 2.0).real * gamma_fn(a).real / (2.0 * gamma_fn(d / 2.0 + a).real)
-    angular = math.sqrt(math.pi) * gamma_fn((d + 1.0) / 2.0).real / gamma_fn((d + 2.0) / 2.0).real
+    angular = sin_power_integral(d, 0.0)
     return sphere_surface(d - 2) * radial * angular * xi_abs ** (2.0 - 2.0 * s)
 
 
@@ -135,17 +135,16 @@ def flux_F(xi_abs: float, params: ModelParams, method: str = "auto",
     return _flux_quadrature(d, a, s, xi_abs, rel_tol)
 
 
-def flux_F_m(xi_abs: float, params: ModelParams, method: str = "auto") -> float:
-    """Mass-regularized flux via the rescaling identity
+def flux_F_m(xi_abs: float, params: ModelParams, m: float,
+             method: str = "auto") -> float:
+    """Flux regularized by the covariance mass m, via the rescaling identity
     F^m(xi) = m^{2-2s-2a} F(xi/m)."""
-    if params.m <= 0:
+    if m <= 0:
         raise DomainError("flux_F_m requires m > 0")
     if xi_abs <= 0:
         raise DomainError("flux_F_m requires |xi| > 0")
     a, s = params.alpha, params.s
-    base = ModelParams(d=params.d, alpha=a, s=s)
-    return params.m ** (2.0 - 2.0 * s - 2.0 * a) * flux_F(xi_abs / params.m, base,
-                                                          method=method)
+    return m ** (2.0 - 2.0 * s - 2.0 * a) * flux_F(xi_abs / m, params, method=method)
 
 
 def flux_F_selfsimilar(xi_abs: float, params: ModelParams) -> float:
@@ -195,26 +194,17 @@ def flux_F_reference_2d(xi_abs: float, params: ModelParams,
         v, _, _ = quadpack(g, 0.0, math.pi, rel_tol=rel_tol, limit=400)
         return v * r ** (d - 1)
 
-    v1, _, _ = quadpack(inner, 0.0, lam / 2.0, rel_tol=rel_tol, limit=400)
-    v2, _, _ = quadpack(inner, lam / 2.0, 2.0 * lam, points=[lam],
-                        rel_tol=rel_tol, limit=400)
-
-    def mapped(u):
-        r = 2.0 * lam + u / (1.0 - u)
-        return inner(r) / (1.0 - u) ** 2
-    v3, _, _ = quadpack(mapped, 0.0, 1.0, abs_tol=abs(v1 + v2) * rel_tol,
-                        rel_tol=rel_tol, limit=400)
-
-    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * (v1 + v2 + v3)
+    v, _, _ = radial_quad(inner, lam, rel_tol, 400)
+    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * v
 
 
-def flux_F_m_direct(xi_abs: float, params: ModelParams,
+def flux_F_m_direct(xi_abs: float, params: ModelParams, m: float,
                     rel_tol: float = 1e-8) -> float:
-    """Direct quadrature of the mass-regularized flux integral (oracle for
-    the rescaling identity)."""
-    if params.m <= 0 or xi_abs <= 0:
+    """Direct quadrature of the flux integral regularized by the covariance
+    mass m (oracle for the rescaling identity)."""
+    if m <= 0 or xi_abs <= 0:
         raise DomainError("requires m > 0 and |xi| > 0")
-    d, a, s, m = params.d, params.alpha, params.s, params.m
+    d, a, s = params.d, params.alpha, params.s
     lam = xi_abs
 
     def inner(r):
@@ -233,14 +223,5 @@ def flux_F_m_direct(xi_abs: float, params: ModelParams,
             v, _, _ = quadpack(g, 0.0, math.pi, rel_tol=rel_tol, limit=400)
         return v * lam * lam * r ** (d - 1) * (m * m + r * r) ** (-(d / 2.0 + a))
 
-    v1, _, _ = quadpack(inner, 0.0, lam / 2.0, rel_tol=rel_tol, limit=400)
-    v2, _, _ = quadpack(inner, lam / 2.0, 2.0 * lam, points=[lam],
-                        rel_tol=rel_tol, limit=400)
-
-    def mapped(u):
-        r = 2.0 * lam + u / (1.0 - u)
-        return inner(r) / (1.0 - u) ** 2
-    v3, _, _ = quadpack(mapped, 0.0, 1.0, abs_tol=abs(v1 + v2) * rel_tol,
-                        rel_tol=rel_tol, limit=400)
-
-    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * (v1 + v2 + v3)
+    v, _, _ = radial_quad(inner, lam, rel_tol, 400)
+    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * v

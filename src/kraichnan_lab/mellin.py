@@ -19,7 +19,7 @@ from scipy import special as _scisp
 
 from .errors import (CaseOutOfRange, DomainError, HigherOrderPole, PoleError,
                      StripViolation, ToleranceNotReached)
-from .quad import angular_quad, quadpack, tail_quad
+from .quad import angular_quad, quadpack, radial_quad
 from .specfun import ModelParams, gamma_fn, gamma_pole_index, sphere_surface
 
 __all__ = [
@@ -91,12 +91,10 @@ class AsymptoticTerm:
 
 @dataclass
 class KReport:
-    """The dissipation constant computed along independent routes, plus the
-    empirical bound constant when a flux table supplied one."""
+    """The dissipation constant computed along independent routes."""
     k_gamma: float
     k_integral: float
     k_appendix: Optional[float]
-    c_constant: Optional[float]
     params: ModelParams
 
     def max_relative_deviation(self) -> float:
@@ -308,11 +306,8 @@ def _k_integral_cached(d: int, a: float, s: float) -> float:
 
     # r -> 0 is regular after the angular average (odd term cancels);
     # (r, t) = (1, 0) is the genuine singular corner
-    v1, _, _ = quadpack(body, 0.0, 0.5, rel_tol=1e-10, limit=400)
-    v2, _, _ = quadpack(body, 0.5, 2.0, points=[1.0], rel_tol=1e-10, limit=400)
-    v3, _, _ = tail_quad(body, 2.0, 1e-14, 1e-10, 400)
-
-    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * (v1 + v2 + v3)
+    v, _, _ = radial_quad(body, 1.0, 1e-10, 400)
+    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * v
 
 
 def k_constant_integral(params: ModelParams) -> float:
@@ -403,12 +398,11 @@ def k_constant_appendix(params: ModelParams) -> float:
             * riesz_constant(d, s + a - 1.0) / riesz_constant(d, s))
 
 
-def k_report(params: ModelParams, c_constant: Optional[float] = None) -> KReport:
+def k_report(params: ModelParams) -> KReport:
     """All available K routes for one parameter point."""
     kg = k_constant_gamma(params)
     ki = k_constant_integral(params)
     ka = None
     if params.s + params.alpha > 1.0:
         ka = k_constant_appendix(params)
-    return KReport(k_gamma=kg, k_integral=ki, k_appendix=ka,
-                   c_constant=c_constant, params=params)
+    return KReport(k_gamma=kg, k_integral=ki, k_appendix=ka, params=params)

@@ -35,17 +35,17 @@ POLE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Parameter tuple (d, alpha, s, m, nu) governing every formula.
+    """Parameter tuple (d, alpha, s, nu) governing every formula.
 
     d >= 2 integer dimension, alpha in (0,1) noise roughness, s in (0, d/2)
-    negative-Sobolev index, m >= 0 covariance mass regularizer, nu >= 0
-    viscosity.
+    negative-Sobolev index, nu >= 0 viscosity.  The covariance mass is 1
+    (the scale-free routes take its limit 0); flux.flux_F_m takes any other
+    mass as an argument.
     """
 
     d: int
     alpha: float
     s: float
-    m: float = 0.0
     nu: float = 0.0
 
     def __post_init__(self):
@@ -56,8 +56,6 @@ class ModelParams:
             raise DomainError("alpha must lie in (0,1)")
         if not (0.0 < self.s < self.d / 2.0):
             raise DomainError("s must lie in the open range s in (0, d/2)")
-        if self.m < 0.0:
-            raise DomainError("m must be >= 0")
         if self.nu < 0.0:
             raise DomainError("nu must be >= 0")
 

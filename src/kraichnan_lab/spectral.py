@@ -32,7 +32,7 @@ from . import flux as _flux
 from . import mellin as _mellin
 from .errors import (ComputeError, DomainError, NegativityError,
                      StabilityViolation, TruncationWarning)
-from .specfun import ModelParams, sphere_surface
+from .specfun import ModelParams, sin_power_integral, sphere_surface
 
 __all__ = [
     "RadialGrid", "SpectrumState", "KernelMatrix", "BalanceReport",
@@ -233,9 +233,7 @@ def _absorb_rates(grid: RadialGrid, params: ModelParams, selfsimilar: bool):
     # above rho_max: integrate to R* then add the analytic algebraic tail
     r_star = 100.0 * grid.rho_max
     upper = log_panels(math.log(grid.rho_max), math.log(r_star), 14)
-    sin_d = math.sqrt(math.pi) * math.exp(
-        math.lgamma((d + 1.0) / 2.0) - math.lgamma((d + 2.0) / 2.0))
-    tail = nodes ** 2 * sin_d * r_star ** (-2.0 * a) / (2.0 * a)
+    tail = nodes ** 2 * sin_power_integral(d, 0.0) * r_star ** (-2.0 * a) / (2.0 * a)
     return pref * (lower + upper + tail)
 
 
@@ -375,18 +373,6 @@ class BalanceReport:
     rhs_continuum: Optional[float] = None
 
 
-# continuum flux values per (params, grid) are expensive; memoized here
-_flux_grid_cache: Dict[tuple, np.ndarray] = {}
-
-
-def _continuum_flux_on_grid(grid: RadialGrid, params: ModelParams) -> np.ndarray:
-    key = (grid.d, params.alpha, params.s, grid.rho_min, grid.rho_max, grid.n)
-    if key not in _flux_grid_cache:
-        _flux_grid_cache[key] = np.array(
-            [_flux.flux_F(float(r), params) for r in grid.nodes])
-    return _flux_grid_cache[key]
-
-
 def balance_check(state: SpectrumState, kernel: KernelMatrix, s_query: float,
                   continuum: bool = False) -> BalanceReport:
     """Discrete balance identity for the norm of index -s_query.
@@ -411,11 +397,8 @@ def balance_check(state: SpectrumState, kernel: KernelMatrix, s_query: float,
     rhs = float(np.sum(a * w * f_grid))
     rhs_cont = None
     if continuum:
-        if kernel.selfsimilar:
-            f_cont = np.array([_flux.flux_F_selfsimilar(float(r), state.params)
-                               for r in rho])
-        else:
-            f_cont = _continuum_flux_on_grid(state.grid, state.params)
+        flux_fn = _flux.flux_F_selfsimilar if kernel.selfsimilar else _flux.flux_F
+        f_cont = np.array([flux_fn(float(r), state.params) for r in rho])
         # absorbed outflow is part of the continuum flux already
         rhs_cont = float(np.sum(a * w * f_cont))
     return BalanceReport(lhs=lhs, rhs=rhs, rhs_continuum=rhs_cont)

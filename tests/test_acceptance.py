@@ -88,11 +88,7 @@ def test_c03_closed_form_vs_double_integral():
         def body(t):
             return t ** (w - d) * quad.f_inner(t, p, 1e-12)
         v1, _, _ = quadpack(body, 0.0, 2.0, points=[1.0], rel_tol=1e-11)
-
-        def mapped(u):
-            t = 2.0 + u / (1.0 - u)
-            return body(t) / (1.0 - u) ** 2
-        v2, _, _ = quadpack(mapped, 0.0, 1.0, abs_tol=abs(v1) * 1e-12,
+        v2, _, _ = quadpack(body, 2.0, math.inf, abs_tol=abs(v1) * 1e-12,
                             rel_tol=1e-11)
         worst = max(worst, abs(closed - (v1 + v2)) / abs(closed))
     report(3, worst <= 1e-8,

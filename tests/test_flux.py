@@ -11,7 +11,7 @@ from kraichnan_lab.errors import DomainError
 from kraichnan_lab.flux import (FluxTable, G_term, asymptotic_residual_table,
                                 flux_F, flux_F_m, flux_F_m_direct,
                                 flux_F_reference_2d, flux_F_selfsimilar)
-from kraichnan_lab.quad import QuadRequest, integrate_1d
+from kraichnan_lab.quad import quadpack
 from kraichnan_lab.specfun import ModelParams, sphere_surface
 
 P = ModelParams(d=2, alpha=0.5, s=0.75)
@@ -31,12 +31,9 @@ class TestGTerm:
 
         def radial(r):
             return r ** (d - 1.0) * (1.0 + r * r) ** (-(d / 2.0 + a))
-        rad = integrate_1d(QuadRequest(
-            integrand=radial, interval=(0.0, math.inf),
-            abs_tol=1e-13, rel_tol=1e-11)).value
-        ang = integrate_1d(QuadRequest(
-            integrand=lambda t: math.sin(t) ** d, interval=(0.0, math.pi),
-            abs_tol=1e-13, rel_tol=1e-11)).value
+        rad, _, _ = quadpack(radial, 0.0, math.inf, None, 1e-13, 1e-11)
+        ang, _, _ = quadpack(lambda t: math.sin(t) ** d, 0.0, math.pi, None,
+                             1e-13, 1e-11)
         ref = sphere_surface(d - 2) * rad * ang
         assert abs(got - ref) <= 1e-8 * abs(ref)
 
@@ -84,17 +81,17 @@ class TestFluxF:
 
 class TestFluxFm:
     def test_m_one_is_identity(self):
-        pm = ModelParams(d=2, alpha=0.5, s=0.75, m=1.0)
-        assert flux_F_m(3.0, pm) == pytest.approx(flux_F(3.0, P), rel=1e-13)
+        assert flux_F_m(3.0, P, 1.0) == pytest.approx(flux_F(3.0, P), rel=1e-13)
 
     def test_requires_positive_m(self):
         with pytest.raises(DomainError):
-            flux_F_m(1.0, P)
+            flux_F_m(1.0, P, 0.0)
+        with pytest.raises(DomainError):
+            flux_F_m_direct(1.0, P, -0.5)
 
     def test_direct_quadrature_cross_check(self):
-        pm = ModelParams(d=2, alpha=0.5, s=0.75, m=0.5)
-        got = flux_F_m(2.0, pm, method="quadrature")
-        ref = flux_F_m_direct(2.0, pm)
+        got = flux_F_m(2.0, P, 0.5, method="quadrature")
+        ref = flux_F_m_direct(2.0, P, 0.5)
         assert abs(got - ref) <= 1e-5 * abs(ref)
 
     def test_rescaling_identity_random_pairs(self):
@@ -103,9 +100,8 @@ class TestFluxFm:
         for _ in range(10):
             m = float(rng.uniform(0.2, 2.0))
             xi = float(rng.uniform(0.5, 8.0))
-            pm = ModelParams(d=2, alpha=0.4, s=0.6, m=m)
-            lhs = flux_F_m(xi, pm)
-            rhs = m ** (2.0 - 2.0 * pm.s - 2.0 * pm.alpha) * flux_F(xi / m, pbase)
+            lhs = flux_F_m(xi, pbase, m)
+            rhs = m ** (2.0 - 2.0 * pbase.s - 2.0 * pbase.alpha) * flux_F(xi / m, pbase)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_selfsimilar_limit_rate(self):
@@ -115,8 +111,7 @@ class TestFluxFm:
         errs = []
         ms = (0.5, 0.1, 0.02)
         for m in ms:
-            pm = ModelParams(d=P.d, alpha=P.alpha, s=P.s, m=m)
-            errs.append(abs(flux_F_m(xi, pm) - f0))
+            errs.append(abs(flux_F_m(xi, P, m) - f0))
         slope = np.polyfit(np.log(ms), np.log(errs), 1)[0]
         assert abs(slope - (2.0 - 2.0 * P.alpha)) < 0.2
 
@@ -128,9 +123,8 @@ class TestFluxFm:
         C = table.c_estimate()
         K = mellin.k_constant_gamma(p)
         for m in (0.5, 0.25):
-            pm = ModelParams(d=2, alpha=0.5, s=0.75, m=m)
             for xi in (1.0, 3.0, 10.0):
-                lhs = abs(flux_F_m(xi, pm) + K * xi ** (2.0 - 2.0 * p.alpha - 2.0 * p.s))
+                lhs = abs(flux_F_m(xi, p, m) + K * xi ** (2.0 - 2.0 * p.alpha - 2.0 * p.s))
                 rhs = 1.05 * C * m ** (2.0 - 2.0 * p.alpha) * xi ** (-2.0 * p.s)
                 assert lhs <= rhs
 

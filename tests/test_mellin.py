@@ -16,7 +16,7 @@ from kraichnan_lab.mellin import (GammaProduct, d_constant, expand_J,
                                   k_constant_gamma, k_constant_integral,
                                   k_report, parseval_contour, poles_in_strip,
                                   residue_at, riesz_constant)
-from kraichnan_lab.quad import QuadRequest, integrate_1d
+from kraichnan_lab.quad import quadpack
 from kraichnan_lab.specfun import ModelParams, gamma_fn, sphere_surface
 
 P2 = ModelParams(d=2, alpha=0.5, s=0.5)
@@ -259,16 +259,13 @@ class TestRiesz:
         # Fourier-side weighted integral, both by radial quadrature
         sigma = 0.7
         # physical side: phi*phi(z) = pi e^{-|z|^2/4}; kernel |z|^{2 sigma - 2}
-        lhs = integrate_1d(QuadRequest(
-            integrand=lambda r: (2.0 * math.pi) * r * r ** (2.0 * sigma - 2.0)
+        lhs, _, _ = quadpack(
+            lambda r: (2.0 * math.pi) * r * r ** (2.0 * sigma - 2.0)
             * math.pi * math.exp(-r * r / 4.0),
-            interval=(0.0, math.inf), abs_tol=1e-12, rel_tol=1e-10,
-            singular_points=(0.0,))).value
-        rhs = riesz_constant(2, sigma) * integrate_1d(QuadRequest(
-            integrand=lambda r: (2.0 * math.pi) * r * r ** (-2.0 * sigma)
-            * math.exp(-r * r),
-            interval=(0.0, math.inf), abs_tol=1e-12, rel_tol=1e-10,
-            singular_points=(0.0,))).value
+            0.0, math.inf, None, 1e-12, 1e-10)
+        rhs = riesz_constant(2, sigma) * quadpack(
+            lambda r: (2.0 * math.pi) * r * r ** (-2.0 * sigma) * math.exp(-r * r),
+            0.0, math.inf, None, 1e-12, 1e-10)[0]
         assert abs(lhs - rhs) <= 1e-6 * abs(rhs)
 
 

@@ -8,60 +8,49 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kraichnan_lab.errors import DomainError, NonFiniteIntegrand
-from kraichnan_lab.quad import J_direct, QuadRequest, QuadResult, f_inner, integrate_1d
+from kraichnan_lab.quad import J_direct, f_inner, quadpack, radial_quad
 from kraichnan_lab.specfun import ModelParams, gamma_fn, sin_power_integral
 
 
 class TestIntegrate1d:
+    """One-dimensional integrals through quad.quadpack."""
+
     def test_semi_infinite_arctan(self):
-        res = integrate_1d(QuadRequest(
-            integrand=lambda t: 1.0 / (1.0 + t * t),
-            interval=(0.0, math.inf), abs_tol=1e-13, rel_tol=1e-13))
-        assert abs(res.value - math.pi / 2.0) < 1e-12
-        assert res.evaluations > 0
+        value, _, _ = quadpack(lambda t: 1.0 / (1.0 + t * t), 0.0, math.inf,
+                               None, 1e-13, 1e-13)
+        assert abs(value - math.pi / 2.0) < 1e-12
 
     def test_endpoint_singularity(self):
-        res = integrate_1d(QuadRequest(
-            integrand=lambda t: t ** -0.5,
-            interval=(0.0, 1.0), abs_tol=1e-12, rel_tol=1e-12,
-            singular_points=(0.0,)))
-        assert abs(res.value - 2.0) < 1e-10
+        value, _, _ = quadpack(lambda t: t ** -0.5, 0.0, 1.0, [0.0], 1e-12, 1e-12)
+        assert abs(value - 2.0) < 1e-10
 
     def test_against_beta_mellin(self):
         # int_0^inf t^{z-1} (1+t^2)^{-s} dt = B(z/2, s - z/2) / 2
         from scipy.special import beta
-        res = integrate_1d(QuadRequest(
-            integrand=lambda t: t ** (0.7 - 1.0) * (1.0 + t * t) ** -1.2,
-            interval=(0.0, math.inf), abs_tol=1e-13, rel_tol=1e-11))
+        value, err, _ = quadpack(lambda t: t ** (0.7 - 1.0) * (1.0 + t * t) ** -1.2,
+                                 0.0, math.inf, None, 1e-13, 1e-11)
         ref = beta(0.35, 1.2 - 0.35) / 2.0
-        assert abs(res.value - ref) <= 1e-10 * abs(ref) + res.error_estimate
+        assert abs(value - ref) <= 1e-10 * abs(ref) + err
+
+    def test_semi_infinite_with_interior_point(self):
+        # int_0^inf t^{x-1} (1+t)^{-x-y} dt = B(x, y); the declared point
+        # t = 1 moves with the tail map to u = 1/2
+        from scipy.special import beta
+        x, y = 0.7, 1.5
+        value, err, ok = quadpack(lambda t: t ** (x - 1.0) * (1.0 + t) ** (-x - y),
+                                  0.0, math.inf, [1.0], 1e-13, 1e-11)
+        ref = beta(x, y)
+        assert ok
+        assert abs(value - ref) <= 1e-10 * abs(ref) + err
 
     def test_error_budget_invariant(self):
-        res = integrate_1d(QuadRequest(
-            integrand=lambda t: math.exp(-t), interval=(0.0, math.inf),
-            abs_tol=1e-12, rel_tol=1e-10))
-        assert res.error_estimate <= max(1e-12, 1e-10 * abs(res.value))
+        value, err, _ = quadpack(lambda t: math.exp(-t), 0.0, math.inf, None,
+                                 1e-12, 1e-10)
+        assert err <= max(1e-12, 1e-10 * abs(value))
 
     def test_non_finite_integrand(self):
         with pytest.raises(NonFiniteIntegrand):
-            integrate_1d(QuadRequest(
-                integrand=lambda t: float("nan"),
-                interval=(0.0, 1.0), abs_tol=1e-10, rel_tol=1e-8))
-
-    def test_bad_interval(self):
-        with pytest.raises(DomainError):
-            QuadRequest(integrand=lambda t: t, interval=(1.0, 0.0))
-
-    def test_singular_point_outside(self):
-        with pytest.raises(DomainError):
-            QuadRequest(integrand=lambda t: t, interval=(0.0, 1.0),
-                        singular_points=(2.0,))
-
-    def test_complex_integrand(self):
-        res = integrate_1d(QuadRequest(
-            integrand=lambda t: complex(math.cos(t), math.sin(t)) * math.exp(-t),
-            interval=(0.0, math.inf), abs_tol=1e-12, rel_tol=1e-10))
-        assert abs(res.value - (0.5 + 0.5j)) < 1e-10
+            quadpack(lambda t: float("nan"), 0.0, 1.0, None, 1e-10, 1e-8)
 
     # known-antiderivative corpus: |value - exact| <= 10 * error_estimate
     @pytest.mark.parametrize("fn,lo,hi,exact", [
@@ -71,23 +60,31 @@ class TestIntegrate1d:
         (lambda t: 1.0 / math.sqrt(t), 0.0, 4.0, 4.0),
     ])
     def test_error_estimate_honest(self, fn, lo, hi, exact):
-        res = integrate_1d(QuadRequest(
-            integrand=fn, interval=(lo, hi), abs_tol=1e-12, rel_tol=1e-10,
-            singular_points=(0.0,) if lo == 0.0 else ()))
-        assert abs(res.value - exact) <= 10.0 * max(res.error_estimate, 1e-15)
+        value, err, _ = quadpack(fn, lo, hi, [0.0] if lo == 0.0 else None,
+                                 1e-12, 1e-10)
+        assert abs(value - exact) <= 10.0 * max(err, 1e-15)
 
     @given(st.floats(0.15, 0.85))
     @settings(max_examples=30, deadline=None)
     def test_split_additivity(self, split):
         fn = lambda t: math.sin(3.0 * t) + t * t
-        whole = integrate_1d(QuadRequest(
-            integrand=fn, interval=(0.0, 1.0), abs_tol=1e-13, rel_tol=1e-12))
-        left = integrate_1d(QuadRequest(
-            integrand=fn, interval=(0.0, split), abs_tol=1e-13, rel_tol=1e-12))
-        right = integrate_1d(QuadRequest(
-            integrand=fn, interval=(split, 1.0), abs_tol=1e-13, rel_tol=1e-12))
-        tol = whole.error_estimate + left.error_estimate + right.error_estimate
-        assert abs(whole.value - (left.value + right.value)) <= tol + 1e-14
+        whole = quadpack(fn, 0.0, 1.0, None, 1e-13, 1e-12)
+        left = quadpack(fn, 0.0, split, None, 1e-13, 1e-12)
+        right = quadpack(fn, split, 1.0, None, 1e-13, 1e-12)
+        tol = whole[1] + left[1] + right[1]
+        assert abs(whole[0] - (left[0] + right[0])) <= tol + 1e-14
+
+
+class TestRadialQuad:
+    def test_against_scaled_beta(self):
+        # int_0^inf r^{x-1} (k+r)^{-x-y} dr = k^{-y} B(x, y)
+        from scipy.special import beta
+        x, y, k = 0.7, 1.5, 2.0
+        value, err, ok = radial_quad(lambda r: r ** (x - 1.0) * (k + r) ** (-x - y),
+                                     k, 1e-11, 500)
+        ref = k ** -y * beta(x, y)
+        assert ok
+        assert abs(value - ref) <= 1e-10 * abs(ref) + err
 
 
 class TestFInner:
