@@ -15,7 +15,7 @@ import sys
 import tempfile
 import time
 import warnings
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 import jsonschema
@@ -25,8 +25,8 @@ from . import flux as _flux
 from . import mc_spde as _mc
 from . import mellin as _mellin
 from . import spectral as _spectral
-from .errors import (ComputeError, ConfigError, DomainError, InvariantFailure,
-                     KraichnanLabError, TruncationWarning)
+from .errors import (ConfigError, DomainError, KraichnanLabError,
+                     TruncationWarning)
 from .specfun import ModelParams
 
 EXPERIMENTS = (

@@ -2,7 +2,8 @@
 
 F(xi) is assembled from the split F = (2 pi)^{-d/2} [I - G]: G is a closed
 form, I = omega_{d-2} |xi|^{d+2-2s} J(|xi|) with J evaluated either by
-nested quadrature (J_direct) or, at large |xi|, by the residue expansion.
+radial quadrature of the closed-form angular profile (J_direct) or, at
+large |xi|, by the residue expansion.
 The two leading contributions of I and G cancel exactly, so the expansion
 path skips them analytically instead of subtracting two nearly equal
 numbers.
@@ -19,14 +20,15 @@ from typing import List, Sequence
 from . import mellin, quad
 from .errors import DomainError
 from .quad import quadpack, radial_quad
-from .specfun import ModelParams, gamma_fn, sin_power_integral, sphere_surface
+from .specfun import (ModelParams, gamma_fn, gegenbauer_defect,
+                      sin_power_integral, sphere_surface)
 
 __all__ = [
     "FluxTable", "G_term", "flux_F", "flux_F_m", "flux_F_selfsimilar",
     "asymptotic_residual_table", "flux_F_reference_2d", "flux_F_m_direct",
 ]
 
-# below this |xi| the nested quadrature is used unconditionally; above it the
+# below this |xi| the quadrature route is used unconditionally; above it the
 # residue expansion takes over once its remainder estimate clears tolerance.
 MELLIN_SWITCH = 20.0
 
@@ -117,7 +119,7 @@ def flux_F(xi_abs: float, params: ModelParams, method: str = "auto",
            rel_tol: float = 1e-10) -> float:
     """F(|xi|), radial by isotropy.
 
-    method: "quadrature" forces the nested-quadrature route, "mellin" the
+    method: "quadrature" forces the J_direct route, "mellin" the
     residue expansion (only valid at large |xi|), "auto" switches at
     |xi| = 20 provided the expansion remainder estimate is below tolerance.
     """
@@ -208,19 +210,8 @@ def flux_F_m_direct(xi_abs: float, params: ModelParams, m: float,
     lam = xi_abs
 
     def inner(r):
-        def g(t):
-            q = r * r - 2.0 * r * lam * math.cos(t) + lam * lam
-            return (math.sin(t) ** d) * (abs(q) ** (-s) - lam ** (-2.0 * s))
-        if abs(r - lam) < 1e-3 * lam:
-            tc = 0.25
-            def g_sub(u):
-                return 2.0 * u * g(u * u)
-            w1, _, _ = quadpack(g_sub, 0.0, math.sqrt(tc), rel_tol=rel_tol,
-                                limit=400)
-            w2, _, _ = quadpack(g, tc, math.pi, rel_tol=rel_tol, limit=400)
-            v = w1 + w2
-        else:
-            v, _, _ = quadpack(g, 0.0, math.pi, rel_tol=rel_tol, limit=400)
+        # int_0^pi sin^d(t) (|r^2 - 2 r lam cos t + lam^2|^{-s} - lam^{-2s}) dt
+        v = -lam ** (-2.0 * s) * gegenbauer_defect(d, s, r / lam)
         return v * lam * lam * r ** (d - 1) * (m * m + r * r) ** (-(d / 2.0 + a))
 
     v, _, _ = radial_quad(inner, lam, rel_tol, 400)

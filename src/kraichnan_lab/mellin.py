@@ -9,7 +9,6 @@ numerical root finding.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -19,8 +18,10 @@ from scipy import special as _scisp
 
 from .errors import (CaseOutOfRange, DomainError, HigherOrderPole, PoleError,
                      StripViolation, ToleranceNotReached)
-from .quad import angular_quad, quadpack, radial_quad
-from .specfun import ModelParams, gamma_fn, gamma_pole_index, sphere_surface
+from .quad import quadpack, radial_quad
+from .specfun import (ModelParams, gamma_fn, gamma_pole_index,
+                      gegenbauer_defect, poisson_bessel_defect,
+                      sin_power_integral, sphere_surface)
 
 __all__ = [
     "GammaProduct", "AsymptoticTerm", "KReport",
@@ -296,27 +297,24 @@ def k_constant_gamma(params: ModelParams) -> float:
     return val
 
 
-@functools.lru_cache(maxsize=None)
-def _k_integral_cached(d: int, a: float, s: float) -> float:
-    def body(r):
-        def g(t):
-            q = 1.0 - 2.0 * r * math.cos(t) + r * r
-            return math.sin(t) ** d * (1.0 - abs(q) ** (-s))
-        return r ** (-1.0 - 2.0 * a) * angular_quad(g, r, 1e-11, 400)
-
-    # r -> 0 is regular after the angular average (odd term cancels);
-    # (r, t) = (1, 0) is the genuine singular corner
-    v, _, _ = radial_quad(body, 1.0, 1e-10, 400)
-    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * v
-
-
 def k_constant_integral(params: ModelParams) -> float:
     """K as the rescaled-and-rotated scale-free integral
 
         (2 pi)^{-d/2} omega_{d-2}
-            int_0^inf r^{-1-2a} int_0^pi sin^d(t) (1 - (1-2r cos t+r^2)^{-s}) dt dr.
+            int_0^inf r^{-1-2a} int_0^pi sin^d(t) (1 - (1-2r cos t+r^2)^{-s}) dt dr,
+
+    one radial quadrature of the closed-form angular integral
+    (specfun.gegenbauer_defect, which vanishes like r^2 at the origin).
+    Raises ToleranceNotReached when the radial quadrature is not certified.
     """
-    return _k_integral_cached(params.d, params.alpha, params.s)
+    d, a, s = params.d, params.alpha, params.s
+
+    def body(r):
+        return r ** (-1.0 - 2.0 * a) * gegenbauer_defect(d, s, r)
+
+    # r = 1 is the kink left by the angular near-singularity at (r, t) = (1, 0)
+    v, _, _ = radial_quad(body, 1.0, 1e-10, 400)
+    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * v
 
 
 def riesz_constant(d: int, sigma: float) -> float:
@@ -329,51 +327,6 @@ def riesz_constant(d: int, sigma: float) -> float:
             * gamma_fn(sigma).real / gamma_fn(d / 2.0 - sigma).real)
 
 
-@functools.lru_cache(maxsize=None)
-def _d_constant_cached(d: int, a: float, z_abs: float) -> float:
-    # trace of the scale-free covariance defect at |z| = z_abs, divided by
-    # (d + 2a): the transverse part carries weight (1 + 2a/(d-1)) relative to
-    # the longitudinal one, so Tr = (longitudinal coeff) * (d + 2a)
-    a_inf = math.sqrt(math.pi) * gamma_fn((d - 1.0) / 2.0).real / gamma_fn(d / 2.0).real
-
-    def ang(r):
-        def f(t):
-            return (1.0 - math.cos(z_abs * r * math.cos(t))) * math.sin(t) ** (d - 2)
-        v, _, _ = quadpack(f, 0.0, math.pi, rel_tol=1e-11,
-                           limit=max(100, int(10 + z_abs * r)))
-        return v
-
-    def body(r):
-        return r ** (-1.0 - 2.0 * a) * ang(r)
-
-    r_cut = 60.0 / z_abs
-    v1, _, _ = quadpack(body, 0.0, 1.0 / z_abs, rel_tol=1e-10, limit=400)
-    v2, _, _ = quadpack(body, 1.0 / z_abs, r_cut, rel_tol=1e-10, limit=2000)
-
-    # tail: split 1 - cos into the constant part (integrated exactly) and the
-    # oscillatory remainder, summed over half-period chunks with iterated
-    # averaging to accelerate the alternating series
-    tail_const = a_inf * r_cut ** (-2.0 * a) / (2.0 * a)
-
-    def osc(r):
-        return r ** (-1.0 - 2.0 * a) * (a_inf - ang(r))
-
-    n_chunks = 72
-    edges = r_cut + (math.pi / z_abs) * np.arange(n_chunks + 1)
-    chunks = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, _, _ = quadpack(osc, lo, hi, abs_tol=1e-14, rel_tol=1e-9, limit=200)
-        chunks.append(v)
-    partial = np.cumsum(chunks)
-    for _ in range(12):
-        partial = 0.5 * (partial[1:] + partial[:-1])
-    tail_osc = partial[-1]
-
-    total = v1 + v2 + tail_const - tail_osc
-    return ((2.0 * math.pi) ** (-d / 2.0) * (d - 1.0) * sphere_surface(d - 2)
-            * total / (d + 2.0 * a))
-
-
 def d_constant(d: int, alpha: float, z_abs: float = 1.0) -> float:
     """Amplitude of the scale-free covariance defect, from the trace identity
     evaluated at separation |z| = z_abs (the return value scales as
@@ -382,7 +335,37 @@ def d_constant(d: int, alpha: float, z_abs: float = 1.0) -> float:
         raise DomainError("alpha must lie in (0,1)")
     if z_abs <= 0:
         raise DomainError("z_abs must be positive")
-    return _d_constant_cached(int(d), float(alpha), float(z_abs))
+    # trace of the scale-free covariance defect at |z| = z_abs, divided by
+    # (d + 2a): the transverse part carries weight (1 + 2a/(d-1)) relative to
+    # the longitudinal one, so Tr = (longitudinal coeff) * (d + 2a).  The
+    # angular factor is Poisson's Bessel integral, which tends to a_inf.
+    a, a_inf = alpha, sin_power_integral(d - 2.0, 0.0)
+
+    def body(r):
+        return r ** (-1.0 - 2.0 * a) * poisson_bessel_defect(d, z_abs * r)
+
+    r_cut = 60.0 / z_abs
+    v1, _, _ = quadpack(body, 0.0, 1.0 / z_abs, rel_tol=1e-10, limit=400)
+    v2, _, _ = quadpack(body, 1.0 / z_abs, r_cut, rel_tol=1e-10, limit=2000)
+
+    # tail: split 1 - cos into the constant part (integrated exactly) and the
+    # oscillatory remainder, summed over 72 half-period chunks with iterated
+    # averaging to accelerate the alternating series
+    tail_const = a_inf * r_cut ** (-2.0 * a) / (2.0 * a)
+
+    def osc(r):
+        return r ** (-1.0 - 2.0 * a) * (a_inf - poisson_bessel_defect(d, z_abs * r))
+
+    edges = r_cut + (math.pi / z_abs) * np.arange(73)
+    partial = np.cumsum([quadpack(osc, lo, hi, abs_tol=1e-14, rel_tol=1e-9,
+                                  limit=200)[0]
+                         for lo, hi in zip(edges[:-1], edges[1:])])
+    for _ in range(12):
+        partial = 0.5 * (partial[1:] + partial[:-1])
+
+    total = v1 + v2 + tail_const - partial[-1]
+    return ((2.0 * math.pi) ** (-d / 2.0) * (d - 1.0) * sphere_surface(d - 2)
+            * total / (d + 2.0 * a))
 
 
 def k_constant_appendix(params: ModelParams) -> float:

@@ -1,10 +1,11 @@
-"""Adaptive quadrature for the singular, semi-infinite and nested integrals.
+"""Adaptive quadrature for the singular and semi-infinite radial integrals.
 
 The panel engine is QUADPACK (scipy.integrate.quad) behind one entry point,
 `quadpack`: QAGP on finite intervals with declared singular points, and the
 same after the variable change t = lo + u/(1-u) for semi-infinite tails, so
 algebraic tail decay turns into an integrable endpoint singularity at u = 1.
-The contract is the error bound, not the rule.
+The contract is the error bound, not the rule.  Angular integrals are closed
+forms (specfun), so no integrand here calls QUADPACK again.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import math
 from scipy import integrate as _sciint
 
 from .errors import DomainError, NonFiniteIntegrand, ToleranceNotReached
-from .specfun import ModelParams
+from .specfun import ModelParams, gegenbauer_integral
 
-__all__ = ["quadpack", "radial_quad", "angular_quad", "f_inner", "J_direct"]
+__all__ = ["quadpack", "radial_quad", "f_inner", "J_direct"]
 
 
 def quadpack(fn, lo, hi, points=None, abs_tol=0.0, rel_tol=1e-10, limit=500):
@@ -51,62 +52,35 @@ def radial_quad(body, kink: float, rel_tol: float, limit: int):
     """int_0^inf body(r) dr for a radial integrand with a kink at r = kink
     and algebraic decay beyond it: [0, 4 kink] with the kink declared, then
     the mapped tail to the absolute tolerance rel_tol |head|.  Returns
-    (value, error_estimate, converged)."""
+    (value, error_estimate, converged); raises ToleranceNotReached when
+    QUADPACK flags a piece and the error estimate exceeds 10 rel_tol |value|."""
     split = 4.0 * kink
     v1, e1, ok1 = quadpack(body, 0.0, split, [kink], 0.0, rel_tol, limit)
     v2, e2, ok2 = quadpack(body, split, math.inf, None,
                            max(1e-300, rel_tol * abs(v1)), rel_tol, limit)
-    return v1 + v2, e1 + e2, ok1 and ok2
+    value, err, ok = v1 + v2, e1 + e2, ok1 and ok2
+    if not ok and err > rel_tol * abs(value) * 10.0:
+        raise ToleranceNotReached("radial quadrature tolerance not reached",
+                                  value=value, error_estimate=err)
+    return value, err, ok
 
 
-def angular_quad(g, r: float, rel_tol: float, limit: int) -> float:
-    """int_0^pi g(t) dt for an angular integrand built on
-    |1 - 2 r cos t + r^2|^{-s}, whose near-singularity sits at (r, t) = (1, 0).
-
-    Close to r = 1 the substitution t = u^2 concentrates nodes at the peak,
-    with the split point well clear of it.
-    """
-    if abs(r - 1.0) < 1e-3:
-        tc = 0.25
-        def g_sub(u):
-            return 2.0 * u * g(u * u)
-        v1, _, _ = quadpack(g_sub, 0.0, math.sqrt(tc), rel_tol=rel_tol, limit=limit)
-        v2, _, _ = quadpack(g, tc, math.pi, rel_tol=rel_tol, limit=limit)
-        return v1 + v2
-    v, _, _ = quadpack(g, 0.0, math.pi, rel_tol=rel_tol, limit=limit)
-    return v
-
-
-def f_inner(r: float, params: ModelParams, rel_tol: float = 1e-12) -> float:
-    """Radial profile f(r) = r^{d-1} int_0^pi sin^d(t) |1-2r cos t + r^2|^{-s} dt."""
-    if r < 0:
-        raise DomainError("f_inner requires r >= 0")
-    if r == 0.0:
-        return 0.0
-    d, s = params.d, params.s
-
-    def g(t):
-        q = 1.0 - 2.0 * r * math.cos(t) + r * r
-        return math.sin(t) ** d * abs(q) ** (-s)
-    return r ** (d - 1) * angular_quad(g, r, rel_tol, 500)
+def f_inner(r: float, params: ModelParams) -> float:
+    """Radial profile f(r) = r^{d-1} int_0^pi sin^d(t) |1-2r cos t + r^2|^{-s} dt,
+    the angular integral in closed form (specfun.gegenbauer_integral)."""
+    return r ** (params.d - 1) * gegenbauer_integral(params.d, params.s, r)
 
 
 def J_direct(lam: float, params: ModelParams, rel_tol: float = 1e-9) -> float:
-    """J(lam) = int_0^inf (1 + (lam r)^2)^{-d/2-alpha} f(r) dr by nested
-    quadrature; the inner tolerance is tightened by a factor 10 over the
-    outer one."""
+    """J(lam) = int_0^inf (1 + (lam r)^2)^{-d/2-alpha} f(r) dr by radial
+    quadrature of the closed-form f."""
     if lam <= 0:
         raise DomainError("J_direct requires lambda > 0")
     d, a = params.d, params.alpha
-    inner_tol = rel_tol / 10.0
 
     def body(r):
-        return (1.0 + (lam * r) ** 2) ** (-(d / 2.0 + a)) * f_inner(r, params, inner_tol)
+        return (1.0 + (lam * r) ** 2) ** (-(d / 2.0 + a)) * f_inner(r, params)
 
     # r = 1 is a kink of f (angular near-singularity); beyond r ~ 4 the
     # integrand is smooth with algebraic decay r^{-1-2a-2s}
-    value, err, ok = radial_quad(body, 1.0, rel_tol, 500)
-    if not ok and err > rel_tol * abs(value) * 10.0:
-        raise ToleranceNotReached("J_direct tolerance not reached",
-                                  value=value, error_estimate=err)
-    return value
+    return radial_quad(body, 1.0, rel_tol, 500)[0]

@@ -2,7 +2,10 @@
 
 log-Gamma is scipy's principal-branch ``loggamma``; this module adds the
 pole and finiteness checks.  The Mellin transforms of the model's radial
-profiles live as Gamma products in the mellin module.
+profiles live as Gamma products in the mellin module.  The two angular
+integrals of the model are closed forms here: the Gegenbauer
+generating-function integral (a 2F1) behind f, K and F, and Poisson's
+Bessel integral behind the covariance defect D.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ __all__ = [
     "log_gamma",
     "gamma_fn",
     "sin_power_integral",
+    "gegenbauer_integral",
+    "gegenbauer_defect",
+    "poisson_bessel_defect",
     "sphere_surface",
     "POLE_TOL",
     "gamma_pole_index",
@@ -120,3 +126,43 @@ def sin_power_integral(gamma_exp: float, eta_exp: float) -> float:
         math.lgamma((gamma_exp + 1.0) / 2.0)
         + math.lgamma((eta_exp + 1.0) / 2.0)
         - math.lgamma((gamma_exp + eta_exp + 2.0) / 2.0))
+
+
+def gegenbauer_integral(d: float, s: float, r: float) -> float:
+    """int_0^pi sin^d(t) |1 - 2 r cos t + r^2|^{-s} dt
+    = B(1/2, (d+1)/2) 2F1(s, s - d/2; d/2 + 1; r^2) for 0 <= r <= 1 (DLMF
+    15.4, 18.12), and r^{-2s} times the same at 1/r for r > 1."""
+    if r < 0.0:
+        raise DomainError("gegenbauer_integral requires r >= 0")
+    if r > 1.0:
+        return r ** (-2.0 * s) * gegenbauer_integral(d, s, 1.0 / r)
+    return sin_power_integral(d, 0.0) * float(
+        _scisp.hyp2f1(s, s - d / 2.0, d / 2.0 + 1.0, r * r))
+
+
+def gegenbauer_defect(d: float, s: float, r: float) -> float:
+    """int_0^pi sin^d(t) (1 - |1 - 2 r cos t + r^2|^{-s}) dt.  Below r = 0.3,
+    where 1 - 2F1 cancels, it is -B(1/2, (d+1)/2) times 30 terms of the
+    power series of 2F1 - 1 (term ratios tend to r^2 <= 0.09)."""
+    if 0.0 <= r < 0.3:
+        n = np.arange(1.0, 31.0)
+        terms = np.cumprod((s + n - 1.0) * (s - d / 2.0 + n - 1.0)
+                           / ((d / 2.0 + n) * n) * (r * r))
+        return -sin_power_integral(d, 0.0) * float(terms.sum())
+    return sin_power_integral(d, 0.0) - gegenbauer_integral(d, s, r)
+
+
+def poisson_bessel_defect(d: float, x: float) -> float:
+    """int_0^pi (1 - cos(x cos t)) sin^{d-2}(t) dt
+    = B(1/2, (d-1)/2) (1 - 0F1(; d/2; -x^2/4)), by Poisson's integral for
+    G(nu+1) (2/x)^nu J_nu(x) = 0F1(; nu+1; -x^2/4) with nu = (d-2)/2 (DLMF
+    10.9.4, 10.16.9).  Below x = 1, where 1 - 0F1 cancels, it is minus 16
+    terms of the power series of 0F1 - 1."""
+    if x < 0.0:
+        raise DomainError("poisson_bessel_defect requires x >= 0")
+    if x < 1.0:
+        k = np.arange(1.0, 17.0)
+        terms = np.cumprod(-x * x / (4.0 * (d / 2.0 + k - 1.0) * k))
+        return -sin_power_integral(d - 2.0, 0.0) * float(terms.sum())
+    return sin_power_integral(d - 2.0, 0.0) * (
+        1.0 - float(_scisp.hyp0f1(d / 2.0, -x * x / 4.0)))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from kraichnan_lab import flux, mellin
+from kraichnan_lab import mellin
 from kraichnan_lab.errors import DomainError
 from kraichnan_lab.flux import (FluxTable, G_term, asymptotic_residual_table,
                                 flux_F, flux_F_m, flux_F_m_direct,

@@ -7,7 +7,7 @@ import pytest
 
 from kraichnan_lab import flux, mc_spde
 from kraichnan_lab.errors import DomainError, InvalidSampleRate
-from kraichnan_lab.mc_spde import (EnsembleStats, FieldSample, LatticeConfig,
+from kraichnan_lab.mc_spde import (FieldSample, LatticeConfig,
                                    build_noise_modes, em_step,
                                    lattice_master_rate, run_ensemble,
                                    sobolev_estimate)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kraichnan_lab import mellin, quad
+from kraichnan_lab import quad
 from kraichnan_lab.errors import (CaseOutOfRange, DomainError, HigherOrderPole,
-                                  PoleError, StripViolation)
+                                  PoleError, StripViolation,
+                                  ToleranceNotReached)
 from kraichnan_lab.mellin import (GammaProduct, d_constant, expand_J,
                                   expansion_terms, f_product, h_product,
                                   jl_product, k_constant_appendix,
@@ -17,7 +18,8 @@ from kraichnan_lab.mellin import (GammaProduct, d_constant, expand_J,
                                   k_report, parseval_contour, poles_in_strip,
                                   residue_at, riesz_constant)
 from kraichnan_lab.quad import quadpack
-from kraichnan_lab.specfun import ModelParams, gamma_fn, sphere_surface
+from kraichnan_lab.specfun import (ModelParams, gamma_fn, gegenbauer_defect,
+                                   sin_power_integral, sphere_surface)
 
 P2 = ModelParams(d=2, alpha=0.5, s=0.5)
 
@@ -190,16 +192,29 @@ class TestKConstants:
         ki = k_constant_integral(p)
         assert abs(ki - kg) <= 1e-6 * kg
 
+    @pytest.mark.parametrize("d,a,f", K_GRID)
+    def test_integral_certified_on_grid(self, d, a, f):
+        # k_constant_integral raises ToleranceNotReached when its radial
+        # quadrature is not certified; every grid point passes and agrees
+        # with the Gamma quotient to 1e-10
+        p = ModelParams(d=d, alpha=a, s=f * d / 2.0)
+        kg = k_constant_gamma(p)
+        assert abs(k_constant_integral(p) - kg) <= 1e-10 * kg
+
+    def test_integral_uncertified_raises(self, monkeypatch):
+        monkeypatch.setattr(quad, "quadpack", lambda *a, **k: (1.0, 1.0, False))
+        with pytest.raises(ToleranceNotReached):
+            k_constant_integral(P2)
+
     def test_integral_inner_vanishes_second_order_at_origin(self):
-        # the odd first-order term of the angular average cancels, so
-        # inner(r)/r^2 approaches a finite limit as r -> 0
-        def inner(r):
-            def g(t):
-                q = 1.0 - 2.0 * r * math.cos(t) + r * r
-                return math.sin(t) ** 2 * (1.0 - abs(q) ** -0.5)
-            return quad.angular_quad(g, r, 1e-11, 400)
-        vals = [inner(r) / r ** 2 for r in (1e-2, 1e-3)]
+        # the odd first-order term of the angular average cancels, so the
+        # body's angular factor over r^2 approaches the finite limit
+        # -B(1/2, (d+1)/2) s (s - d/2) / (d/2 + 1) as r -> 0 (series branch)
+        d, s = 2, 0.5
+        vals = [gegenbauer_defect(d, s, r) / r ** 2 for r in (1e-2, 1e-3)]
         assert abs(vals[1] - vals[0]) <= 1e-3 * abs(vals[0])
+        limit = -sin_power_integral(d, 0.0) * s * (s - d / 2.0) / (d / 2.0 + 1.0)
+        assert abs(vals[1] - limit) <= 1e-5 * abs(limit)
 
     def test_gamma_vs_residue_route(self):
         # K = -(2 pi)^{-d/2} omega_{d-2} * (coefficient of the lambda^{-d-2a}

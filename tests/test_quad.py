@@ -1,5 +1,6 @@
 """Quadrature layer: certified tolerances, declared singularities, and the
-nested integrals behind the flux function."""
+radial integrals behind the flux function, with their closed-form angular
+factors checked against nested quadrature."""
 
 import math
 
@@ -7,9 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kraichnan_lab.errors import DomainError, NonFiniteIntegrand
+from kraichnan_lab import flux, mellin, quad
+from kraichnan_lab.errors import (DomainError, NonFiniteIntegrand,
+                                  ToleranceNotReached)
 from kraichnan_lab.quad import J_direct, f_inner, quadpack, radial_quad
 from kraichnan_lab.specfun import ModelParams, gamma_fn, sin_power_integral
+from oracles import f_inner_quad
 
 
 class TestIntegrate1d:
@@ -86,6 +90,17 @@ class TestRadialQuad:
         assert ok
         assert abs(value - ref) <= 1e-10 * abs(ref) + err
 
+    @pytest.mark.parametrize("err,raises", [(1e-20, False), (1.0, True)])
+    def test_uncertified_raises(self, monkeypatch, err, raises):
+        # a flagged piece is accepted only while its error estimate stays
+        # within 10 rel_tol |value|
+        monkeypatch.setattr(quad, "quadpack", lambda *a, **k: (1.0, err, False))
+        if raises:
+            with pytest.raises(ToleranceNotReached):
+                radial_quad(lambda r: 1.0, 1.0, 1e-10, 400)
+        else:
+            assert radial_quad(lambda r: 1.0, 1.0, 1e-10, 400)[0] == 2.0
+
 
 class TestFInner:
     P2 = ModelParams(d=2, alpha=0.5, s=0.5)
@@ -137,3 +152,56 @@ class TestJDirect:
     def test_lambda_domain(self):
         with pytest.raises(DomainError):
             J_direct(0.0, ModelParams(d=2, alpha=0.5, s=0.5))
+
+    @pytest.mark.parametrize("d,a,s", [(2, 0.5, 0.75), (3, 0.4, 1.0)])
+    def test_vs_nested_quadrature(self, d, a, s):
+        # the same radial quadrature over f with its angular integral by
+        # QUADPACK instead of the closed form
+        p = ModelParams(d=d, alpha=a, s=s)
+        for lam in (0.5, 1.0005, 5.0, 50.0):
+            ref, _, _ = radial_quad(
+                lambda r: (1.0 + (lam * r) ** 2) ** (-(d / 2.0 + a))
+                * f_inner_quad(r, p), 1.0, 1e-9, 500)
+            assert abs(J_direct(lam, p) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.fixture
+def quadpack_depths(monkeypatch):
+    """Counts QUADPACK calls made at the top level and from inside another
+    QUADPACK call's integrand, in every module that holds the name."""
+    counts = {"outer": 0, "nested": 0}
+    depth = [0]
+    original = quad.quadpack
+
+    def counting(*args, **kwargs):
+        counts["nested" if depth[0] else "outer"] += 1
+        depth[0] += 1
+        try:
+            return original(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+    for mod in (quad, mellin, flux):
+        monkeypatch.setattr(mod, "quadpack", counting)
+    return counts
+
+
+P_NEST = ModelParams(d=2, alpha=0.75, s=0.75)
+ROUTES = {
+    "J_direct": lambda: J_direct(5.0, P_NEST),
+    "k_constant_integral": lambda: mellin.k_constant_integral(P_NEST),
+    "d_constant": lambda: mellin.d_constant(2, 0.75),
+    "flux_F_m_direct": lambda: flux.flux_F_m_direct(2.0, P_NEST, 0.5),
+}
+
+
+class TestNoNestedQuadrature:
+    def test_f_inner_calls_no_quadrature(self, quadpack_depths):
+        for r in (1e-3, 0.5, 1.0 - 1e-5, 1.0, 1.0 + 1e-5, 3.0, 1e3):
+            f_inner(r, P_NEST)
+        assert quadpack_depths == {"outer": 0, "nested": 0}
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_integrands_call_no_quadrature(self, quadpack_depths, route):
+        ROUTES[route]()
+        assert quadpack_depths["outer"] > 0
+        assert quadpack_depths["nested"] == 0

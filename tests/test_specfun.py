@@ -1,19 +1,21 @@
-"""Special-function layer: Gamma identities, the closed-form Mellin
-transforms (Gamma products of the mellin module), and their quadrature
-cross-checks."""
+"""Special-function layer: Gamma identities, the closed-form angular
+integrals, the closed-form Mellin transforms (Gamma products of the mellin
+module), and their quadrature cross-checks."""
 
 import cmath
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kraichnan_lab.errors import DomainError, PoleError
 from kraichnan_lab.mellin import GammaProduct, f_product, h_product
 from kraichnan_lab.quad import quadpack
-from kraichnan_lab.specfun import (ModelParams, gamma_fn, log_gamma,
-                                   sin_power_integral, sphere_surface)
+from kraichnan_lab.specfun import (ModelParams, gamma_fn, gegenbauer_defect,
+                                   gegenbauer_integral, log_gamma,
+                                   poisson_bessel_defect, sin_power_integral,
+                                   sphere_surface)
+from oracles import f_inner_quad, gegenbauer_quad, poisson_quad
 
 # value of log Gamma(2.3 + 1.7i) from a 40-digit arbitrary-precision
 # evaluation, frozen before the implementation existed
@@ -124,6 +126,66 @@ class TestSinPowerIntegral:
             sin_power_integral(2.0, 1.0)  # odd cosine power
 
 
+# where the defects switch from the closed form to the power series
+G_SWITCH, B_SWITCH = 0.3, 1.0
+GEGENBAUER_R = [1e-3, G_SWITCH * (1.0 - 1e-4), G_SWITCH * (1.0 + 1e-4),
+                1.0 - 1e-5, 1.0 + 1e-5, 3.0, 1e3]
+
+
+class TestGegenbauerIntegral:
+    """The 2F1 form and its defect against the angular integral by
+    QUADPACK, on both sides of the series switch and of r = 1."""
+
+    @pytest.mark.parametrize("d,s", [(2, 0.2), (2, 0.5), (2, 0.95),
+                                     (3, 0.5), (3, 0.75), (3, 1.4)])
+    @pytest.mark.parametrize("r", GEGENBAUER_R)
+    def test_vs_quadrature(self, d, s, r):
+        ref = gegenbauer_quad(d, s, r)
+        assert abs(gegenbauer_integral(d, s, r) - ref) <= 1e-12 * abs(ref)
+        # the oracle's defect itself cancels at small r and next to r = 1
+        ref = gegenbauer_quad(d, s, r, defect=True)
+        assert abs(gegenbauer_defect(d, s, r) - ref) <= 1e-11 * abs(ref)
+
+    def test_value_at_one_is_gauss_sum(self):
+        # 2F1(a, b; c; 1) = G(c) G(c-a-b) / (G(c-a) G(c-b))
+        d, s = 2, 0.75
+        a, b, c = s, s - d / 2.0, d / 2.0 + 1.0
+        gauss = (gamma_fn(c) * gamma_fn(c - a - b)
+                 / (gamma_fn(c - a) * gamma_fn(c - b))).real
+        assert gegenbauer_integral(d, s, 1.0) == pytest.approx(
+            sin_power_integral(d, 0.0) * gauss, rel=1e-13)
+
+    def test_series_branch_is_continuous(self):
+        d, s = 3, 0.75
+        below = gegenbauer_defect(d, s, math.nextafter(G_SWITCH, 0.0))
+        above = gegenbauer_defect(d, s, G_SWITCH)
+        assert abs(below - above) <= 1e-13 * abs(above)
+
+    def test_rejects_negative_r(self):
+        with pytest.raises(DomainError):
+            gegenbauer_integral(2, 0.5, -0.1)
+        with pytest.raises(DomainError):
+            gegenbauer_defect(2, 0.5, -0.1)
+
+
+class TestPoissonBesselDefect:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("x", [1e-3, 0.1, B_SWITCH * (1.0 - 1e-4),
+                                   B_SWITCH * (1.0 + 1e-4), 200.0])
+    def test_vs_quadrature(self, d, x):
+        ref = poisson_quad(d, x)
+        assert abs(poisson_bessel_defect(d, x) - ref) <= 1e-13 * abs(ref)
+
+    def test_large_x_limit(self):
+        # the Bessel term decays, leaving int_0^pi sin^{d-2}
+        assert poisson_bessel_defect(3, 1e8) == pytest.approx(
+            sin_power_integral(1.0, 0.0), rel=1e-7)
+
+    def test_rejects_negative_x(self):
+        with pytest.raises(DomainError):
+            poisson_bessel_defect(2, -1.0)
+
+
 class TestMellinH:
     def test_exact_point(self):
         p = ModelParams(d=2, alpha=0.5, s=0.5)
@@ -161,9 +223,8 @@ class TestMellinH:
 
 class TestMellinF:
     def _quad_ref(self, d, s, z):
-        from kraichnan_lab.quad import f_inner
         p = ModelParams(d=d, alpha=0.5, s=s)
-        return quadpack(lambda r: r ** (-z) * f_inner(r, p, rel_tol=1e-12),
+        return quadpack(lambda r: r ** (-z) * f_inner_quad(r, p, rel_tol=1e-12),
                         0.0, math.inf, [1.0], 1e-14, 1e-10)[0]
 
     def test_vs_nested_quadrature(self):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from kraichnan_lab import mellin, spectral
+from kraichnan_lab import mellin
 from kraichnan_lab.errors import (DomainError, StabilityViolation,
                                   TruncationWarning)
 from kraichnan_lab.spectral import (KernelMatrix, RadialGrid, SpectrumState,
