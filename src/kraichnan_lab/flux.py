@@ -32,6 +32,12 @@ __all__ = [
 # residue expansion takes over once its remainder estimate clears tolerance.
 MELLIN_SWITCH = 20.0
 
+# Bounds of the float-keyed caches below.  Per point they hold twice the
+# largest in-process use (balance_check(continuum=True) at n = 512 evaluates
+# F at 512 nodes); the residue expansion is cached per parameter triple.
+_POINT_CACHE = 1024
+_PARAM_CACHE = 64
+
 
 @dataclass
 class FluxTable:
@@ -75,7 +81,7 @@ def G_term(xi_abs: float, params: ModelParams) -> float:
     return sphere_surface(d - 2) * radial * angular * xi_abs ** (2.0 - 2.0 * s)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_PARAM_CACHE)
 def _deep_terms(d: int, a: float, s: float):
     """Residue expansion of J past the exponents used in the two-term
     asymptotics; needed to hit 1e-5 two-path agreement already at |xi|=20."""
@@ -85,7 +91,7 @@ def _deep_terms(d: int, a: float, s: float):
     return tuple(terms)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_POINT_CACHE)
 def _flux_mellin(d: int, a: float, s: float, xi_abs: float) -> float:
     terms = _deep_terms(d, a, s)
     pref = (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
@@ -97,7 +103,7 @@ def _flux_mellin(d: int, a: float, s: float, xi_abs: float) -> float:
     return pref * total
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_POINT_CACHE)
 def _flux_quadrature(d: int, a: float, s: float, xi_abs: float,
                      rel_tol: float) -> float:
     params = ModelParams(d=d, alpha=a, s=s)

@@ -25,6 +25,7 @@ __all__ = [
     "gamma_fn",
     "sin_power_integral",
     "gegenbauer_integral",
+    "gegenbauer_2f1",
     "gegenbauer_defect",
     "poisson_bessel_defect",
     "sphere_surface",
@@ -128,16 +129,24 @@ def sin_power_integral(gamma_exp: float, eta_exp: float) -> float:
         - math.lgamma((gamma_exp + eta_exp + 2.0) / 2.0))
 
 
+def gegenbauer_2f1(d: float, s: float, x):
+    """int_0^pi sin^d(t) |1 - 2 x cos t + x^2|^{-s} dt
+    = B(1/2, (d+1)/2) 2F1(s, s - d/2; d/2 + 1; x^2) for 0 <= x <= 1 (DLMF
+    15.4, 18.12); elementwise on arrays, unchecked.  The one 2F1 identity of
+    the library: gegenbauer_integral reflects r > 1 onto it, and the
+    scale-free kernel calls it with x = rho_< / rho_>."""
+    return sin_power_integral(d, 0.0) * _scisp.hyp2f1(
+        s, s - d / 2.0, d / 2.0 + 1.0, x * x)
+
+
 def gegenbauer_integral(d: float, s: float, r: float) -> float:
-    """int_0^pi sin^d(t) |1 - 2 r cos t + r^2|^{-s} dt
-    = B(1/2, (d+1)/2) 2F1(s, s - d/2; d/2 + 1; r^2) for 0 <= r <= 1 (DLMF
-    15.4, 18.12), and r^{-2s} times the same at 1/r for r > 1."""
+    """int_0^pi sin^d(t) |1 - 2 r cos t + r^2|^{-s} dt for scalar r >= 0:
+    gegenbauer_2f1 for r <= 1, and r^{-2s} times it at 1/r for r > 1."""
     if r < 0.0:
         raise DomainError("gegenbauer_integral requires r >= 0")
     if r > 1.0:
-        return r ** (-2.0 * s) * gegenbauer_integral(d, s, 1.0 / r)
-    return sin_power_integral(d, 0.0) * float(
-        _scisp.hyp2f1(s, s - d / 2.0, d / 2.0 + 1.0, r * r))
+        return r ** (-2.0 * s) * float(gegenbauer_2f1(d, s, 1.0 / r))
+    return float(gegenbauer_2f1(d, s, r))
 
 
 def gegenbauer_defect(d: float, s: float, r: float) -> float:

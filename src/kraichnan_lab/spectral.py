@@ -9,6 +9,9 @@ the anomalous-dissipation time integral.
 The kernel is stored in symmetric "flux form" sigma_ij = w_i kappa_ij, which
 the builder makes exactly symmetric; rates are computed in the gain-loss
 difference form so constant states have exactly zero rate, term by term.
+Its angular integral is exact for the scale-free kernel, one Gegenbauer 2F1
+per node pair (specfun.gegenbauer_2f1), and a Gauss-Legendre panel ladder
+for the massive one; the radial discretization is the same for both.
 
 Because sigma is symmetric and every loss term is diagonal, the rate
 operator L is similar to the symmetric S = W^{1/2} L W^{-1/2}.  One
@@ -32,7 +35,8 @@ from . import flux as _flux
 from . import mellin as _mellin
 from .errors import (ComputeError, DomainError, NegativityError,
                      StabilityViolation, TruncationWarning)
-from .specfun import ModelParams, sin_power_integral, sphere_surface
+from .specfun import (ModelParams, gegenbauer_2f1, sin_power_integral,
+                      sphere_surface)
 
 __all__ = [
     "RadialGrid", "SpectrumState", "KernelMatrix", "BalanceReport",
@@ -41,6 +45,7 @@ __all__ = [
 ]
 
 _NEAR_BAND = 4          # cells each side of the diagonal with sub-cell radial quadrature
+_CHUNK_ROWS = 32        # angular evaluations per call: _CHUNK_ROWS * n pairs
 _GL12 = leggauss(12)
 _GL16 = leggauss(16)
 # memory cap on the block of record states evolve holds at once
@@ -154,13 +159,15 @@ class KernelMatrix:
         return out
 
 
-def _angular_integral(rho_i, rho_j, d: int, alpha: float, selfsimilar: bool):
-    """Vectorized int_0^pi sin^d(t) rho_i^2 rho_j^2 / D^2 * W(D^2) dt with
-    D^2 = (rho_i-rho_j)^2 + 4 rho_i rho_j sin^2(t/2); W is <D>^-(d+2a) or, in
-    scale-free mode, D^-(d+2a).
+def _angular_integral(rho_i, rho_j, d: int, alpha: float):
+    """Massive angular integral, vectorized over pairs:
+    int_0^pi sin^d(t) rho_i^2 rho_j^2 / D^2 * <D>^-(d+2a) dt with
+    D^2 = (rho_i-rho_j)^2 + 4 rho_i rho_j sin^2(t/2).
 
-    Uses a geometric panel ladder refined toward t = 0 where the integrand
-    peaks at scale |rho_i - rho_j| / sqrt(rho_i rho_j).
+    Uses a geometric panel ladder of 12-point Gauss-Legendre panels refined
+    toward t = 0, where the integrand peaks at scale
+    |rho_i - rho_j| / sqrt(rho_i rho_j).  Every operation is exchange-exact,
+    so the result is bitwise symmetric in (rho_i, rho_j).
     """
     ri = np.asarray(rho_i, dtype=float)
     rj = np.asarray(rho_j, dtype=float)
@@ -178,7 +185,6 @@ def _angular_integral(rho_i, rho_j, d: int, alpha: float, selfsimilar: bool):
     x12, w12 = _GL12
 
     total = np.zeros_like(ri)
-    expo = -(d + 2.0 * alpha + 2.0) / 2.0 if selfsimilar else None
 
     def add_panel(lo, hi):
         nonlocal total
@@ -186,10 +192,7 @@ def _angular_integral(rho_i, rho_j, d: int, alpha: float, selfsimilar: bool):
         half = 0.5 * (hi - lo)
         t = mid[:, None] + half[:, None] * x12[None, :]
         D2 = delta2[:, None] + 4.0 * p[:, None] * np.sin(0.5 * t) ** 2
-        if selfsimilar:
-            W = D2 ** expo  # includes the 1/D^2 projection denominator
-        else:
-            W = (1.0 + D2) ** (-(d + 2.0 * alpha) / 2.0) / D2
+        W = (1.0 + D2) ** (-(d + 2.0 * alpha) / 2.0) / D2
         vals = np.sin(t) ** d * W
         total = total + p ** 2 * (vals * w12[None, :]).sum(axis=1) * half
 
@@ -202,39 +205,63 @@ def _angular_integral(rho_i, rho_j, d: int, alpha: float, selfsimilar: bool):
     return total.reshape(shape)
 
 
-def _radial_cell_integral(rho_i, lo_log, hi_log, d, alpha, selfsimilar):
+def _scale_free_angular(rho_i, rho_j, d: int, alpha: float):
+    """Scale-free angular integral in closed form, elementwise over pairs:
+    int_0^pi sin^d(t) rho_i^2 rho_j^2 D^-(d+2a+2) dt.  With
+    D^2 = rho_>^2 (1 - 2 x cos t + x^2) and x = rho_< / rho_> <= 1 it is
+    (rho_i rho_j)^2 rho_>^{-2 sig} B(1/2, (d+1)/2)
+    2F1(sig, sig - d/2; d/2 + 1; x^2), sig = (d + 2a + 2)/2 (specfun's
+    gegenbauer_2f1); exactly symmetric, infinite at rho_i = rho_j."""
+    ri, rj = np.broadcast_arrays(np.asarray(rho_i, dtype=float),
+                                 np.asarray(rho_j, dtype=float))
+    lo, hi = np.minimum(ri, rj), np.maximum(ri, rj)
+    sig = (d + 2.0 * alpha + 2.0) / 2.0
+    return (ri * rj) ** 2 * hi ** (-2.0 * sig) * gegenbauer_2f1(d, sig, lo / hi)
+
+
+def _radial_cell_integral(ang, rho_i, lo_log, hi_log, d, alpha):
     """int over one radial cell of ang(rho_i, r) r^{d-1} dr in log coordinates
-    (16-point Gauss-Legendre)."""
+    (16-point Gauss-Legendre), for arrays of nodes rho_i and cell edges."""
     x16, w16 = _GL16
     mid = 0.5 * (hi_log + lo_log)
     half = 0.5 * (hi_log - lo_log)
-    out = np.zeros_like(np.asarray(rho_i, dtype=float))
-    for xk, wk in zip(x16, w16):
-        r = np.exp(mid + half * xk)
-        out = out + wk * _angular_integral(rho_i, r, d, alpha, selfsimilar) * r ** d
+    r = np.exp(mid[:, None] + half[:, None] * x16[None, :])
+    vals = ang(rho_i[:, None], r, d, alpha)
+    rd = r ** d
+    out = np.zeros_like(rho_i)
+    for k, wk in enumerate(w16):
+        out = out + wk * vals[:, k] * rd[:, k]
     return out * half
 
 
-def _absorb_rates(grid: RadialGrid, params: ModelParams, selfsimilar: bool):
-    """Per-node loss rate to modes outside [rho_min, rho_max]."""
+def _absorb_rates(grid: RadialGrid, params: ModelParams, ang):
+    """Per-node loss rate to modes outside [rho_min, rho_max]: 14 GL16 log
+    panels below rho_min (the integrand ~ r^{d+1}, so nothing survives 25
+    e-folds below the edge) and 14 above rho_max up to R* = 100 rho_max,
+    then the analytic algebraic tail.  The 448 radial points go to `ang`
+    in chunks of _CHUNK_ROWS points per node."""
     d, a = grid.d, params.alpha
     nodes = grid.nodes
     pref = (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
+    x16, w16 = _GL16
 
     def log_panels(lo_log, hi_log, n_panels):
         edges = np.linspace(lo_log, hi_log, n_panels + 1)
-        total = np.zeros_like(nodes)
-        for e0, e1 in zip(edges[:-1], edges[1:]):
-            total += _radial_cell_integral(nodes, e0, e1, d, a, selfsimilar)
-        return total
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        return mid[:, None] + half[:, None] * x16, half[:, None] * w16
 
-    # below rho_min: integrand ~ r^{d+1}, nothing survives far below the edge
-    lower = log_panels(math.log(grid.rho_min) - 25.0, math.log(grid.rho_min), 14)
-    # above rho_max: integrate to R* then add the analytic algebraic tail
     r_star = 100.0 * grid.rho_max
+    lower = log_panels(math.log(grid.rho_min) - 25.0, math.log(grid.rho_min), 14)
     upper = log_panels(math.log(grid.rho_max), math.log(r_star), 14)
+    r = np.exp(np.concatenate((lower[0], upper[0])).ravel())
+    wr = np.concatenate((lower[1], upper[1])).ravel() * r ** d
+    total = np.zeros_like(nodes)
+    for k0 in range(0, r.size, _CHUNK_ROWS):
+        k1 = k0 + _CHUNK_ROWS
+        total += (ang(nodes[:, None], r[None, k0:k1], d, a) * wr[k0:k1]).sum(axis=1)
     tail = nodes ** 2 * sin_power_integral(d, 0.0) * r_star ** (-2.0 * a) / (2.0 * a)
-    return pref * (lower + upper + tail)
+    return pref * (total + tail)
 
 
 def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = False,
@@ -245,8 +272,10 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
     int_{cell j} ang(rho_i, r) r^{d-1} dr, midpoint in log within cells except
     a band of width _NEAR_BAND around the diagonal where the cell integral is
     done by Gauss-Legendre sub-quadrature (the kernel peaks sharply there).
-    The diagonal is excluded; exchange symmetry is enforced exactly on the
-    flux form sigma = w kappa.
+    The angular integral ang is the closed-form 2F1 for the scale-free
+    kernel and the panel ladder for the massive one.  The far field is
+    computed for j - i > _NEAR_BAND only and mirrored; the diagonal is
+    excluded, so the flux form sigma = w kappa is exactly symmetric.
     """
     if boundary not in ("absorbing", "closed"):
         raise DomainError("boundary must be 'absorbing' or 'closed'")
@@ -255,38 +284,36 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
     nodes = grid.nodes
     n = grid.n
     pref = (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * sphere_surface(d - 1)
+    ang = _scale_free_angular if selfsimilar else _angular_integral
 
-    # far field: midpoint in log; v_i v_j ang_ij via an outer product keeps
-    # sigma exactly symmetric
-    ang = np.empty((n, n))
-    chunk = max(1, min(n, 32))
-    for i0 in range(0, n, chunk):
-        i1 = min(n, i0 + chunk)
-        ang[i0:i1, :] = _angular_integral(nodes[i0:i1, None], nodes[None, :],
-                                          d, a, selfsimilar)
-    ang = 0.5 * (ang + ang.T)
+    # far field: midpoint in log, v_i v_j ang_ij on the upper pairs beyond
+    # the band, mirrored
+    iu, ju = np.triu_indices(n, _NEAR_BAND + 1)
+    far = np.empty(iu.size)
+    for k0 in range(0, iu.size, _CHUNK_ROWS * n):
+        k1 = k0 + _CHUNK_ROWS * n
+        far[k0:k1] = ang(nodes[iu[k0:k1]], nodes[ju[k0:k1]], d, a)
     v = nodes ** d * grid.log_step
-    sigma = pref * ang * np.outer(v, v)
+    sigma = np.zeros((n, n))
+    sigma[iu, ju] = pref * far * (v[iu] * v[ju])
+    sigma[ju, iu] = sigma[iu, ju]
 
-    # near-diagonal band: replace midpoint by the sub-cell radial integral
+    # near-diagonal band: the sub-cell radial integral in place of the midpoint
     edges = grid.log_edges()
     for off in range(1, _NEAR_BAND + 1):
         i = np.arange(0, n - off)
         j = i + off
-        q_ij = _radial_cell_integral(nodes[i], edges[j], edges[j + 1], d, a,
-                                     selfsimilar)
-        q_ji = _radial_cell_integral(nodes[j], edges[i], edges[i + 1], d, a,
-                                     selfsimilar)
+        q_ij = _radial_cell_integral(ang, nodes[i], edges[j], edges[j + 1], d, a)
+        q_ji = _radial_cell_integral(ang, nodes[j], edges[i], edges[i + 1], d, a)
         sym = 0.5 * pref * (v[i] * q_ij + v[j] * q_ji)
         sigma[i, j] = sym
         sigma[j, i] = sym
-    np.fill_diagonal(sigma, 0.0)
 
     if np.any(sigma < 0.0):
         raise ComputeError("kernel entries must be nonnegative")
 
     if boundary == "absorbing":
-        absorb = _absorb_rates(grid, params, selfsimilar)
+        absorb = _absorb_rates(grid, params, ang)
     else:
         absorb = np.zeros(n)
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from kraichnan_lab import mellin
+from kraichnan_lab import flux, mellin
 from kraichnan_lab.errors import DomainError
 from kraichnan_lab.flux import (FluxTable, G_term, asymptotic_residual_table,
                                 flux_F, flux_F_m, flux_F_m_direct,
@@ -71,6 +71,13 @@ class TestFluxF:
             for xi in (0.7, 5.0):
                 lhs = sphere_surface(d - 2) * c_d * xi ** (2.0 - 2.0 * s)
                 assert abs(lhs - G_term(xi, p)) <= 1e-10 * G_term(xi, p)
+
+    def test_caches_bounded(self):
+        # float-keyed caches stay bounded in parameter sweeps, yet hold the
+        # 512 nodes of a continuum balance check without recomputing
+        for cached in (flux._flux_quadrature, flux._flux_mellin):
+            assert 512 <= cached.cache_info().maxsize < math.inf
+        assert flux._deep_terms.cache_info().maxsize is not None
 
     def test_method_validation(self):
         with pytest.raises(DomainError):

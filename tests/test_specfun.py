@@ -5,14 +5,16 @@ module), and their quadrature cross-checks."""
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kraichnan_lab.errors import DomainError, PoleError
 from kraichnan_lab.mellin import GammaProduct, f_product, h_product
 from kraichnan_lab.quad import quadpack
-from kraichnan_lab.specfun import (ModelParams, gamma_fn, gegenbauer_defect,
-                                   gegenbauer_integral, log_gamma,
+from kraichnan_lab.specfun import (ModelParams, gamma_fn, gegenbauer_2f1,
+                                   gegenbauer_defect, gegenbauer_integral,
+                                   log_gamma,
                                    poisson_bessel_defect, sin_power_integral,
                                    sphere_surface)
 from oracles import f_inner_quad, gegenbauer_quad, poisson_quad
@@ -160,6 +162,14 @@ class TestGegenbauerIntegral:
         below = gegenbauer_defect(d, s, math.nextafter(G_SWITCH, 0.0))
         above = gegenbauer_defect(d, s, G_SWITCH)
         assert abs(below - above) <= 1e-13 * abs(above)
+
+    @pytest.mark.parametrize("d,s", [(2, 0.5), (2, 2.5), (3, 1.4), (3, 3.2)])
+    def test_array_form_is_the_scalar_form(self, d, s):
+        # gegenbauer_2f1 is the r <= 1 branch of gegenbauer_integral,
+        # evaluated elementwise on arrays (the scale-free kernel's path)
+        r = np.concatenate((np.linspace(0.0, 1.0, 41), [0.99999]))
+        ref = np.array([gegenbauer_integral(d, s, x) for x in r])
+        assert np.array_equal(gegenbauer_2f1(d, s, r), ref)
 
     def test_rejects_negative_r(self):
         with pytest.raises(DomainError):

@@ -5,15 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from kraichnan_lab import mellin
 from kraichnan_lab.errors import (DomainError, StabilityViolation,
                                   TruncationWarning)
 from kraichnan_lab.spectral import (KernelMatrix, RadialGrid, SpectrumState,
+                                    _angular_integral,
                                     anomalous_dissipation_integral,
                                     balance_check, build_kernel, default_dt,
                                     evolve, propagate, sobolev_norm, step)
-from kraichnan_lab.specfun import ModelParams
+from kraichnan_lab.specfun import ModelParams, sphere_surface
+from oracles import gegenbauer_quad
 
 P = ModelParams(d=2, alpha=0.5, s=0.75)
 P_NU = ModelParams(d=2, alpha=0.5, s=0.75, nu=0.05)
@@ -105,6 +108,116 @@ class TestKernel:
 
     def test_absorb_rates_positive(self, small_kernel):
         assert np.all(small_kernel.absorb > 0.0)
+
+    def test_absorb_rates_match_pointwise_sum(self, small_kernel):
+        # the batched absorb rates sum the same panel-ladder values as a
+        # loop over the 448 radial points, in another order
+        idx = np.array([0, 40, 127])
+        ref = _absorb_reference(small_kernel.grid, P, _angular_integral, idx)
+        got = small_kernel.absorb[idx]
+        assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+
+def _absorb_reference(grid, params, ang, idx):
+    """Absorb rates of the nodes idx, one radial point at a time: 14 GL16
+    log panels from 25 e-folds below rho_min to rho_min, 14 from rho_max
+    to R* = 100 rho_max, and the algebraic tail beyond R*."""
+    d, a = grid.d, params.alpha
+    rho = grid.nodes[idx]
+    x16, w16 = leggauss(16)
+    r_star = 100.0 * grid.rho_max
+    total = np.zeros(len(rho))
+    for lo, hi in ((math.log(grid.rho_min) - 25.0, math.log(grid.rho_min)),
+                   (math.log(grid.rho_max), math.log(r_star))):
+        edges = np.linspace(lo, hi, 15)
+        for e0, e1 in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (e0 + e1), 0.5 * (e1 - e0)
+            for xk, wk in zip(x16, w16):
+                r = math.exp(mid + half * xk)
+                total += half * wk * ang(rho, r, d, a) * r ** d
+    tail = rho ** 2 * math.gamma(0.5) * math.gamma((d + 1) / 2.0) / math.gamma(
+        d / 2.0 + 1.0) * r_star ** (-2.0 * a) / (2.0 * a)
+    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * (total + tail)
+
+
+def _scale_free_ang_quad(rho_i, r, d, alpha):
+    """rho_i^2 r^2 int_0^pi sin^d(t) D^-(d+2a+2) dt with the angular integral
+    by QUADPACK (oracles.gegenbauer_quad), independent of the 2F1."""
+    lo, hi = min(rho_i, r), max(rho_i, r)
+    sig = (d + 2.0 * alpha + 2.0) / 2.0
+    return (rho_i * r) ** 2 * hi ** (-2.0 * sig) * gegenbauer_quad(d, sig, lo / hi)
+
+
+class TestScaleFreeKernel:
+    """The closed-form scale-free kernel against the angular integral by
+    QUADPACK on the same discretization, and its exact scale covariance."""
+
+    N = 48
+
+    @pytest.fixture(scope="class", params=[(2, 0.25), (2, 0.75), (3, 0.25),
+                                           (3, 0.75)])
+    def ss(self, request):
+        d, a = request.param
+        grid = RadialGrid.log_spaced(0.05, 50.0, self.N, d)
+        return build_kernel(grid, ModelParams(d=d, alpha=a, s=0.6),
+                            selfsimilar=True)
+
+    def test_flux_form_exactly_symmetric(self, ss):
+        assert np.array_equal(ss.sigma, ss.sigma.T)
+
+    @pytest.mark.parametrize("i,j", [(3, 40), (20, 25), (31, 5), (0, 47)])
+    def test_far_field_vs_quadrature(self, ss, i, j):
+        # midpoint in log: kappa_ij = (2 pi)^{-d/2} omega_{d-2} ang_ij rho_j^d h
+        grid, d, a = ss.grid, ss.grid.d, ss.params.alpha
+        rho = grid.nodes
+        ref = ((2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
+               * _scale_free_ang_quad(rho[i], rho[j], d, a) * rho[j] ** d
+               * grid.log_step)
+        assert abs(ss.entries[i, j] - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("i,j", [(30, 31), (12, 16), (47, 45)])
+    def test_near_band_vs_quadrature(self, ss, i, j):
+        # sigma_ij = pref (v_i q_ij + v_j q_ji) / 2 with q_ij the 16-point
+        # Gauss-Legendre integral of ang(rho_i, r) r^d over cell j in log r
+        grid, d, a = ss.grid, ss.grid.d, ss.params.alpha
+        rho, edges = grid.nodes, grid.log_edges()
+        x16, w16 = leggauss(16)
+
+        def q(k, cell):
+            mid = 0.5 * (edges[cell] + edges[cell + 1])
+            half = 0.5 * grid.log_step
+            r = np.exp(mid + half * x16)
+            return half * sum(wk * _scale_free_ang_quad(rho[k], rk, d, a) * rk ** d
+                              for wk, rk in zip(w16, r))
+
+        v = rho ** d * grid.log_step
+        pref = ((2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
+                * sphere_surface(d - 1))
+        ref = 0.5 * pref * (v[i] * q(i, j) + v[j] * q(j, i))
+        assert abs(ss.sigma[i, j] - ref) <= 1e-12 * ref
+
+    def test_absorb_vs_quadrature(self, ss):
+        def ang(rho, r, d, a):
+            return np.array([_scale_free_ang_quad(x, r, d, a) for x in rho])
+
+        idx = np.array([0, 24, self.N - 1])
+        ref = _absorb_reference(ss.grid, ss.params, ang, idx)
+        assert np.max(np.abs(ss.absorb[idx] - ref) / ref) <= 1e-12
+
+    def test_lambda_scaled_grid(self, ss):
+        # the scale-free angular integral is homogeneous of degree 2-d-2a,
+        # so on the grid scaled by lam every rate scales by lam^{2-2a}
+        lam = 2.7
+        grid = ss.grid
+        scaled = RadialGrid.log_spaced(lam * grid.rho_min, lam * grid.rho_max,
+                                       grid.n, grid.d)
+        kern = build_kernel(scaled, ss.params, selfsimilar=True)
+        factor = lam ** (2.0 - 2.0 * ss.params.alpha)
+        off = ~np.eye(grid.n, dtype=bool)
+        ref = factor * ss.entries[off]
+        assert np.max(np.abs(kern.entries[off] - ref) / ref) <= 1e-12
+        ref = factor * ss.absorb
+        assert np.max(np.abs(kern.absorb - ref) / ref) <= 1e-12
 
 
 class TestStep:
