@@ -62,10 +62,6 @@ class ComputeError(KraichnanLabError):
     """An experiment failed during computation (not a config problem)."""
 
 
-class InvariantFailure(KraichnanLabError):
-    """An asserted invariant check failed during an experiment run."""
-
-
 class TruncationWarning(UserWarning):
     """Spectral mass reached the truncated grid boundary; full-space
     comparisons are no longer valid past this time."""

@@ -6,7 +6,8 @@ radial quadrature of the closed-form angular profile (J_direct) or, at
 large |xi|, by the residue expansion.
 The two leading contributions of I and G cancel exactly, so the expansion
 path skips them analytically instead of subtracting two nearly equal
-numbers.
+numbers.  The independent quadrature oracles (the unsplit polar integral
+and the direct massive integral) live with the tests, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -19,13 +20,11 @@ from typing import List, Sequence
 
 from . import mellin, quad
 from .errors import DomainError
-from .quad import quadpack, radial_quad
-from .specfun import (ModelParams, gamma_fn, gegenbauer_defect,
-                      sin_power_integral, sphere_surface)
+from .specfun import ModelParams, gamma_fn, sin_power_integral, sphere_surface
 
 __all__ = [
     "FluxTable", "G_term", "flux_F", "flux_F_m", "flux_F_selfsimilar",
-    "asymptotic_residual_table", "flux_F_reference_2d", "flux_F_m_direct",
+    "asymptotic_residual_table",
 ]
 
 # below this |xi| the quadrature route is used unconditionally; above it the
@@ -179,46 +178,3 @@ def asymptotic_residual_table(params: ModelParams,
         residuals.append(abs(F + K * x ** (2.0 - 2.0 * a - 2.0 * s)) * x ** (2.0 * s))
     return FluxTable(params=params, xi_values=xi_grid, F_values=F_vals,
                      residuals=residuals, K_used=K)
-
-
-# ---------------------------------------------------------------------------
-# slow independent oracles (used by the test suite)
-
-def flux_F_reference_2d(xi_abs: float, params: ModelParams,
-                        rel_tol: float = 1e-9) -> float:
-    """Unsplit polar quadrature of the defining difference-form integral;
-    independent of the I/G split and of the Mellin machinery."""
-    if xi_abs <= 0:
-        raise DomainError("requires |xi| > 0")
-    d, a, s = params.d, params.alpha, params.s
-    lam = xi_abs
-
-    def inner(r):
-        def g(t):
-            D2 = lam * lam - 2.0 * lam * r * math.cos(t) + r * r
-            proj = r * r * lam * lam * math.sin(t) ** 2 / D2 if D2 > 0 else 0.0
-            w = (1.0 + D2) ** (-(d + 2.0 * a) / 2.0)
-            return proj * w * math.sin(t) ** (d - 2) * (r ** (-2.0 * s) - lam ** (-2.0 * s))
-        v, _, _ = quadpack(g, 0.0, math.pi, rel_tol=rel_tol, limit=400)
-        return v * r ** (d - 1)
-
-    v, _, _ = radial_quad(inner, lam, rel_tol, 400)
-    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * v
-
-
-def flux_F_m_direct(xi_abs: float, params: ModelParams, m: float,
-                    rel_tol: float = 1e-8) -> float:
-    """Direct quadrature of the flux integral regularized by the covariance
-    mass m (oracle for the rescaling identity)."""
-    if m <= 0 or xi_abs <= 0:
-        raise DomainError("requires m > 0 and |xi| > 0")
-    d, a, s = params.d, params.alpha, params.s
-    lam = xi_abs
-
-    def inner(r):
-        # int_0^pi sin^d(t) (|r^2 - 2 r lam cos t + lam^2|^{-s} - lam^{-2s}) dt
-        v = -lam ** (-2.0 * s) * gegenbauer_defect(d, s, r / lam)
-        return v * lam * lam * r ** (d - 1) * (m * m + r * r) ** (-(d / 2.0 + a))
-
-    v, _, _ = radial_quad(inner, lam, rel_tol, 400)
-    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * v

@@ -24,9 +24,8 @@ from .errors import DomainError, InvalidSampleRate
 
 __all__ = [
     "LatticeConfig", "NoiseModes", "FieldSample", "EnsembleStats",
-    "build_noise_modes", "default_dt", "em_step", "run_ensemble",
-    "sobolev_estimate", "lattice_master_rate", "rate_agreement",
-    "MC_RECORD_STRIDE",
+    "build_noise_modes", "run_ensemble", "lattice_master_rate",
+    "rate_agreement", "MC_RECORD_STRIDE",
 ]
 
 # steps between ensemble records for the master-equation rate check
@@ -113,11 +112,6 @@ def build_noise_modes(cfg: LatticeConfig) -> NoiseModes:
                       fft_size=N, covariance_matrix=cov,
                       corrector_grid=corrector, band_mask=band,
                       kx_grid=kx_grid, ky_grid=ky_grid)
-
-
-def default_dt(noise: NoiseModes) -> float:
-    """Default time step 0.1 / max_xi c_{Lam,xi}."""
-    return 0.1 / float(noise.corrector_grid.max())
 
 
 @dataclass
@@ -218,23 +212,6 @@ def _em_step_batch(batch: np.ndarray, noise: NoiseModes, dt: float,
         out *= noise.band_mask[None, :, :]
         _enforce_reality(out)
     return out
-
-
-def em_step(sample: FieldSample, noise: NoiseModes, dt: float,
-            rng: Optional[np.random.Generator] = None,
-            dbeta: Optional[np.ndarray] = None) -> FieldSample:
-    """Single-sample Euler-Maruyama step.  Complex mode increments dbeta
-    (E|dbeta|^2 = dt) may be passed explicitly; otherwise they are drawn from
-    rng."""
-    if dbeta is None:
-        if rng is None:
-            raise DomainError("em_step needs either rng or explicit dbeta")
-        z = rng.standard_normal((noise.n_half, 2))
-        dbeta = math.sqrt(dt / 2.0) * (z[:, 0] + 1j * z[:, 1])
-    out = _em_step_batch(sample.spec[None, :, :], noise, dt,
-                         np.asarray(dbeta)[None, :])
-    return FieldSample(spec=out[0], n_max=sample.n_max,
-                       fft_size=sample.fft_size)
 
 
 def _step_noise(cfg: LatticeConfig, n_half: int, step_index: int) -> np.ndarray:
@@ -410,16 +387,3 @@ def rate_agreement(noise: NoiseModes, stats: Sequence[EnsembleStats]) -> float:
     hits = (np.abs(last.diff_mean / last.diff_dt - model)
             <= 3.0 * (last.diff_std_err / last.diff_dt) + slack)
     return float(hits.mean())
-
-
-def sobolev_estimate(stats: EnsembleStats, s_query: float):
-    """(value, std_err) of sum_{k != 0} |k|^{-2s} E|rho(k)|^2; the k = 0 mode
-    is excluded (homogeneous norm).  Standard errors are combined assuming
-    independent modes, which overstates nothing at the 3-sigma level used in
-    the acceptance checks."""
-    k2 = (stats.modes.astype(float) ** 2).sum(axis=1)
-    keep = k2 > 0
-    w = stats.multiplicity[keep] * k2[keep] ** (-s_query)
-    value = float((w * stats.mean_spectrum[keep]).sum())
-    err = float(math.sqrt(((w * stats.std_err[keep]) ** 2).sum()))
-    return value, err

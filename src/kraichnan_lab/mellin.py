@@ -1,6 +1,8 @@
-"""Meromorphic Gamma-product engine: pole bookkeeping, residues, vertical
-contour evaluation, residue-shift asymptotics, and the three independent
-routes to the dissipation constant K.
+"""Meromorphic Gamma-product engine: pole bookkeeping, residues,
+residue-shift asymptotics, and the three independent routes to the
+dissipation constant K: its Gamma quotient, one certified radial quadrature
+(quad.radial_quad) of the scale-free integral, and the real-space route
+through the covariance defect D, itself a Gamma quotient.
 
 A GammaProduct stores prefactor * prod_i Gamma(coef_i z + offset_i)^{+-1},
 so pole locations and residues are exact affine data rather than output of
@@ -16,18 +18,15 @@ from typing import Optional
 import numpy as np
 from scipy import special as _scisp
 
-from .errors import (CaseOutOfRange, DomainError, HigherOrderPole, PoleError,
-                     StripViolation, ToleranceNotReached)
-from .quad import quadpack, radial_quad
+from .errors import CaseOutOfRange, DomainError, HigherOrderPole, PoleError
+from .quad import radial_quad
 from .specfun import (ModelParams, gamma_fn, gamma_pole_index,
-                      gegenbauer_defect, poisson_bessel_defect,
-                      sin_power_integral, sphere_surface)
+                      gegenbauer_defect, sphere_surface)
 
 __all__ = [
     "GammaProduct", "AsymptoticTerm", "KReport",
     "h_product", "f_product", "jl_product",
-    "poles_in_strip", "residue_at", "parseval_contour",
-    "expand_J", "expansion_terms",
+    "poles_in_strip", "residue_at", "expansion_terms",
     "k_constant_gamma", "k_constant_integral", "k_constant_appendix",
     "riesz_constant", "d_constant", "k_report",
 ]
@@ -186,68 +185,6 @@ def residue_at(expr: GammaProduct, pole: float,
                           coefficient=-res.real)
 
 
-def _gamma_tail_integral(p: float, y0: float) -> float:
-    """Upper bound for int_y0^inf y^p e^{-pi y/2} dy."""
-    x = math.pi * y0 / 2.0
-    if p > -1.0:
-        return (2.0 / math.pi) ** (p + 1.0) * math.exp(
-            math.lgamma(p + 1.0)) * _scisp.gammaincc(p + 1.0, x)
-    # p <= -1: monotone bound y^p <= y0^p
-    return y0 ** p * (2.0 / math.pi) * math.exp(-x)
-
-
-def parseval_contour(lam: float, params: ModelParams, line_re: float,
-                     rel_tol: float = 1e-10) -> float:
-    """J(lambda) as the vertical-line integral
-    (1/2 pi) int_{-Y}^{Y} Re[ lambda^{-(r+iy)} M[h] M[f,1-.] ] dy,
-    with the truncation height Y grown until the Gamma-asymptotics tail bound
-    (algebraic factor times e^{-pi y / 2}) drops below 1e-10 of the integral.
-    """
-    if lam <= 0:
-        raise DomainError("parseval_contour requires lambda > 0")
-    d, a, s = params.d, params.alpha, params.s
-    lo, hi = d - 2.0 * s, float(d)
-    if not (lo < line_re < hi):
-        raise StripViolation(
-            f"line Re z = {line_re} outside the fundamental strip ({lo}, {hi})")
-    prod = jl_product(params)
-    for x, _ in poles_in_strip(prod, line_re - 1.0, line_re + 1.0):
-        if abs(x - line_re) < 1e-9:
-            raise StripViolation(f"line Re z = {line_re} within 1e-9 of pole {x}")
-
-    loglam = math.log(lam)
-
-    def g(y):
-        z = complex(line_re, y)
-        return (prod(z) * np.exp(-z * loglam)).real
-
-    # integrate upward in blocks until the analytic tail bound is negligible
-    p_alg = a + 2.0 * s - 3.0 - d / 2.0  # algebraic growth power on the line
-    edges = [0.0, 30.0]
-    total = 0.0
-    nmax_y = 400.0
-    while True:
-        y0, y1 = edges[-2], edges[-1]
-        val, err, _ = quadpack(g, y0, y1, rel_tol=rel_tol, limit=800)
-        total += val
-        # amplitude constant fitted on the Gamma asymptotic profile
-        ys = np.array([max(6.0, y1 / 4.0), y1 / 2.0, y1])
-        amp = 0.0
-        for yy in ys:
-            z = complex(line_re, yy)
-            amp = max(amp, abs(prod(z)) * math.exp(math.pi * yy / 2.0)
-                      * yy ** (-p_alg))
-        tail = 2.0 * amp * lam ** (-line_re) * _gamma_tail_integral(p_alg, y1)
-        if tail <= 1e-10 * max(abs(total), 1e-300):
-            break
-        if y1 >= nmax_y:
-            raise ToleranceNotReached(
-                f"contour truncation height capped at {nmax_y} with tail bound {tail:.2e}",
-                value=total / math.pi, error_estimate=tail)
-        edges.append(min(nmax_y, 2.0 * y1))
-    return total / math.pi
-
-
 def expansion_terms(params: ModelParams, r_prime: float):
     """Residue terms of J(lambda) for all poles between the fundamental strip
     and Re z = r_prime, sorted by increasing exponent.  r_prime must not sit
@@ -264,16 +201,6 @@ def expansion_terms(params: ModelParams, r_prime: float):
             raise HigherOrderPole(f"pole of order {order} at z = {x}")
         terms.append(residue_at(prod, x))
     return terms, r_prime
-
-
-def expand_J(params: ModelParams, r_prime: float):
-    """Three-term residue expansion of J: exponents d, d+2 alpha, d+2, with
-    remainder O(lambda^{-r_prime}); r_prime must lie in (d+2, d+2 alpha+2)."""
-    d, a = params.d, params.alpha
-    if not (d + 2.0 < r_prime < d + 2.0 * a + 2.0):
-        raise DomainError(
-            f"r_prime must lie in ({d + 2.0}, {d + 2.0 * a + 2.0})")
-    return expansion_terms(params, r_prime)
 
 
 def k_constant_gamma(params: ModelParams) -> float:
@@ -327,45 +254,27 @@ def riesz_constant(d: int, sigma: float) -> float:
             * gamma_fn(sigma).real / gamma_fn(d / 2.0 - sigma).real)
 
 
-def d_constant(d: int, alpha: float, z_abs: float = 1.0) -> float:
-    """Amplitude of the scale-free covariance defect, from the trace identity
-    evaluated at separation |z| = z_abs (the return value scales as
-    |z|^{2 alpha}; at the default z_abs = 1 it is the amplitude itself)."""
+def d_constant(d: int, alpha: float) -> float:
+    """Amplitude of the scale-free covariance defect, in closed form:
+
+        D = (2 pi)^{-d/2} (d-1) omega_{d-1} / (d+2a)
+            * (-G(d/2) G(-a) 2^{-2a-1} / G(d/2+a))  > 0.
+
+    D is the trace of the defect divided by (d + 2a): the transverse part
+    carries weight (1 + 2a/(d-1)) relative to the longitudinal one.  The
+    trace is (2 pi)^{-d/2} (d-1) omega_{d-2} int_0^inf r^{-1-2a}
+    int_0^pi (1 - cos(r cos t)) sin^{d-2}(t) dt dr; Poisson's integral makes
+    the angular factor B(1/2, (d-1)/2) (1 - 0F1(; d/2; -r^2/4)), the Beta
+    turns omega_{d-2} into omega_{d-1}, and the radial Mellin transform is
+    the Gamma quotient (DLMF 10.22.43 with 10.16.9, continued to 0 < a < 1).
+    """
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie in (0,1)")
-    if z_abs <= 0:
-        raise DomainError("z_abs must be positive")
-    # trace of the scale-free covariance defect at |z| = z_abs, divided by
-    # (d + 2a): the transverse part carries weight (1 + 2a/(d-1)) relative to
-    # the longitudinal one, so Tr = (longitudinal coeff) * (d + 2a).  The
-    # angular factor is Poisson's Bessel integral, which tends to a_inf.
-    a, a_inf = alpha, sin_power_integral(d - 2.0, 0.0)
-
-    def body(r):
-        return r ** (-1.0 - 2.0 * a) * poisson_bessel_defect(d, z_abs * r)
-
-    r_cut = 60.0 / z_abs
-    v1, _, _ = quadpack(body, 0.0, 1.0 / z_abs, rel_tol=1e-10, limit=400)
-    v2, _, _ = quadpack(body, 1.0 / z_abs, r_cut, rel_tol=1e-10, limit=2000)
-
-    # tail: split 1 - cos into the constant part (integrated exactly) and the
-    # oscillatory remainder, summed over 72 half-period chunks with iterated
-    # averaging to accelerate the alternating series
-    tail_const = a_inf * r_cut ** (-2.0 * a) / (2.0 * a)
-
-    def osc(r):
-        return r ** (-1.0 - 2.0 * a) * (a_inf - poisson_bessel_defect(d, z_abs * r))
-
-    edges = r_cut + (math.pi / z_abs) * np.arange(73)
-    partial = np.cumsum([quadpack(osc, lo, hi, abs_tol=1e-14, rel_tol=1e-9,
-                                  limit=200)[0]
-                         for lo, hi in zip(edges[:-1], edges[1:])])
-    for _ in range(12):
-        partial = 0.5 * (partial[1:] + partial[:-1])
-
-    total = v1 + v2 + tail_const - partial[-1]
-    return ((2.0 * math.pi) ** (-d / 2.0) * (d - 1.0) * sphere_surface(d - 2)
-            * total / (d + 2.0 * a))
+    a = alpha
+    radial = (-gamma_fn(d / 2.0).real * gamma_fn(-a).real * 2.0 ** (-2.0 * a - 1.0)
+              / gamma_fn(d / 2.0 + a).real)
+    return ((2.0 * math.pi) ** (-d / 2.0) * (d - 1.0) * sphere_surface(d - 1)
+            * radial / (d + 2.0 * a))
 
 
 def k_constant_appendix(params: ModelParams) -> float:

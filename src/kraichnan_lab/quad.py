@@ -5,7 +5,9 @@ The panel engine is QUADPACK (scipy.integrate.quad) behind one entry point,
 same after the variable change t = lo + u/(1-u) for semi-infinite tails, so
 algebraic tail decay turns into an integrable endpoint singularity at u = 1.
 The contract is the error bound, not the rule.  Angular integrals are closed
-forms (specfun), so no integrand here calls QUADPACK again.
+forms (specfun), so no integrand here calls QUADPACK again, and radial_quad
+is the only caller of quadpack in the package: every production quadrature
+is certified or raises ToleranceNotReached.
 """
 
 from __future__ import annotations

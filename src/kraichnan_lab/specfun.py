@@ -2,10 +2,11 @@
 
 log-Gamma is scipy's principal-branch ``loggamma``; this module adds the
 pole and finiteness checks.  The Mellin transforms of the model's radial
-profiles live as Gamma products in the mellin module.  The two angular
-integrals of the model are closed forms here: the Gegenbauer
-generating-function integral (a 2F1) behind f, K and F, and Poisson's
-Bessel integral behind the covariance defect D.
+profiles live as Gamma products in the mellin module.  The angular
+integral of the model is a closed form here: the Gegenbauer
+generating-function integral (a 2F1) behind f, K, F and the scale-free
+kernel.  The covariance defect D needs none: it is a Gamma quotient
+(mellin.d_constant).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "gegenbauer_integral",
     "gegenbauer_2f1",
     "gegenbauer_defect",
-    "poisson_bessel_defect",
     "sphere_surface",
     "POLE_TOL",
     "gamma_pole_index",
@@ -159,19 +159,3 @@ def gegenbauer_defect(d: float, s: float, r: float) -> float:
                            / ((d / 2.0 + n) * n) * (r * r))
         return -sin_power_integral(d, 0.0) * float(terms.sum())
     return sin_power_integral(d, 0.0) - gegenbauer_integral(d, s, r)
-
-
-def poisson_bessel_defect(d: float, x: float) -> float:
-    """int_0^pi (1 - cos(x cos t)) sin^{d-2}(t) dt
-    = B(1/2, (d-1)/2) (1 - 0F1(; d/2; -x^2/4)), by Poisson's integral for
-    G(nu+1) (2/x)^nu J_nu(x) = 0F1(; nu+1; -x^2/4) with nu = (d-2)/2 (DLMF
-    10.9.4, 10.16.9).  Below x = 1, where 1 - 0F1 cancels, it is minus 16
-    terms of the power series of 0F1 - 1."""
-    if x < 0.0:
-        raise DomainError("poisson_bessel_defect requires x >= 0")
-    if x < 1.0:
-        k = np.arange(1.0, 17.0)
-        terms = np.cumprod(-x * x / (4.0 * (d / 2.0 + k - 1.0) * k))
-        return -sin_power_integral(d - 2.0, 0.0) * float(terms.sum())
-    return sin_power_integral(d - 2.0, 0.0) * (
-        1.0 - float(_scisp.hyp0f1(d / 2.0, -x * x / 4.0)))

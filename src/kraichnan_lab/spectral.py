@@ -464,15 +464,14 @@ def _boundary_fraction(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
 
 
 def evolve(initial: SpectrumState, kernel: KernelMatrix, t_final: float,
-           dt: Optional[float] = None, trackers: Sequence[float] = (),
-           stop_on_truncation: bool = True) -> Trajectory:
+           dt: Optional[float] = None, trackers: Sequence[float] = ()) -> Trajectory:
     """Solve the master equation to t_final exactly from the kernel's modes,
     recording mass, the tracked Sobolev norms and the boundary mass fraction
     every dt.  Records are computed in blocks of bounded memory.
 
-    Issues TruncationWarning (and stops, unless told otherwise) at the first
-    record where the outer 5% of nodes on either end hold more than 1% of the
-    mass.
+    Stops with a TruncationWarning at the first record where the outer 5%
+    of nodes on either end hold more than 1% of the mass; that record is
+    the last one.
     """
     if dt is None:
         dt = default_dt(kernel)
@@ -483,36 +482,34 @@ def evolve(initial: SpectrumState, kernel: KernelMatrix, t_final: float,
     sums = [probes @ initial.values[:, None]]
     bfrac = [_boundary_fraction(grid, initial.values)]
     last = initial.values
-    truncated = False
     t_trunc = None
     block = max(1, _RECORD_BLOCK_BYTES // (8 * grid.n))
     for b0 in range(0, n_steps, block):
         vals = _mode_values(kernel, initial.values, taus[b0:b0 + block])
         bf = _boundary_fraction(grid, vals)
-        first = None if truncated else next(iter(np.flatnonzero(bf > 0.01)), None)
-        if first is not None and stop_on_truncation:
+        first = next(iter(np.flatnonzero(bf > 0.01)), None)
+        if first is not None:
             vals, bf = vals[:, :first + 1], bf[:first + 1]
         _check_spectrum(vals, "propagation")
         sums.append(probes @ vals)
         bfrac.append(bf)
         last = vals[:, -1]
         if first is not None:
-            truncated = True
             t_trunc = t0 + float(taus[b0 + first])
             warnings.warn(
                 f"boundary cells hold {bf[first]:.1%} of the mass at t = {t_trunc:.4g};"
                 " full-space comparisons are invalid beyond this time",
                 TruncationWarning)
-            if stop_on_truncation:
-                break
+            break
     sums = np.concatenate(sums, axis=1)
     times = np.concatenate(([t0], t0 + taus[:sums.shape[1] - 1]))
     final = SpectrumState(grid=grid, values=last.copy(), time=float(times[-1]),
                           params=initial.params)
     return Trajectory(times=times, mass=sums[0],
                       norms={float(s): sums[1 + i] for i, s in enumerate(trackers)},
-                      boundary_fraction=np.concatenate(bfrac), truncated=truncated,
-                      truncation_time=t_trunc, final_state=final)
+                      boundary_fraction=np.concatenate(bfrac),
+                      truncated=t_trunc is not None, truncation_time=t_trunc,
+                      final_state=final)
 
 
 def anomalous_dissipation_integral(initial: SpectrumState, kernel: KernelMatrix):

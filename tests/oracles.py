@@ -1,11 +1,26 @@
-"""Independent oracles for the closed-form angular integrals of specfun:
-the defining integrals by QUADPACK over the angle, so the tests compare the
-2F1 and Bessel forms (and everything built on them) with a separate
-computation."""
+"""Independent oracles for the closed forms of the package, and the
+test-only routes the package itself does not run.
+
+The defining angular integrals by QUADPACK, so the tests compare the 2F1
+forms (and everything built on them) with a separate computation; the
+covariance defect D by radial quadrature of Poisson's Bessel integral,
+against the Gamma quotient mellin.d_constant; J on a vertical Mellin
+contour and its three-term residue expansion; the unsplit polar and the
+direct massive flux integrals; and the single-sample Euler-Maruyama step
+with the Sobolev estimate of an ensemble record."""
 
 import math
 
-from kraichnan_lab.quad import quadpack
+import numpy as np
+from scipy import special as _scisp
+
+from kraichnan_lab.errors import (DomainError, StripViolation,
+                                  ToleranceNotReached)
+from kraichnan_lab.mc_spde import FieldSample, _em_step_batch
+from kraichnan_lab.mellin import expansion_terms, jl_product, poles_in_strip
+from kraichnan_lab.quad import quadpack, radial_quad
+from kraichnan_lab.specfun import (gegenbauer_defect, sin_power_integral,
+                                   sphere_surface)
 
 
 def gegenbauer_quad(d, s, r, defect=False, rel_tol=1e-13):
@@ -43,3 +58,198 @@ def poisson_quad(d, x, rel_tol=1e-13):
         return 2.0 * math.sin(0.5 * x * math.cos(t)) ** 2 * math.sin(t) ** (d - 2)
     return quadpack(g, 0.0, math.pi, rel_tol=rel_tol,
                     limit=max(200, int(10 + x)))[0]
+
+
+def poisson_bessel_defect(d, x):
+    """int_0^pi (1 - cos(x cos t)) sin^{d-2}(t) dt
+    = B(1/2, (d-1)/2) (1 - 0F1(; d/2; -x^2/4)), by Poisson's integral for
+    G(nu+1) (2/x)^nu J_nu(x) = 0F1(; nu+1; -x^2/4) with nu = (d-2)/2 (DLMF
+    10.9.4, 10.16.9).  Below x = 1, where 1 - 0F1 cancels, it is minus 16
+    terms of the power series of 0F1 - 1."""
+    if x < 0.0:
+        raise DomainError("poisson_bessel_defect requires x >= 0")
+    if x < 1.0:
+        k = np.arange(1.0, 17.0)
+        terms = np.cumprod(-x * x / (4.0 * (d / 2.0 + k - 1.0) * k))
+        return -sin_power_integral(d - 2.0, 0.0) * float(terms.sum())
+    return sin_power_integral(d - 2.0, 0.0) * (
+        1.0 - float(_scisp.hyp0f1(d / 2.0, -x * x / 4.0)))
+
+
+def d_constant_quad(d, alpha, z_abs):
+    """Amplitude of the scale-free covariance defect by radial quadrature of
+    Poisson's Bessel integral, from the trace identity evaluated at
+    separation |z| = z_abs (the return value scales as |z|^{2 alpha}; at
+    z_abs = 1 it is the amplitude itself)."""
+    if not (0.0 < alpha < 1.0):
+        raise DomainError("alpha must lie in (0,1)")
+    if z_abs <= 0:
+        raise DomainError("z_abs must be positive")
+    # trace of the scale-free covariance defect at |z| = z_abs, divided by
+    # (d + 2a): the transverse part carries weight (1 + 2a/(d-1)) relative to
+    # the longitudinal one, so Tr = (longitudinal coeff) * (d + 2a).  The
+    # angular factor is Poisson's Bessel integral, which tends to a_inf.
+    a, a_inf = alpha, sin_power_integral(d - 2.0, 0.0)
+
+    def body(r):
+        return r ** (-1.0 - 2.0 * a) * poisson_bessel_defect(d, z_abs * r)
+
+    r_cut = 60.0 / z_abs
+    v1, _, _ = quadpack(body, 0.0, 1.0 / z_abs, rel_tol=1e-10, limit=400)
+    v2, _, _ = quadpack(body, 1.0 / z_abs, r_cut, rel_tol=1e-10, limit=2000)
+
+    # tail: split 1 - cos into the constant part (integrated exactly) and the
+    # oscillatory remainder, summed over 72 half-period chunks with iterated
+    # averaging to accelerate the alternating series
+    tail_const = a_inf * r_cut ** (-2.0 * a) / (2.0 * a)
+
+    def osc(r):
+        return r ** (-1.0 - 2.0 * a) * (a_inf - poisson_bessel_defect(d, z_abs * r))
+
+    edges = r_cut + (math.pi / z_abs) * np.arange(73)
+    partial = np.cumsum([quadpack(osc, lo, hi, abs_tol=1e-14, rel_tol=1e-9,
+                                  limit=200)[0]
+                         for lo, hi in zip(edges[:-1], edges[1:])])
+    for _ in range(12):
+        partial = 0.5 * (partial[1:] + partial[:-1])
+
+    total = v1 + v2 + tail_const - partial[-1]
+    return ((2.0 * math.pi) ** (-d / 2.0) * (d - 1.0) * sphere_surface(d - 2)
+            * total / (d + 2.0 * a))
+
+
+def _gamma_tail_integral(p, y0):
+    """Upper bound for int_y0^inf y^p e^{-pi y/2} dy."""
+    x = math.pi * y0 / 2.0
+    if p > -1.0:
+        return (2.0 / math.pi) ** (p + 1.0) * math.exp(
+            math.lgamma(p + 1.0)) * _scisp.gammaincc(p + 1.0, x)
+    # p <= -1: monotone bound y^p <= y0^p
+    return y0 ** p * (2.0 / math.pi) * math.exp(-x)
+
+
+def parseval_contour(lam, params, line_re, rel_tol=1e-10):
+    """J(lambda) as the vertical-line integral
+    (1/2 pi) int_{-Y}^{Y} Re[ lambda^{-(r+iy)} M[h] M[f,1-.] ] dy,
+    with the truncation height Y grown until the Gamma-asymptotics tail bound
+    (algebraic factor times e^{-pi y / 2}) drops below 1e-10 of the integral.
+    """
+    if lam <= 0:
+        raise DomainError("parseval_contour requires lambda > 0")
+    d, a, s = params.d, params.alpha, params.s
+    lo, hi = d - 2.0 * s, float(d)
+    if not (lo < line_re < hi):
+        raise StripViolation(
+            f"line Re z = {line_re} outside the fundamental strip ({lo}, {hi})")
+    prod = jl_product(params)
+    for x, _ in poles_in_strip(prod, line_re - 1.0, line_re + 1.0):
+        if abs(x - line_re) < 1e-9:
+            raise StripViolation(f"line Re z = {line_re} within 1e-9 of pole {x}")
+
+    loglam = math.log(lam)
+
+    def g(y):
+        z = complex(line_re, y)
+        return (prod(z) * np.exp(-z * loglam)).real
+
+    # integrate upward in blocks until the analytic tail bound is negligible
+    p_alg = a + 2.0 * s - 3.0 - d / 2.0  # algebraic growth power on the line
+    edges = [0.0, 30.0]
+    total = 0.0
+    nmax_y = 400.0
+    while True:
+        y0, y1 = edges[-2], edges[-1]
+        val, err, _ = quadpack(g, y0, y1, rel_tol=rel_tol, limit=800)
+        total += val
+        # amplitude constant fitted on the Gamma asymptotic profile
+        ys = np.array([max(6.0, y1 / 4.0), y1 / 2.0, y1])
+        amp = 0.0
+        for yy in ys:
+            z = complex(line_re, yy)
+            amp = max(amp, abs(prod(z)) * math.exp(math.pi * yy / 2.0)
+                      * yy ** (-p_alg))
+        tail = 2.0 * amp * lam ** (-line_re) * _gamma_tail_integral(p_alg, y1)
+        if tail <= 1e-10 * max(abs(total), 1e-300):
+            break
+        if y1 >= nmax_y:
+            raise ToleranceNotReached(
+                f"contour truncation height capped at {nmax_y} with tail bound {tail:.2e}",
+                value=total / math.pi, error_estimate=tail)
+        edges.append(min(nmax_y, 2.0 * y1))
+    return total / math.pi
+
+
+def expand_J(params, r_prime):
+    """Three-term residue expansion of J: exponents d, d+2 alpha, d+2, with
+    remainder O(lambda^{-r_prime}); r_prime must lie in (d+2, d+2 alpha+2)."""
+    d, a = params.d, params.alpha
+    if not (d + 2.0 < r_prime < d + 2.0 * a + 2.0):
+        raise DomainError(
+            f"r_prime must lie in ({d + 2.0}, {d + 2.0 * a + 2.0})")
+    return expansion_terms(params, r_prime)
+
+
+def flux_F_reference_2d(xi_abs, params, rel_tol=1e-9):
+    """Unsplit polar quadrature of the defining difference-form integral;
+    independent of the I/G split and of the Mellin machinery."""
+    if xi_abs <= 0:
+        raise DomainError("requires |xi| > 0")
+    d, a, s = params.d, params.alpha, params.s
+    lam = xi_abs
+
+    def inner(r):
+        def g(t):
+            D2 = lam * lam - 2.0 * lam * r * math.cos(t) + r * r
+            proj = r * r * lam * lam * math.sin(t) ** 2 / D2 if D2 > 0 else 0.0
+            w = (1.0 + D2) ** (-(d + 2.0 * a) / 2.0)
+            return proj * w * math.sin(t) ** (d - 2) * (r ** (-2.0 * s) - lam ** (-2.0 * s))
+        v, _, _ = quadpack(g, 0.0, math.pi, rel_tol=rel_tol, limit=400)
+        return v * r ** (d - 1)
+
+    v, _, _ = radial_quad(inner, lam, rel_tol, 400)
+    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * v
+
+
+def flux_F_m_direct(xi_abs, params, m, rel_tol=1e-8):
+    """Direct quadrature of the flux integral regularized by the covariance
+    mass m (oracle for the rescaling identity)."""
+    if m <= 0 or xi_abs <= 0:
+        raise DomainError("requires m > 0 and |xi| > 0")
+    d, a, s = params.d, params.alpha, params.s
+    lam = xi_abs
+
+    def inner(r):
+        # int_0^pi sin^d(t) (|r^2 - 2 r lam cos t + lam^2|^{-s} - lam^{-2s}) dt
+        v = -lam ** (-2.0 * s) * gegenbauer_defect(d, s, r / lam)
+        return v * lam * lam * r ** (d - 1) * (m * m + r * r) ** (-(d / 2.0 + a))
+
+    v, _, _ = radial_quad(inner, lam, rel_tol, 400)
+    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * v
+
+
+def em_step(sample, noise, dt, rng=None, dbeta=None):
+    """Single-sample Euler-Maruyama step.  Complex mode increments dbeta
+    (E|dbeta|^2 = dt) may be passed explicitly; otherwise they are drawn from
+    rng."""
+    if dbeta is None:
+        if rng is None:
+            raise DomainError("em_step needs either rng or explicit dbeta")
+        z = rng.standard_normal((noise.n_half, 2))
+        dbeta = math.sqrt(dt / 2.0) * (z[:, 0] + 1j * z[:, 1])
+    out = _em_step_batch(sample.spec[None, :, :], noise, dt,
+                         np.asarray(dbeta)[None, :])
+    return FieldSample(spec=out[0], n_max=sample.n_max,
+                       fft_size=sample.fft_size)
+
+
+def sobolev_estimate(stats, s_query):
+    """(value, std_err) of sum_{k != 0} |k|^{-2s} E|rho(k)|^2; the k = 0 mode
+    is excluded (homogeneous norm).  Standard errors are combined assuming
+    independent modes, which overstates nothing at the 3-sigma level used in
+    the acceptance checks."""
+    k2 = (stats.modes.astype(float) ** 2).sum(axis=1)
+    keep = k2 > 0
+    w = stats.multiplicity[keep] * k2[keep] ** (-s_query)
+    value = float((w * stats.mean_spectrum[keep]).sum())
+    err = float(math.sqrt(((w * stats.std_err[keep]) ** 2).sum()))
+    return value, err

@@ -9,10 +9,10 @@ import pytest
 from kraichnan_lab import flux, mellin
 from kraichnan_lab.errors import DomainError
 from kraichnan_lab.flux import (FluxTable, G_term, asymptotic_residual_table,
-                                flux_F, flux_F_m, flux_F_m_direct,
-                                flux_F_reference_2d, flux_F_selfsimilar)
+                                flux_F, flux_F_m, flux_F_selfsimilar)
 from kraichnan_lab.quad import quadpack
 from kraichnan_lab.specfun import ModelParams, sphere_surface
+from oracles import expand_J, flux_F_m_direct, flux_F_reference_2d
 
 P = ModelParams(d=2, alpha=0.5, s=0.75)
 
@@ -66,7 +66,7 @@ class TestFluxF:
         for d, a, s in ((2, 0.5, 0.75), (3, 0.25, 1.0), (2, 0.75, 0.3),
                         (3, 0.75, 1.2), (2, 0.3, 0.33)):
             p = ModelParams(d=d, alpha=a, s=s)
-            terms, _ = mellin.expand_J(p, d + 2.0 + a)
+            terms, _ = expand_J(p, d + 2.0 + a)
             c_d = [t.coefficient for t in terms if abs(t.exponent - d) < 1e-9][0]
             for xi in (0.7, 5.0):
                 lhs = sphere_surface(d - 2) * c_d * xi ** (2.0 - 2.0 * s)

@@ -11,15 +11,15 @@ from kraichnan_lab import quad
 from kraichnan_lab.errors import (CaseOutOfRange, DomainError, HigherOrderPole,
                                   PoleError, StripViolation,
                                   ToleranceNotReached)
-from kraichnan_lab.mellin import (GammaProduct, d_constant, expand_J,
-                                  expansion_terms, f_product, h_product,
-                                  jl_product, k_constant_appendix,
-                                  k_constant_gamma, k_constant_integral,
-                                  k_report, parseval_contour, poles_in_strip,
-                                  residue_at, riesz_constant)
+from kraichnan_lab.mellin import (GammaProduct, d_constant, expansion_terms,
+                                  f_product, h_product, jl_product,
+                                  k_constant_appendix, k_constant_gamma,
+                                  k_constant_integral, k_report,
+                                  poles_in_strip, residue_at, riesz_constant)
 from kraichnan_lab.quad import quadpack
 from kraichnan_lab.specfun import (ModelParams, gamma_fn, gegenbauer_defect,
                                    sin_power_integral, sphere_surface)
+from oracles import d_constant_quad, expand_J, parseval_contour
 
 P2 = ModelParams(d=2, alpha=0.5, s=0.5)
 
@@ -285,11 +285,26 @@ class TestRiesz:
 
 
 class TestDConstant:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("a", [0.1, 0.25, 0.5, 0.75, 0.9, 0.95])
+    def test_vs_quadrature(self, d, a):
+        # the Gamma quotient against the radial quadrature of Poisson's
+        # Bessel integral it replaced
+        ref = d_constant_quad(d, a, 1.0)
+        assert abs(d_constant(d, a) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("d,a,exact", [(2, 0.5, 1.0 / 3.0),
+                                           (4, 0.5, 1.0 / 5.0),
+                                           (3, 0.25, 16.0 / 21.0)])
+    def test_exact_values(self, d, a, exact):
+        assert d_constant(d, a) == pytest.approx(exact, rel=1e-14)
+
     def test_scale_independence(self):
         a = 0.5
-        vals = [d_constant(2, a, z) / z ** (2.0 * a) for z in (0.5, 1.0, 2.0)]
-        for v in vals[1:]:
-            assert abs(v - vals[0]) <= 1e-6 * abs(vals[0])
+        ref = d_constant(2, a)
+        for z in (0.5, 1.0, 2.0):
+            v = d_constant_quad(2, a, z)
+            assert abs(v - ref * z ** (2.0 * a)) <= 1e-6 * abs(v)
 
     def test_positive(self):
         for d, a in ((2, 0.25), (2, 0.75), (3, 0.5)):

@@ -1,9 +1,11 @@
-"""Public names: every module's __all__ resolves, every name a module takes
-from a sibling is public there, and every function the benchmark's tracer
-wraps resolves (perfbench/tracing.py looks them up by name, so deleting or
-renaming one would break traced runs without failing a test).  Also the one
-quadrature layer: only quad.py reaches scipy.integrate, and the tail map
-t = lo + u/(1-u) is written once, inside quad.quadpack."""
+"""Public names: every module's __all__ resolves, every name in it has a
+caller in the package (or is listed below as library API), every name a
+module takes from a sibling is public there, and every function the
+benchmark's tracer wraps resolves (perfbench/tracing.py looks them up by
+name, so deleting or renaming one would break traced runs without failing a
+test).  Also the one quadrature layer: only quad.py reaches scipy.integrate,
+the tail map t = lo + u/(1-u) is written once, inside quad.quadpack, and the
+package calls quadpack only from quad.radial_quad, which certifies it."""
 
 import ast
 import functools
@@ -19,9 +21,16 @@ MODULES = ("errors", "specfun", "quad", "mellin", "flux", "spectral",
            "mc_spde", "cli")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
-SOURCES = sorted(glob.glob(os.path.join(ROOT, "src", "kraichnan_lab", "*.py"))
-                 + glob.glob(os.path.join(ROOT, "tests", "*.py")))
+PACKAGE = sorted(glob.glob(os.path.join(ROOT, "src", "kraichnan_lab", "*.py")))
+SOURCES = PACKAGE + sorted(glob.glob(os.path.join(ROOT, "tests", "*.py")))
 QUAD = os.path.join(ROOT, "src", "kraichnan_lab", "quad.py")
+
+# Public names that no code in the package calls, each with why it stays.
+LIBRARY_API = {
+    "spectral.step": "the RK4 reference the exact propagator is tested "
+                     "against; perfbench/tracing.py traces it",
+    "flux.flux_F_m": "the flux at any covariance mass, by the rescaling identity",
+}
 
 
 def _tracing_targets():
@@ -41,11 +50,20 @@ def test_all_names_resolve(name):
         assert hasattr(mod, attr), f"kraichnan_lab.{name}.__all__ lists {attr!r}"
 
 
+def _parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read())
+
+
+def _function(tree, name):
+    return next(n for n in tree.body
+                if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
 def _sibling_uses(name):
     """(sibling, name) pairs the module takes from sibling modules, through
     `from .x import n` or `alias.n` after `from . import x as alias`."""
-    with open(importlib.import_module(f"kraichnan_lab.{name}").__file__) as fh:
-        tree = ast.parse(fh.read())
+    tree = _parse(importlib.import_module(f"kraichnan_lab.{name}").__file__)
     aliases, uses = {}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -71,6 +89,33 @@ def test_sibling_imports_are_public(name):
         assert ok, f"kraichnan_lab.{name} uses {sibling}.{attr}, which is not public"
 
 
+def _has_caller(name, attr):
+    """Whether attr of module `name` is read anywhere in the package outside
+    its own top-level definition: by name in its module, through
+    `from .name import attr` or as `alias.attr` in a sibling."""
+    tree = _parse(importlib.import_module(f"kraichnan_lab.{name}").__file__)
+    own = set()
+    for node in tree.body:
+        targets = ([node] if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   else getattr(node, "targets", []))
+        if any(getattr(t, "name", getattr(t, "id", None)) == attr for t in targets):
+            own.update(range(node.lineno, node.end_lineno + 1))
+    if any(isinstance(n, ast.Name) and n.id == attr and n.lineno not in own
+           for n in ast.walk(tree)):
+        return True
+    return any((name, attr) in _sibling_uses(other)
+               for other in MODULES if other != name)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_names_have_callers(name):
+    mod = importlib.import_module(f"kraichnan_lab.{name}")
+    for attr in getattr(mod, "__all__", ()):
+        assert _has_caller(name, attr) or f"{name}.{attr}" in LIBRARY_API, (
+            f"kraichnan_lab.{name}.{attr} is public but nothing in the package "
+            "calls it: move it to the tests or list it in LIBRARY_API")
+
+
 @pytest.mark.parametrize("target", _tracing_targets())
 def test_traced_target_resolves(target):
     obj = functools.reduce(getattr, target.split("."), kraichnan_lab)
@@ -92,8 +137,7 @@ def _imports_scipy_integrate(tree):
 
 def test_only_quad_imports_scipy_integrate():
     for path in SOURCES:
-        with open(path) as fh:
-            tree = ast.parse(fh.read())
+        tree = _parse(path)
         assert _imports_scipy_integrate(tree) == (path == QUAD), path
 
 
@@ -112,13 +156,30 @@ def _tail_maps(tree):
 
 def test_tail_map_only_inside_quadpack():
     for path in SOURCES:
-        with open(path) as fh:
-            tree = ast.parse(fh.read())
+        tree = _parse(path)
         allowed = set()
         if path == QUAD:
-            qp = next(n for n in tree.body
-                      if isinstance(n, ast.FunctionDef) and n.name == "quadpack")
+            qp = _function(tree, "quadpack")
             allowed = set(range(qp.lineno, qp.end_lineno + 1))
             assert len(_tail_maps(qp)) == 1
         stray = [n for n in _tail_maps(tree) if n not in allowed]
         assert not stray, f"{path}: tail map on lines {stray}"
+
+
+def _quadpack_calls(tree):
+    """Line numbers of every call quadpack(...) or x.quadpack(...)."""
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and "quadpack" in (getattr(n.func, "id", None),
+                               getattr(n.func, "attr", None))]
+
+
+def test_quadpack_called_only_in_radial_quad():
+    for path in PACKAGE:
+        tree = _parse(path)
+        allowed = set()
+        if path == QUAD:
+            rq = _function(tree, "radial_quad")
+            allowed = set(range(rq.lineno, rq.end_lineno + 1))
+            assert len(_quadpack_calls(rq)) == 2
+        stray = [n for n in _quadpack_calls(tree) if n not in allowed]
+        assert not stray, f"{path}: quadpack called on lines {stray}"

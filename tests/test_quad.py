@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kraichnan_lab import flux, mellin, quad
+from kraichnan_lab import mellin, quad
 from kraichnan_lab.errors import (DomainError, NonFiniteIntegrand,
                                   ToleranceNotReached)
 from kraichnan_lab.quad import J_direct, f_inner, quadpack, radial_quad
 from kraichnan_lab.specfun import ModelParams, gamma_fn, sin_power_integral
+import oracles
 from oracles import f_inner_quad
 
 
@@ -168,7 +169,8 @@ class TestJDirect:
 @pytest.fixture
 def quadpack_depths(monkeypatch):
     """Counts QUADPACK calls made at the top level and from inside another
-    QUADPACK call's integrand, in every module that holds the name."""
+    QUADPACK call's integrand, in every module that holds the name (the
+    package calls it only from quad.radial_quad)."""
     counts = {"outer": 0, "nested": 0}
     depth = [0]
     original = quad.quadpack
@@ -180,7 +182,7 @@ def quadpack_depths(monkeypatch):
             return original(*args, **kwargs)
         finally:
             depth[0] -= 1
-    for mod in (quad, mellin, flux):
+    for mod in (quad, oracles):
         monkeypatch.setattr(mod, "quadpack", counting)
     return counts
 
@@ -189,8 +191,8 @@ P_NEST = ModelParams(d=2, alpha=0.75, s=0.75)
 ROUTES = {
     "J_direct": lambda: J_direct(5.0, P_NEST),
     "k_constant_integral": lambda: mellin.k_constant_integral(P_NEST),
-    "d_constant": lambda: mellin.d_constant(2, 0.75),
-    "flux_F_m_direct": lambda: flux.flux_F_m_direct(2.0, P_NEST, 0.5),
+    "d_constant": lambda: oracles.d_constant_quad(2, 0.75, 1.0),
+    "flux_F_m_direct": lambda: oracles.flux_F_m_direct(2.0, P_NEST, 0.5),
 }
 
 

@@ -14,10 +14,10 @@ from kraichnan_lab.mellin import GammaProduct, f_product, h_product
 from kraichnan_lab.quad import quadpack
 from kraichnan_lab.specfun import (ModelParams, gamma_fn, gegenbauer_2f1,
                                    gegenbauer_defect, gegenbauer_integral,
-                                   log_gamma,
-                                   poisson_bessel_defect, sin_power_integral,
+                                   log_gamma, sin_power_integral,
                                    sphere_surface)
-from oracles import f_inner_quad, gegenbauer_quad, poisson_quad
+from oracles import (f_inner_quad, gegenbauer_quad, poisson_bessel_defect,
+                     poisson_quad)
 
 # value of log Gamma(2.3 + 1.7i) from a 40-digit arbitrary-precision
 # evaluation, frozen before the implementation existed
