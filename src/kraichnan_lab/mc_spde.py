@@ -2,11 +2,13 @@
 
 The scalar is advected by a divergence-free Gaussian field built from
 lattice modes k with weights sigma_k^2 = (1+|k|^2)^{-(d/2+alpha)} and
-polarization k_perp/|k|.  The state lives on the mode band |k|_inf <= n_max;
-convolutions are evaluated exactly (zero-padded FFT, no aliasing into the
-band), and modes generated outside the band are dropped, which acts as an
-absorbing spectral boundary.  The Ito drift uses the exact per-mode
-corrector c_{Lam,xi} = xi^T Q_Lam(0) xi.
+polarization k_perp/|k|, so the velocity increment is the skew gradient of
+one stream function.  The state lives on the mode band |k|_inf <= n_max;
+the advection product is formed on an N x N grid, N >= 3 n_max + 1, through
+dense DFT matrices that map the band to the grid and the grid back to the
+band only (exact: no aliasing into the band), so modes generated outside
+the band are dropped, which acts as an absorbing spectral boundary.  The
+Ito drift uses the exact per-mode corrector c_{Lam,xi} = xi^T Q_Lam(0) xi.
 
 Randomness comes from counter-based Philox streams keyed by (seed, step
 index), so an identical LatticeConfig gives bit-identical output.
@@ -30,6 +32,10 @@ __all__ = [
 
 # steps between ensemble records for the master-equation rate check
 MC_RECORD_STRIDE = 5
+
+# samples per pass through the transforms: bounds the per-step working set
+# (about 25 MB at n_max = 16) whatever n_samples is
+_CHUNK_SAMPLES = 128
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,7 @@ class LatticeConfig:
 
 @dataclass
 class NoiseModes:
-    """Half-lattice noise description plus the FFT scatter plan."""
+    """Half-lattice noise description and the per-mode Ito corrector."""
     cfg: LatticeConfig
     k_half: np.ndarray        # (n_half, 2) int, kx>0 or (kx=0, ky>0)
     sigma: np.ndarray         # (n_half,)
@@ -65,9 +71,6 @@ class NoiseModes:
     fft_size: int
     covariance_matrix: np.ndarray   # 2x2: sum over full lattice sigma^2 e e^T
     corrector_grid: np.ndarray      # c_{Lam,xi} on the rfft2 layout
-    band_mask: np.ndarray           # rfft2 layout bool, |k|_inf <= n_max
-    kx_grid: np.ndarray
-    ky_grid: np.ndarray
 
     @property
     def n_half(self) -> int:
@@ -92,8 +95,8 @@ def build_noise_modes(cfg: LatticeConfig) -> NoiseModes:
     # full lattice covariance at zero separation: the +-k pair doubles e x e
     cov = 2.0 * np.einsum("m,mi,mj->ij", sigma ** 2, e_pol, e_pol)
 
-    # FFT size: >= 3 n + 2 keeps the quadratic product alias-free inside the
-    # band; even size for the rfft layout
+    # grid size: >= 3 n + 1 keeps the quadratic product alias-free inside the
+    # band; even size for the rfft layout of FieldSample
     fft_size = 3 * n + 2
     if fft_size % 2:
         fft_size += 1
@@ -110,14 +113,13 @@ def build_noise_modes(cfg: LatticeConfig) -> NoiseModes:
 
     return NoiseModes(cfg=cfg, k_half=k_half, sigma=sigma, e_pol=e_pol,
                       fft_size=N, covariance_matrix=cov,
-                      corrector_grid=corrector, band_mask=band,
-                      kx_grid=kx_grid, ky_grid=ky_grid)
+                      corrector_grid=corrector)
 
 
 @dataclass
 class FieldSample:
     """One realization of the scalar, stored as the rfft2 half-spectrum of a
-    real field on the padded grid; the reality constraint is structural for
+    real field on the N x N grid; the reality constraint is structural for
     kx > 0 and re-imposed exactly on the kx = 0 column after each step."""
     spec: np.ndarray   # (N, N//2+1) complex
     n_max: int
@@ -174,44 +176,101 @@ def _enforce_reality(batch: np.ndarray) -> None:
     batch[:, 0, 0] = batch[:, 0, 0].real
 
 
-def _scatter_velocity(noise: NoiseModes, dbeta: np.ndarray):
-    """Velocity-increment spectra (two components) from half-lattice complex
-    increments dbeta of shape (S, n_half)."""
-    N = noise.fft_size
-    S = dbeta.shape[0]
-    kx = noise.k_half[:, 0]
-    ky = noise.k_half[:, 1]
-    vs = []
-    for c in range(2):
-        V = np.zeros((S, N, N // 2 + 1), dtype=complex)
-        amp = noise.sigma * noise.e_pol[:, c]
-        vals = amp[None, :] * dbeta
-        pos = kx > 0
-        V[:, ky[pos] % N, kx[pos]] = vals[:, pos]
-        zc = ~pos  # kx == 0, ky > 0 representatives
-        V[:, ky[zc] % N, 0] = vals[:, zc]
-        V[:, (-ky[zc]) % N, 0] = np.conj(vals[:, zc])
-        vs.append(V)
-    return vs
+def _band_index(n_max: int, fft_size: int):
+    """Index grids of the band in the rfft2 layout: spec[_band_index(n, N)]
+    is the (ky = -n..n, kx = 0..n) band of a FieldSample spectrum."""
+    ky = np.arange(-n_max, n_max + 1) % fft_size
+    return ky[:, None], np.arange(n_max + 1)[None, :]
 
 
-def _em_step_batch(batch: np.ndarray, noise: NoiseModes, dt: float,
-                   dbeta: np.ndarray) -> np.ndarray:
-    """One Euler-Maruyama step on a batch (S, N, N//2+1) of spectra."""
-    N = noise.fft_size
-    with np.errstate(over="ignore", invalid="ignore"):
-        Vx, Vy = _scatter_velocity(noise, dbeta)
-        ux = np.fft.irfft2(Vx, s=(N, N)) * (N * N)
-        uy = np.fft.irfft2(Vy, s=(N, N)) * (N * N)
-        KX = noise.kx_grid[None, None, :]
-        KY = noise.ky_grid[None, :, None]
-        gx = np.fft.irfft2(1j * KX * batch, s=(N, N)) * (N * N)
-        gy = np.fft.irfft2(1j * KY * batch, s=(N, N)) * (N * N)
-        adv = np.fft.rfft2(ux * gx + uy * gy) / (N * N)
-        out = batch - adv - 0.5 * noise.corrector_grid[None, :, :] * dt * batch
-        out *= noise.band_mask[None, :, :]
-        _enforce_reality(out)
-    return out
+class _BandStepper:
+    """Euler-Maruyama step on the band layout (ky = -n..n, sample, kx = 0..n).
+
+    With e_k = k_perp/|k| the velocity increment is u = grad_perp psi, with
+    psi_k = -i sigma_k dbeta_k/|k|, so u.grad rho = psi_x rho_y - psi_y rho_x.
+    The four derivatives come from dense DFT matrices: one complex product
+    in y gives f and f_y on the y grid for f = psi, rho, and real products on
+    the interleaved (re, im) kx axis give f_x and f_y on the N x N grid.  The
+    forward transform (real in x, complex in y) produces band outputs only.
+    Samples pass through the transforms _CHUNK_SAMPLES at a time."""
+
+    def __init__(self, noise: NoiseModes):
+        n, N = noise.cfg.n_max, noise.fft_size
+        ky = np.arange(-n, n + 1)
+        kx = np.arange(n + 1)
+        grid = np.arange(N)
+        e_y = np.exp(2j * np.pi * (np.outer(grid, ky) % N) / N)       # (N, 2n+1)
+        self.inv_y = np.vstack([e_y, e_y * (1j * ky)])                 # f, f_y
+        self.fwd_y = np.conj(e_y.T) / (N * N)
+        phase = 2.0 * np.pi * (np.outer(kx, grid) % N) / N             # (n+1, N)
+        cos, sin = np.cos(phase), np.sin(phase)
+        w = np.where(kx == 0, 1.0, 2.0)[:, None]   # Hermitian partner of kx > 0
+        wk = w * kx[:, None]
+        # rows alternate (re, im) of each kx: Re(f_k e^{i kx x}) and its x-derivative
+        self.inv_x = np.stack([w * cos, -w * sin], axis=1).reshape(2 * n + 2, N)
+        self.inv_dx = np.stack([-wk * sin, -wk * cos], axis=1).reshape(2 * n + 2, N)
+        self.fwd_x = np.stack([cos.T, -sin.T], axis=2).reshape(N, 2 * n + 2)
+        rows, cols = _band_index(n, N)
+        self.half_corrector = 0.5 * noise.corrector_grid[rows, cols][:, None, :]
+        k_norm = np.sqrt((noise.k_half ** 2).sum(axis=1))
+        self.psi_amp = -1j * noise.sigma / k_norm
+        self.psi_ky = noise.k_half[:, 1] + n
+        self.psi_kx = noise.k_half[:, 0]
+        self.zero_col = self.psi_kx == 0
+        self.mirror_ky = n - noise.k_half[self.zero_col, 1]
+        self._work: Dict[str, np.ndarray] = {}
+
+    def _buffer(self, name, shape, dtype=float):
+        """Work array reused across chunks and steps: at these sizes the page
+        faults of fresh temporaries cost about as much as the products."""
+        size = math.prod(shape)
+        buf = self._work.get(name)
+        if buf is None or buf.size < size:
+            buf = self._work[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    def step(self, band: np.ndarray, dt: float, dbeta: np.ndarray) -> None:
+        """One step, in place, of band (2n+1, S, n+1) with half-lattice
+        increments dbeta of shape (S, n_half)."""
+        n1, n_samples, nx = band.shape
+        N = self.fwd_x.shape[0]
+        decay = 1.0 - self.half_corrector * dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s0 in range(0, n_samples, _CHUNK_SAMPLES):
+                rho = band[:, s0:s0 + _CHUNK_SAMPLES]
+                c = rho.shape[1]
+                fields = self._buffer("fields", (n1, 2, c, nx), complex)
+                psi = fields[:, 0]
+                vals = (dbeta[s0:s0 + c] * self.psi_amp).T          # (n_half, c)
+                psi[self.psi_ky, :, self.psi_kx] = vals
+                psi[self.mirror_ky, :, 0] = np.conj(vals[self.zero_col])
+                psi[n1 // 2, :, 0] = 0.0
+                fields[:, 1] = rho
+                # (f, f_y) x (psi, rho) on the y grid, kx as interleaved floats
+                fy = self._buffer("fy", (2 * N, 2 * c * nx), complex)
+                np.matmul(self.inv_y, fields.reshape(n1, -1), out=fy)
+                fy = fy.view(float).reshape(2, N * 2 * c, 2 * nx)
+                dx = self._buffer("dx", (N * 2 * c, N))
+                dy = self._buffer("dy", (N * 2 * c, N))
+                np.matmul(fy[0], self.inv_dx, out=dx)
+                np.matmul(fy[1], self.inv_x, out=dy)
+                dx, dy = dx.reshape(N, 2, c, N), dy.reshape(N, 2, c, N)
+                # u.grad rho = psi_x rho_y - psi_y rho_x on the (y, s, x) grid
+                prod = self._buffer("prod", (N, c, N))
+                tmp = self._buffer("tmp", (N, c, N))
+                np.multiply(dx[:, 0], dy[:, 1], out=prod)
+                np.multiply(dy[:, 0], dx[:, 1], out=tmp)
+                prod -= tmp
+                px = self._buffer("px", (N * c, 2 * nx))
+                np.matmul(prod.reshape(N * c, N), self.fwd_x, out=px)
+                adv = self._buffer("adv", (n1, c * nx), complex)
+                np.matmul(self.fwd_y, px.view(complex).reshape(N, c * nx), out=adv)
+                rho *= decay
+                rho -= adv.reshape(n1, c, nx)
+            # kx = 0 column exactly Hermitian in ky
+            col = band[:, :, 0]
+            col[...] = 0.5 * (col + np.conj(col[::-1]))
+            col[n1 // 2] = col[n1 // 2].real
 
 
 def _step_noise(cfg: LatticeConfig, n_half: int, step_index: int) -> np.ndarray:
@@ -221,7 +280,7 @@ def _step_noise(cfg: LatticeConfig, n_half: int, step_index: int) -> np.ndarray:
                     np.uint64(step_index)], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     z = gen.standard_normal((cfg.n_samples, n_half, 2))
-    return math.sqrt(cfg.dt / 2.0) * (z[..., 0] + 1j * z[..., 1])
+    return math.sqrt(cfg.dt / 2.0) * z.view(complex)[..., 0]
 
 
 def _band_modes(n_max: int):
@@ -265,11 +324,9 @@ class EnsembleStats:
 
 
 def _collect_stats(batch, noise, t, prev_powers, prev_time, valid):
-    N = noise.fft_size
-    modes, mult = _band_modes(noise.cfg.n_max)
-    iy = modes[:, 1] % N
-    ix = modes[:, 0]
-    powers = np.abs(batch[:, iy, ix]) ** 2          # (S, M)
+    n = noise.cfg.n_max
+    modes, mult = _band_modes(n)
+    powers = np.abs(batch[modes[:, 1] + n, :, modes[:, 0]].T) ** 2   # (S, M)
     pw = powers[valid]
     nv = pw.shape[0]
     mean = pw.mean(axis=0)
@@ -307,7 +364,9 @@ def run_ensemble(cfg: LatticeConfig, initial: FieldSample, t_final: float,
     record_steps = sorted(set(min(int(round(t / cfg.dt)), n_steps)
                               for t in record_times))
 
-    batch = np.repeat(initial.spec[None, :, :], cfg.n_samples, axis=0)
+    stepper = _BandStepper(noise)
+    band = initial.spec[_band_index(cfg.n_max, noise.fft_size)]
+    batch = np.repeat(band[:, None, :], cfg.n_samples, axis=1)
     valid = np.ones(cfg.n_samples, dtype=bool)
     out: List[EnsembleStats] = []
     prev_powers = None
@@ -325,11 +384,11 @@ def run_ensemble(cfg: LatticeConfig, initial: FieldSample, t_final: float,
         record(0)
     for step_index in range(1, n_steps + 1):
         dbeta = _step_noise(cfg, noise.n_half, step_index - 1)
-        batch = _em_step_batch(batch, noise, cfg.dt, dbeta)
-        bad = ~np.isfinite(batch).all(axis=(1, 2))
+        stepper.step(batch, cfg.dt, dbeta)
+        bad = ~np.isfinite(batch).all(axis=(0, 2))
         if bad.any():
             valid &= ~bad
-            batch[bad] = 0.0
+            batch[:, bad] = 0.0
             frac_bad = 1.0 - valid.sum() / cfg.n_samples
             if frac_bad > 0.01:
                 raise InvalidSampleRate(

@@ -6,8 +6,9 @@ forms (and everything built on them) with a separate computation; the
 covariance defect D by radial quadrature of Poisson's Bessel integral,
 against the Gamma quotient mellin.d_constant; J on a vertical Mellin
 contour and its three-term residue expansion; the unsplit polar and the
-direct massive flux integrals; and the single-sample Euler-Maruyama step
-with the Sobolev estimate of an ensemble record."""
+direct massive flux integrals; the single-sample Euler-Maruyama step, the
+exact second-moment recursion of that scheme, and the Sobolev estimate of
+an ensemble record."""
 
 import math
 
@@ -16,7 +17,8 @@ from scipy import special as _scisp
 
 from kraichnan_lab.errors import (DomainError, StripViolation,
                                   ToleranceNotReached)
-from kraichnan_lab.mc_spde import FieldSample, _em_step_batch
+from kraichnan_lab.mc_spde import (FieldSample, _band_index, _BandStepper,
+                                   lattice_master_rate)
 from kraichnan_lab.mellin import expansion_terms, jl_product, poles_in_strip
 from kraichnan_lab.quad import quadpack, radial_quad
 from kraichnan_lab.specfun import (gegenbauer_defect, sin_power_integral,
@@ -236,10 +238,35 @@ def em_step(sample, noise, dt, rng=None, dbeta=None):
             raise DomainError("em_step needs either rng or explicit dbeta")
         z = rng.standard_normal((noise.n_half, 2))
         dbeta = math.sqrt(dt / 2.0) * (z[:, 0] + 1j * z[:, 1])
-    out = _em_step_batch(sample.spec[None, :, :], noise, dt,
-                         np.asarray(dbeta)[None, :])
-    return FieldSample(spec=out[0], n_max=sample.n_max,
-                       fft_size=sample.fft_size)
+    index = _band_index(sample.n_max, sample.fft_size)
+    band = sample.spec[index][:, None, :]
+    _BandStepper(noise).step(band, dt, np.asarray(dbeta)[None, :])
+    out = FieldSample.zeros(noise)
+    out.spec[index] = band[:, 0, :]
+    return out
+
+
+def em_second_moments(noise, spectrum, dt, n_steps):
+    """Exact mean power spectrum of the lattice Euler-Maruyama scheme.  The
+    step is linear in rho, its increments are independent of rho with
+    E dbeta_j conj(dbeta_j') = dt delta_jj' and E dbeta_j^2 = 0, so
+
+        a_k <- a_k + dt R_k(a) + (c_k dt / 2)^2 a_k
+
+    with R = lattice_master_rate and c = corrector_grid.  `spectrum` maps
+    every band mode to E|rho(k)|^2 (reality-symmetric); returns the half-band
+    maps after steps 1..n_steps."""
+    N = noise.fft_size
+    a = dict(spectrum)
+    out = []
+    for _ in range(n_steps):
+        half = {}
+        for (kx, ky), rate in lattice_master_rate(noise, a).items():
+            c = noise.corrector_grid[ky % N, kx]
+            half[(kx, ky)] = a[(kx, ky)] + dt * rate + (0.5 * c * dt) ** 2 * a[(kx, ky)]
+        a = {**half, **{(-kx, -ky): v for (kx, ky), v in half.items() if kx > 0}}
+        out.append(half)
+    return out
 
 
 def sobolev_estimate(stats, s_query):

@@ -11,7 +11,7 @@ from kraichnan_lab.mc_spde import (FieldSample, LatticeConfig,
                                    build_noise_modes, lattice_master_rate,
                                    run_ensemble)
 from kraichnan_lab.specfun import ModelParams
-from oracles import em_step, sobolev_estimate
+from oracles import em_second_moments, em_step, sobolev_estimate
 
 CFG4 = LatticeConfig(n_max=4, alpha=0.5, dt=1e-3, n_samples=64, seed=11)
 
@@ -81,6 +81,23 @@ class TestFieldSample:
             FieldSample.from_modes(noise4, {(9, 0): 1.0})
 
 
+def _direct_step(noise, amps, dbeta, dt, xi):
+    """rho'(xi) = rho(xi) - i sum_k sigma_k (e_k.xi)[rho(xi-k) dB_k
+    + rho(xi+k) conj dB_k] - (c_xi/2) rho(xi) dt, sources in the band."""
+    n = noise.cfg.n_max
+    qx, qy = xi
+    acc = 0.0 + 0.0j
+    for (kv, sig, e, db) in zip(noise.k_half, noise.sigma, noise.e_pol, dbeta):
+        edotxi = e[0] * qx + e[1] * qy
+        for sgn, inc in ((+1, db), (-1, np.conj(db))):
+            src = (qx - sgn * kv[0], qy - sgn * kv[1])
+            if max(abs(src[0]), abs(src[1])) <= n:
+                acc += sig * edotxi * inc * amps[src]
+    cov = noise.covariance_matrix
+    c_xi = cov[0, 0] * qx ** 2 + 2 * cov[0, 1] * qx * qy + cov[1, 1] * qy ** 2
+    return amps[xi] - 1j * acc - 0.5 * c_xi * dt * amps[xi]
+
+
 class TestEmStep:
     def test_zero_stays_zero(self, noise4):
         fs = FieldSample.zeros(noise4)
@@ -104,23 +121,41 @@ class TestEmStep:
         dbeta = math.sqrt(CFG4.dt / 2.0) * (z[:, 0] + 1j * z[:, 1])
         out = em_step(fs, noise4, CFG4.dt, dbeta=dbeta)
 
-        n = CFG4.n_max
-        cov = noise4.covariance_matrix
-        for (qx, qy) in [(0, 1), (2, -1), (-3, 2), (4, 4), (1, 0)]:
-            xi = np.array([qx, qy], dtype=float)
-            acc = 0.0 + 0.0j
-            for (kv, sig, e, db) in zip(noise4.k_half, noise4.sigma,
-                                        noise4.e_pol, dbeta):
-                edotxi = e[0] * xi[0] + e[1] * xi[1]
-                for sgn, inc in ((+1, db), (-1, np.conj(db))):
-                    src = (qx - sgn * kv[0], qy - sgn * kv[1])
-                    if max(abs(src[0]), abs(src[1])) <= n:
-                        acc += sig * edotxi * inc * amps[src]
-            c_xi = (cov[0, 0] * xi[0] ** 2 + 2 * cov[0, 1] * xi[0] * xi[1]
-                    + cov[1, 1] * xi[1] ** 2)
-            expect = amps[(qx, qy)] - 1j * acc - 0.5 * c_xi * CFG4.dt * amps[(qx, qy)]
-            got = out.amplitude((qx, qy))
-            assert got == pytest.approx(expect, abs=1e-12)
+        for xi in [(0, 1), (2, -1), (-3, 2), (4, 4), (1, 0)]:
+            expect = _direct_step(noise4, amps, dbeta, CFG4.dt, xi)
+            assert out.amplitude(xi) == pytest.approx(expect, abs=1e-12)
+
+    def test_band_edge_products_alias_free_at_n16(self):
+        """The same direct sum at production size (n_max = 16 on the N = 50
+        grid), for a batch of three samples whose inputs fill the band edge
+        |k|_inf = 16, where a grid smaller than 3 n_max + 1 would alias."""
+        cfg = LatticeConfig(n_max=16, alpha=0.5, dt=1e-3, n_samples=3, seed=1)
+        noise = build_noise_modes(cfg)
+        n = cfg.n_max
+        assert noise.fft_size == 50
+        rng = np.random.default_rng(21)
+        edge = [(kx, ky) for kx in range(-n, n + 1) for ky in range(-n, n + 1)
+                if max(abs(kx), abs(ky)) == n and (kx > 0 or (kx == 0 and ky > 0))]
+        index = mc_spde._band_index(n, noise.fft_size)
+        samples = []
+        for _ in range(3):
+            picks = edge + [tuple(rng.integers(-n + 1, n, size=2)) for _ in range(8)]
+            samples.append(FieldSample.from_modes(
+                noise, {k: complex(*rng.normal(size=2)) for k in picks}))
+        band = np.stack([fs.spec[index] for fs in samples], axis=1)
+        z = rng.standard_normal((3, noise.n_half, 2))
+        dbeta = math.sqrt(cfg.dt / 2.0) * (z[..., 0] + 1j * z[..., 1])
+        mc_spde._BandStepper(noise).step(band, cfg.dt, dbeta)
+
+        outputs = [(16, 0), (16, -16), (16, 16), (0, 16), (-16, 5), (3, -16),
+                   (15, 15), (0, 1), (1, 0), (-7, 9)]
+        for i, fs in enumerate(samples):
+            out = FieldSample.zeros(noise)
+            out.spec[index] = band[:, i, :]
+            amps = fs.as_dict()
+            for xi in outputs:
+                expect = _direct_step(noise, amps, dbeta[i], cfg.dt, xi)
+                assert out.amplitude(xi) == pytest.approx(expect, abs=1e-12)
 
     def test_single_mode_one_step_loss(self, noise4):
         # the origin mode of the bump has no gain partners, so its one-step
@@ -221,6 +256,52 @@ class TestRunEnsemble:
         v0, e0 = sobolev_estimate(stats[0], 0.5)
         v1, e1 = sobolev_estimate(stats[1], 0.5)
         assert v0 - v1 > 3.0 * math.sqrt(e0 * e0 + e1 * e1)
+
+    def test_chunk_size_invariance(self, monkeypatch):
+        # 300 samples: three chunks at the default size, sixty at 5.  BLAS
+        # picks different kernels for different product shapes, so the
+        # agreement is to round-off, not to the bit
+        cfg = LatticeConfig(n_max=6, alpha=0.5, dt=2e-3, n_samples=300, seed=8)
+        noise = build_noise_modes(cfg)
+        fs = FieldSample.from_modes(noise, {(1, 0): 1.0, (2, -1): 0.5j,
+                                            (0, 2): 0.3})
+        records = [0.0, 5 * cfg.dt, 10 * cfg.dt]
+        ref = run_ensemble(cfg, fs, records[-1], record_times=records)
+        monkeypatch.setattr(mc_spde, "_CHUNK_SAMPLES", 5)
+        got = run_ensemble(cfg, fs, records[-1], record_times=records)
+
+        def rel(a, b):
+            return np.abs(np.asarray(a) - b).max() / np.abs(a).max()
+        for a, b in zip(ref, got):
+            assert rel(a.mean_spectrum, b.mean_spectrum) <= 1e-14
+            assert rel(a.std_err, b.std_err) <= 1e-14
+            assert rel(a.l2_mean, b.l2_mean) <= 1e-14
+        assert rel(ref[-1].diff_mean, got[-1].diff_mean) <= 1e-14
+
+    def test_second_moments_follow_em_recursion(self):
+        """The EM scheme's mean power spectrum closes exactly:
+        a_k <- a_k + dt R_k(a) + (c_k dt/2)^2 a_k (oracles.em_second_moments).
+        Every nonzero half-band mode at every one of 20 records lies within
+        4.5 standard errors; a plain Euler step of the master equation,
+        without the (c_k dt/2)^2 term, does not.  k = 0 carries only
+        round-off and is left out."""
+        probe = build_noise_modes(LatticeConfig(n_max=6, alpha=0.5, dt=1.0,
+                                                n_samples=1))
+        dt = 0.3 / float(probe.corrector_grid.max())
+        cfg = LatticeConfig(n_max=6, alpha=0.5, dt=dt, n_samples=4000, seed=3)
+        noise = build_noise_modes(cfg)
+        fs = FieldSample.from_modes(noise, {
+            (kx, ky): 1.0 / (1.0 + kx * kx + ky * ky)
+            for kx in range(-2, 3) for ky in range(-2, 3) if (kx, ky) != (0, 0)})
+        n_steps = 20
+        stats = run_ensemble(cfg, fs, n_steps * dt,
+                             record_times=[k * dt for k in range(n_steps + 1)])
+        expect = em_second_moments(noise, stats[0].spectrum_map(), dt, n_steps)
+        nonzero = np.any(stats[0].modes != 0, axis=1)
+        for st, ex in zip(stats[1:], expect):
+            model = np.array([ex[(int(kx), int(ky))] for kx, ky in st.modes])
+            dev = np.abs(st.mean_spectrum - model)[nonzero] / st.std_err[nonzero]
+            assert dev.max() <= 4.5
 
 
 class TestLatticeMasterRate:
