@@ -226,6 +226,7 @@ def _exp_spectral_evolve(cfg):
                                     selfsimilar=cfg["selfsimilar"])
     state = _initial_gaussian(grid, params)
     with warnings.catch_warnings():
+        # reported in the summary's diagnostics instead
         warnings.simplefilter("ignore", TruncationWarning)
         traj = _spectral.evolve(state, kernel, cfg["time"]["t_final"],
                                 dt=cfg["time"].get("dt"),
@@ -238,7 +239,9 @@ def _exp_spectral_evolve(cfg):
                float(traj.final_state.values.min()) >= -1e-12 * float(traj.final_state.values.max()),
                float(traj.final_state.values.min()), ">= -1e-12 * max"),
     ]
-    return {"trajectory.csv": traj.to_csv()}, checks
+    diagnostics = {"truncated": traj.truncated,
+                   "truncation_time": traj.truncation_time}
+    return {"trajectory.csv": traj.to_csv()}, checks, diagnostics
 
 
 def _exp_selfsimilar_balance(cfg):
@@ -305,6 +308,8 @@ def _exp_mc_ensemble(cfg):
     return artifacts, checks
 
 
+# each runner returns (artifacts, checks), or (artifacts, checks, diagnostics)
+# for what summary.json reports without checking it
 _RUNNERS = {
     "k-constants": _exp_k_constants,
     "flux-table": _exp_flux_table,
@@ -339,7 +344,7 @@ def run(config_path: str, output_dir: Optional[str] = None) -> int:
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.monotonic()
     try:
-        artifacts, checks = _RUNNERS[cfg["experiment"]](cfg)
+        artifacts, checks, *diagnostics = _RUNNERS[cfg["experiment"]](cfg)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -361,6 +366,8 @@ def run(config_path: str, output_dir: Optional[str] = None) -> int:
         _atomic_write(os.path.join(out_dir, name), text)
     summary = {"experiment": cfg["experiment"], "checks": checks,
                "passed": passed}
+    if diagnostics:
+        summary["diagnostics"] = diagnostics[0]
     _atomic_write(os.path.join(out_dir, "summary.json"),
                   json.dumps(summary, indent=2, sort_keys=True) + "\n")
     for c in checks:

@@ -17,10 +17,6 @@ class HigherOrderPole(KraichnanLabError):
     """Residue requested at a pole of order > 1."""
 
 
-class StripViolation(DomainError):
-    """Contour line outside the admissible fundamental strip."""
-
-
 class ToleranceNotReached(KraichnanLabError):
     """Quadrature finished without certifying the requested tolerance.
 

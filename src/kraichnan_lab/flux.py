@@ -55,9 +55,6 @@ class FluxTable:
         if any(b <= a for a, b in zip(self.xi_values, self.xi_values[1:])):
             raise DomainError("xi_values must be strictly increasing")
 
-    def c_estimate(self) -> float:
-        return max(self.residuals) if self.residuals else float("nan")
-
     def to_csv(self) -> str:
         p = self.params
         buf = io.StringIO()

@@ -3,12 +3,15 @@
 The scalar is advected by a divergence-free Gaussian field built from
 lattice modes k with weights sigma_k^2 = (1+|k|^2)^{-(d/2+alpha)} and
 polarization k_perp/|k|, so the velocity increment is the skew gradient of
-one stream function.  The state lives on the mode band |k|_inf <= n_max;
-the advection product is formed on an N x N grid, N >= 3 n_max + 1, through
-dense DFT matrices that map the band to the grid and the grid back to the
-band only (exact: no aliasing into the band), so modes generated outside
-the band are dropped, which acts as an absorbing spectral boundary.  The
-Ito drift uses the exact per-mode corrector c_{Lam,xi} = xi^T Q_Lam(0) xi.
+one stream function.  The state lives on the mode band |k|_inf <= n_max,
+held as its kx >= 0 half with ky first, entry [ky + n_max, kx]; the kx < 0
+half follows from reality, rho(-k) = conj rho(k).  Samples, the ensemble
+state and the Ito corrector all use this one layout.  The advection product
+is formed on an N x N grid, N >= 3 n_max + 1, through dense DFT matrices
+that map the band to the grid and the grid back to the band only (exact: no
+aliasing into the band), so modes generated outside the band are dropped,
+which acts as an absorbing spectral boundary.  The Ito drift uses the exact
+per-mode corrector c_{Lam,xi} = xi^T Q_Lam(0) xi.
 
 Randomness comes from counter-based Philox streams keyed by (seed, step
 index), so an identical LatticeConfig gives bit-identical output.
@@ -63,14 +66,14 @@ class LatticeConfig:
 
 @dataclass
 class NoiseModes:
-    """Half-lattice noise description and the per-mode Ito corrector."""
+    """Half-lattice noise description and the per-mode Ito corrector, the
+    latter on the band layout of FieldSample.spec."""
     cfg: LatticeConfig
     k_half: np.ndarray        # (n_half, 2) int, kx>0 or (kx=0, ky>0)
     sigma: np.ndarray         # (n_half,)
     e_pol: np.ndarray         # (n_half, 2) unit polarizations, e . k = 0
-    fft_size: int
     covariance_matrix: np.ndarray   # 2x2: sum over full lattice sigma^2 e e^T
-    corrector_grid: np.ndarray      # c_{Lam,xi} on the rfft2 layout
+    corrector_grid: np.ndarray      # (2n+1, n+1): c_{Lam,xi} at [ky + n, kx]
 
     @property
     def n_half(self) -> int:
@@ -95,72 +98,54 @@ def build_noise_modes(cfg: LatticeConfig) -> NoiseModes:
     # full lattice covariance at zero separation: the +-k pair doubles e x e
     cov = 2.0 * np.einsum("m,mi,mj->ij", sigma ** 2, e_pol, e_pol)
 
-    # grid size: >= 3 n + 1 keeps the quadratic product alias-free inside the
-    # band; even size for the rfft layout of FieldSample
-    fft_size = 3 * n + 2
-    if fft_size % 2:
-        fft_size += 1
-
-    N = fft_size
-    ky_grid = ((np.arange(N) + N // 2) % N) - N // 2
-    kx_grid = np.arange(N // 2 + 1)
-    KY = ky_grid[:, None].astype(float)
-    KX = kx_grid[None, :].astype(float)
+    KY = np.arange(-n, n + 1, dtype=float)[:, None]
+    KX = np.arange(n + 1, dtype=float)[None, :]
     corrector = (cov[0, 0] * KX ** 2 + 2.0 * cov[0, 1] * KX * KY
                  + cov[1, 1] * KY ** 2)
-    band = (np.abs(KX) <= n) & (np.abs(KY) <= n)
-    corrector = np.where(band, corrector, 0.0)
 
     return NoiseModes(cfg=cfg, k_half=k_half, sigma=sigma, e_pol=e_pol,
-                      fft_size=N, covariance_matrix=cov,
-                      corrector_grid=corrector)
+                      covariance_matrix=cov, corrector_grid=corrector)
 
 
 @dataclass
 class FieldSample:
-    """One realization of the scalar, stored as the rfft2 half-spectrum of a
-    real field on the N x N grid; the reality constraint is structural for
-    kx > 0 and re-imposed exactly on the kx = 0 column after each step."""
-    spec: np.ndarray   # (N, N//2+1) complex
+    """One realization of the real scalar, stored as its band of Fourier
+    modes: spec[ky + n, kx] = rho(kx, ky) for |ky| <= n, 0 <= kx <= n.  The
+    kx < 0 half is implicit, rho(-k) = conj rho(k), and the kx = 0 column is
+    exactly Hermitian in ky."""
+    spec: np.ndarray   # (2n+1, n+1) complex
     n_max: int
-    fft_size: int
 
     @staticmethod
     def zeros(noise: NoiseModes) -> "FieldSample":
-        N = noise.fft_size
-        return FieldSample(spec=np.zeros((N, N // 2 + 1), dtype=complex),
-                           n_max=noise.cfg.n_max, fft_size=N)
+        n = noise.cfg.n_max
+        return FieldSample(spec=np.zeros((2 * n + 1, n + 1), dtype=complex),
+                           n_max=n)
 
     @staticmethod
     def from_modes(noise: NoiseModes, modes: Dict[Tuple[int, int], complex]) -> "FieldSample":
         """Build a sample from mode amplitudes; the conjugate partner of every
         supplied mode is set automatically so the field is real."""
         out = FieldSample.zeros(noise)
+        n = out.n_max
         for (kx, ky), val in modes.items():
-            if max(abs(kx), abs(ky)) > out.n_max:
+            if max(abs(kx), abs(ky)) > n:
                 raise DomainError(f"mode {(kx, ky)} outside the lattice")
-            out._set_pair(kx, ky, complex(val))
-        _enforce_reality(out.spec[None, :, :])
+            if kx >= 0:
+                out.spec[ky + n, kx] = val
+            if kx <= 0:
+                out.spec[n - ky, -kx] = np.conj(val)
+        _make_real(out.spec)
         return out
-
-    def _set_pair(self, kx, ky, val):
-        N = self.fft_size
-        if kx > 0 or (kx == 0 and ky >= 0):
-            self.spec[ky % N, kx] = val
-        if kx == 0:
-            self.spec[(-ky) % N, 0] = np.conj(val)
-        # kx < 0 representatives live implicitly at (-kx, -ky)
-        if kx < 0:
-            self.spec[(-ky) % N, -kx] = np.conj(val)
 
     def amplitude(self, k: Tuple[int, int]) -> complex:
         kx, ky = k
-        if max(abs(kx), abs(ky)) > self.n_max:
+        n = self.n_max
+        if max(abs(kx), abs(ky)) > n:
             raise DomainError(f"mode {k} outside the lattice")
-        N = self.fft_size
         if kx >= 0:
-            return complex(self.spec[ky % N, kx])
-        return complex(np.conj(self.spec[(-ky) % N, -kx]))
+            return complex(self.spec[ky + n, kx])
+        return complex(np.conj(self.spec[n - ky, -kx]))
 
     def as_dict(self) -> Dict[Tuple[int, int], complex]:
         n = self.n_max
@@ -168,19 +153,12 @@ class FieldSample:
                 for kx in range(-n, n + 1) for ky in range(-n, n + 1)}
 
 
-def _enforce_reality(batch: np.ndarray) -> None:
-    """Make the kx = 0 column exactly Hermitian (in place, batched)."""
-    col = batch[:, :, 0]
-    flipped = np.conj(col[:, (-np.arange(col.shape[1])) % col.shape[1]])
-    batch[:, :, 0] = 0.5 * (col + flipped)
-    batch[:, 0, 0] = batch[:, 0, 0].real
-
-
-def _band_index(n_max: int, fft_size: int):
-    """Index grids of the band in the rfft2 layout: spec[_band_index(n, N)]
-    is the (ky = -n..n, kx = 0..n) band of a FieldSample spectrum."""
-    ky = np.arange(-n_max, n_max + 1) % fft_size
-    return ky[:, None], np.arange(n_max + 1)[None, :]
+def _make_real(band: np.ndarray) -> None:
+    """Make the kx = 0 column of a band (ky first, kx last) exactly Hermitian
+    in ky, in place: rho(0, -ky) = conj rho(0, ky) and rho(0, 0) real."""
+    col = band[..., 0]
+    col[...] = 0.5 * (col + np.conj(col[::-1]))
+    col[len(col) // 2] = col[len(col) // 2].real
 
 
 class _BandStepper:
@@ -195,7 +173,10 @@ class _BandStepper:
     Samples pass through the transforms _CHUNK_SAMPLES at a time."""
 
     def __init__(self, noise: NoiseModes):
-        n, N = noise.cfg.n_max, noise.fft_size
+        n = noise.cfg.n_max
+        # the quadratic product has support |k|_inf <= 2n, so any N >= 3n + 1
+        # keeps its aliases out of the band
+        self.grid_size = N = 3 * n + 2
         ky = np.arange(-n, n + 1)
         kx = np.arange(n + 1)
         grid = np.arange(N)
@@ -210,8 +191,7 @@ class _BandStepper:
         self.inv_x = np.stack([w * cos, -w * sin], axis=1).reshape(2 * n + 2, N)
         self.inv_dx = np.stack([-wk * sin, -wk * cos], axis=1).reshape(2 * n + 2, N)
         self.fwd_x = np.stack([cos.T, -sin.T], axis=2).reshape(N, 2 * n + 2)
-        rows, cols = _band_index(n, N)
-        self.half_corrector = 0.5 * noise.corrector_grid[rows, cols][:, None, :]
+        self.half_corrector = 0.5 * noise.corrector_grid[:, None, :]
         k_norm = np.sqrt((noise.k_half ** 2).sum(axis=1))
         self.psi_amp = -1j * noise.sigma / k_norm
         self.psi_ky = noise.k_half[:, 1] + n
@@ -233,7 +213,7 @@ class _BandStepper:
         """One step, in place, of band (2n+1, S, n+1) with half-lattice
         increments dbeta of shape (S, n_half)."""
         n1, n_samples, nx = band.shape
-        N = self.fwd_x.shape[0]
+        N = self.grid_size
         decay = 1.0 - self.half_corrector * dt
         with np.errstate(over="ignore", invalid="ignore"):
             for s0 in range(0, n_samples, _CHUNK_SAMPLES):
@@ -267,10 +247,7 @@ class _BandStepper:
                 np.matmul(self.fwd_y, px.view(complex).reshape(N, c * nx), out=adv)
                 rho *= decay
                 rho -= adv.reshape(n1, c, nx)
-            # kx = 0 column exactly Hermitian in ky
-            col = band[:, :, 0]
-            col[...] = 0.5 * (col + np.conj(col[::-1]))
-            col[n1 // 2] = col[n1 // 2].real
+            _make_real(band)
 
 
 def _step_noise(cfg: LatticeConfig, n_half: int, step_index: int) -> np.ndarray:
@@ -326,7 +303,8 @@ class EnsembleStats:
 def _collect_stats(batch, noise, t, prev_powers, prev_time, valid):
     n = noise.cfg.n_max
     modes, mult = _band_modes(n)
-    powers = np.abs(batch[modes[:, 1] + n, :, modes[:, 0]].T) ** 2   # (S, M)
+    # (sample, kx, ky) flattens to the _band_modes order
+    powers = np.abs(batch.transpose(1, 2, 0).reshape(batch.shape[1], -1)) ** 2
     pw = powers[valid]
     nv = pw.shape[0]
     mean = pw.mean(axis=0)
@@ -357,16 +335,16 @@ def run_ensemble(cfg: LatticeConfig, initial: FieldSample, t_final: float,
     record_times = sorted(set(float(t) for t in record_times))
     if any(t < 0 or t > t_final + 1e-12 for t in record_times):
         raise DomainError("record times must lie in [0, t_final]")
-    noise = build_noise_modes(cfg)
-    if initial.fft_size != noise.fft_size or initial.n_max != cfg.n_max:
+    n = cfg.n_max
+    if initial.n_max != n or initial.spec.shape != (2 * n + 1, n + 1):
         raise DomainError("initial sample does not match the lattice config")
+    noise = build_noise_modes(cfg)
     n_steps = int(round(t_final / cfg.dt))
     record_steps = sorted(set(min(int(round(t / cfg.dt)), n_steps)
                               for t in record_times))
 
     stepper = _BandStepper(noise)
-    band = initial.spec[_band_index(cfg.n_max, noise.fft_size)]
-    batch = np.repeat(band[:, None, :], cfg.n_samples, axis=1)
+    batch = np.repeat(initial.spec[:, None, :], cfg.n_samples, axis=1)
     valid = np.ones(cfg.n_samples, dtype=bool)
     out: List[EnsembleStats] = []
     prev_powers = None
@@ -425,7 +403,7 @@ def lattice_master_rate(noise: NoiseModes, spectrum: Dict[Tuple[int, int], float
     kx, ky = _band_modes(n)[0].T
     gain = conv[:, kx + 2 * n, ky + 2 * n]
     rates = (kx * kx * gain[0] + kx * ky * gain[1] + ky * ky * gain[2]
-             - noise.corrector_grid[ky % noise.fft_size, kx] * a[kx + n, ky + n])
+             - noise.corrector_grid[ky + n, kx] * a[kx + n, ky + n])
     return {(int(x), int(y)): float(r) for x, y, r in zip(kx, ky, rates)}
 
 

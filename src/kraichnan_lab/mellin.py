@@ -97,12 +97,6 @@ class KReport:
     k_appendix: Optional[float]
     params: ModelParams
 
-    def max_relative_deviation(self) -> float:
-        devs = [abs(self.k_integral - self.k_gamma) / self.k_gamma]
-        if self.k_appendix is not None:
-            devs.append(abs(self.k_appendix - self.k_gamma) / self.k_gamma)
-        return max(devs)
-
 
 def h_product(params: ModelParams) -> GammaProduct:
     """M[h, z] for h(r) = (1+r^2)^{-d/2-alpha} as a GammaProduct in z."""

@@ -15,10 +15,8 @@ import math
 import numpy as np
 from scipy import special as _scisp
 
-from kraichnan_lab.errors import (DomainError, StripViolation,
-                                  ToleranceNotReached)
-from kraichnan_lab.mc_spde import (FieldSample, _band_index, _BandStepper,
-                                   lattice_master_rate)
+from kraichnan_lab.errors import DomainError, ToleranceNotReached
+from kraichnan_lab.mc_spde import FieldSample, _BandStepper, lattice_master_rate
 from kraichnan_lab.mellin import expansion_terms, jl_product, poles_in_strip
 from kraichnan_lab.quad import quadpack, radial_quad
 from kraichnan_lab.specfun import (gegenbauer_defect, sin_power_integral,
@@ -130,6 +128,10 @@ def _gamma_tail_integral(p, y0):
     return y0 ** p * (2.0 / math.pi) * math.exp(-x)
 
 
+class StripViolation(DomainError):
+    """Contour line outside the admissible fundamental strip."""
+
+
 def parseval_contour(lam, params, line_re, rel_tol=1e-10):
     """J(lambda) as the vertical-line integral
     (1/2 pi) int_{-Y}^{Y} Re[ lambda^{-(r+iy)} M[h] M[f,1-.] ] dy,
@@ -238,12 +240,9 @@ def em_step(sample, noise, dt, rng=None, dbeta=None):
             raise DomainError("em_step needs either rng or explicit dbeta")
         z = rng.standard_normal((noise.n_half, 2))
         dbeta = math.sqrt(dt / 2.0) * (z[:, 0] + 1j * z[:, 1])
-    index = _band_index(sample.n_max, sample.fft_size)
-    band = sample.spec[index][:, None, :]
-    _BandStepper(noise).step(band, dt, np.asarray(dbeta)[None, :])
-    out = FieldSample.zeros(noise)
-    out.spec[index] = band[:, 0, :]
-    return out
+    spec = sample.spec.copy()
+    _BandStepper(noise).step(spec[:, None, :], dt, np.asarray(dbeta)[None, :])
+    return FieldSample(spec=spec, n_max=sample.n_max)
 
 
 def em_second_moments(noise, spectrum, dt, n_steps):
@@ -256,13 +255,13 @@ def em_second_moments(noise, spectrum, dt, n_steps):
     with R = lattice_master_rate and c = corrector_grid.  `spectrum` maps
     every band mode to E|rho(k)|^2 (reality-symmetric); returns the half-band
     maps after steps 1..n_steps."""
-    N = noise.fft_size
+    n = noise.cfg.n_max
     a = dict(spectrum)
     out = []
     for _ in range(n_steps):
         half = {}
         for (kx, ky), rate in lattice_master_rate(noise, a).items():
-            c = noise.corrector_grid[ky % N, kx]
+            c = noise.corrector_grid[ky + n, kx]
             half[(kx, ky)] = a[(kx, ky)] + dt * rate + (0.5 * c * dt) ** 2 * a[(kx, ky)]
         a = {**half, **{(-kx, -ky): v for (kx, ky), v in half.items() if kx > 0}}
         out.append(half)

@@ -8,6 +8,10 @@ import os
 import pytest
 
 from kraichnan_lab import cli
+from kraichnan_lab.errors import TruncationWarning
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "scripts", "configs")
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -99,7 +103,12 @@ class TestRun:
         ({"experiment": "dissipation-integral", "selfsimilar": True,
           "grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 64}},
          "dissipation_integral.csv"),
-    ], ids=["flux-table", "selfsimilar-balance", "dissipation-integral"])
+        # three strides of MC_RECORD_STRIDE steps: records 0, 5, 10, 15
+        ({"experiment": "mc-ensemble", "s": 0.5, "time": {"t_final": 1.5e-3},
+          "lattice": {"n_max": 4, "n_samples": 64, "dt": 1e-4}, "seed": 1},
+         "ensemble_t3.csv"),
+    ], ids=["flux-table", "selfsimilar-balance", "dissipation-integral",
+            "mc-ensemble"])
     def test_rerun_byte_identical(self, tmp_path, overrides, table):
         path = write_cfg(tmp_path, **overrides)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -139,20 +148,45 @@ class TestRun:
 
 
 class TestSmallSpectralRun:
-    def test_spectral_evolve_small(self, tmp_path):
-        cfg = {
-            "experiment": "spectral-evolve", "d": 2, "alpha": 0.5, "s": 0.75,
-            "grid": {"rho_min": 5e-2, "rho_max": 20.0, "nodes": 64},
-            "time": {"t_final": 0.02},
-            "trackers": [0.75, 0.25],
-        }
+    CFG = {
+        "experiment": "spectral-evolve", "d": 2, "alpha": 0.5, "s": 0.75,
+        "grid": {"rho_min": 5e-2, "rho_max": 20.0, "nodes": 64},
+        "time": {"t_final": 0.02},
+        "trackers": [0.75, 0.25],
+    }
+
+    @staticmethod
+    def _run(tmp_path, recwarn, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "out"
         assert cli.main(["run", str(path), "--output-dir", str(out)]) == 0
+        assert not [w for w in recwarn if w.category is TruncationWarning]
+        return out, json.loads((out / "summary.json").read_text())
+
+    def test_spectral_evolve_small(self, tmp_path, recwarn):
+        out, summary = self._run(tmp_path, recwarn, self.CFG)
         traj = (out / "trajectory.csv").read_text().strip().split("\n")
         assert traj[0] == "t,mass,norm_0.25,norm_0.75,boundary_fraction"
         assert len(traj) > 2
+        assert summary["diagnostics"] == {"truncated": False,
+                                          "truncation_time": None}
+
+    def test_truncation_recorded_not_checked(self, tmp_path, recwarn):
+        # by t = 10 the outer 5% of this grid holds too much mass: evolve
+        # stops there, and the summary records when without failing a check
+        cfg = dict(self.CFG, time={"t_final": 10.0})
+        _, summary = self._run(tmp_path, recwarn, cfg)
+        assert summary["passed"] is True
+        assert summary["diagnostics"]["truncated"] is True
+        assert summary["diagnostics"]["truncation_time"] == pytest.approx(5.09, abs=0.01)
+
+    def test_shipped_config_does_not_truncate(self, tmp_path, recwarn):
+        with open(os.path.join(CONFIGS, "spectral_evolve.json")) as fh:
+            cfg = json.load(fh)
+        _, summary = self._run(tmp_path, recwarn, cfg)
+        assert summary["diagnostics"] == {"truncated": False,
+                                          "truncation_time": None}
 
 
 class TestSmallMcEnsemble:

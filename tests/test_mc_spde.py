@@ -80,6 +80,34 @@ class TestFieldSample:
         with pytest.raises(DomainError):
             FieldSample.from_modes(noise4, {(9, 0): 1.0})
 
+    @pytest.mark.parametrize("k", [(-2, 3), (-4, -4), (0, -3), (0, 3), (2, 0)])
+    def test_mode_and_partner_on_the_band(self, noise4, k):
+        # spec[ky + n, kx] holds kx >= 0; a kx < 0 mode, or a (0, ky < 0)
+        # one, lands on its partner (-kx, -ky) as the conjugate, unhalved
+        n = CFG4.n_max
+        val = 0.3 - 1.7j
+        fs = FieldSample.from_modes(noise4, {k: val})
+        kx, ky = k
+        stored = {(kx, ky): val, (-kx, -ky): np.conj(val)}
+        expect = np.zeros((2 * n + 1, n + 1), dtype=complex)
+        for (qx, qy), v in stored.items():
+            if qx >= 0:
+                expect[qy + n, qx] = v
+        assert np.array_equal(fs.spec, expect)
+        assert fs.amplitude(k) == val
+        assert fs.amplitude((-kx, -ky)) == np.conj(val)
+
+    def test_zero_column_hermitian_and_origin_real(self, noise4):
+        rng = np.random.default_rng(4)
+        n = CFG4.n_max
+        modes = {(kx, ky): complex(*rng.normal(size=2))
+                 for kx in range(-n, n + 1) for ky in range(-n, n + 1)}
+        col = FieldSample.from_modes(noise4, modes).spec[:, 0]
+        assert np.array_equal(col, np.conj(col[::-1]))
+        assert col[n].imag == 0.0
+        origin = FieldSample.from_modes(noise4, {(0, 0): 2.0 + 5.0j})
+        assert origin.amplitude((0, 0)) == 2.0
+
 
 def _direct_step(noise, amps, dbeta, dt, xi):
     """rho'(xi) = rho(xi) - i sum_k sigma_k (e_k.xi)[rho(xi-k) dB_k
@@ -132,26 +160,25 @@ class TestEmStep:
         cfg = LatticeConfig(n_max=16, alpha=0.5, dt=1e-3, n_samples=3, seed=1)
         noise = build_noise_modes(cfg)
         n = cfg.n_max
-        assert noise.fft_size == 50
+        stepper = mc_spde._BandStepper(noise)
+        assert stepper.grid_size == 50
         rng = np.random.default_rng(21)
         edge = [(kx, ky) for kx in range(-n, n + 1) for ky in range(-n, n + 1)
                 if max(abs(kx), abs(ky)) == n and (kx > 0 or (kx == 0 and ky > 0))]
-        index = mc_spde._band_index(n, noise.fft_size)
         samples = []
         for _ in range(3):
             picks = edge + [tuple(rng.integers(-n + 1, n, size=2)) for _ in range(8)]
             samples.append(FieldSample.from_modes(
                 noise, {k: complex(*rng.normal(size=2)) for k in picks}))
-        band = np.stack([fs.spec[index] for fs in samples], axis=1)
+        band = np.stack([fs.spec for fs in samples], axis=1)
         z = rng.standard_normal((3, noise.n_half, 2))
         dbeta = math.sqrt(cfg.dt / 2.0) * (z[..., 0] + 1j * z[..., 1])
-        mc_spde._BandStepper(noise).step(band, cfg.dt, dbeta)
+        stepper.step(band, cfg.dt, dbeta)
 
         outputs = [(16, 0), (16, -16), (16, 16), (0, 16), (-16, 5), (3, -16),
                    (15, 15), (0, 1), (1, 0), (-7, 9)]
         for i, fs in enumerate(samples):
-            out = FieldSample.zeros(noise)
-            out.spec[index] = band[:, i, :]
+            out = FieldSample(spec=band[:, i, :], n_max=n)
             amps = fs.as_dict()
             for xi in outputs:
                 expect = _direct_step(noise, amps, dbeta[i], cfg.dt, xi)
@@ -220,6 +247,13 @@ class TestRunEnsemble:
         v1, _ = sobolev_estimate(s1, 0.5)
         v2, _ = sobolev_estimate(s2, 0.5)
         assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
+
+    def test_sample_for_another_lattice_rejected(self, noise4):
+        other = build_noise_modes(LatticeConfig(n_max=6, alpha=0.5, dt=1e-3,
+                                                n_samples=1))
+        fs = FieldSample.from_modes(other, {(1, 0): 1.0})
+        with pytest.raises(DomainError):
+            run_ensemble(CFG4, fs, 1e-3, record_times=[1e-3])
 
     def test_overflow_detection(self):
         cfg = LatticeConfig(n_max=4, alpha=0.5, dt=5e3, n_samples=8, seed=1)
