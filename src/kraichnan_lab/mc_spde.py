@@ -138,20 +138,6 @@ class FieldSample:
         _make_real(out.spec)
         return out
 
-    def amplitude(self, k: Tuple[int, int]) -> complex:
-        kx, ky = k
-        n = self.n_max
-        if max(abs(kx), abs(ky)) > n:
-            raise DomainError(f"mode {k} outside the lattice")
-        if kx >= 0:
-            return complex(self.spec[ky + n, kx])
-        return complex(np.conj(self.spec[n - ky, -kx]))
-
-    def as_dict(self) -> Dict[Tuple[int, int], complex]:
-        n = self.n_max
-        return {(kx, ky): self.amplitude((kx, ky))
-                for kx in range(-n, n + 1) for ky in range(-n, n + 1)}
-
 
 def _make_real(band: np.ndarray) -> None:
     """Make the kx = 0 column of a band (ky first, kx last) exactly Hermitian

@@ -114,11 +114,6 @@ class KernelMatrix:
     _modes: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None,
                                                             repr=False)
 
-    @property
-    def entries(self) -> np.ndarray:
-        """kappa_ij = sigma_ij / w_i (nonnegative, zero diagonal)."""
-        return self.sigma / self.grid.weights[:, None]
-
     def row_sums(self) -> np.ndarray:
         if self._row_sums is None:
             self._row_sums = self.sigma.sum(axis=1)

@@ -2,13 +2,14 @@
 test-only routes the package itself does not run.
 
 The defining angular integrals by QUADPACK, so the tests compare the 2F1
-forms (and everything built on them) with a separate computation; the
+forms and the massive kernel (and everything built on them) with a
+separate computation; the
 covariance defect D by radial quadrature of Poisson's Bessel integral,
 against the Gamma quotient mellin.d_constant; J on a vertical Mellin
 contour and its three-term residue expansion; the unsplit polar and the
-direct massive flux integrals; the single-sample Euler-Maruyama step, the
-exact second-moment recursion of that scheme, and the Sobolev estimate of
-an ensemble record."""
+direct massive flux integrals; mode access to a lattice sample, the
+single-sample Euler-Maruyama step, the exact second-moment recursion of
+that scheme, and the Sobolev estimate of an ensemble record."""
 
 import math
 
@@ -40,6 +41,26 @@ def gegenbauer_quad(d, s, r, defect=False, rel_tol=1e-13):
         v2, _, _ = quadpack(g, tc, math.pi, rel_tol=rel_tol, limit=500)
         return v1 + v2
     return quadpack(g, 0.0, math.pi, rel_tol=rel_tol, limit=500)[0]
+
+
+def massive_ang_quad(rho_i, rho_j, d, alpha, rel_tol=1e-13):
+    """Massive angular kernel int_0^pi sin^d(t) (rho_i rho_j)^2 D^-2
+    (1 + D^2)^-(d+2a)/2 dt by QUADPACK, with
+    D^2 = (rho_> - rho_<)^2 + 4 rho_< rho_> sin^2(t/2); independent of the
+    panel ladder and of the 2F1 series.  The integrand peaks at
+    t ~ (rho_> - rho_<) / sqrt(rho_< rho_>), which is declared with its
+    neighbours as break points."""
+    lo, hi = min(rho_i, rho_j), max(rho_i, rho_j)
+    beta = (d + 2.0 * alpha) / 2.0
+    p = lo * hi
+
+    def g(t):
+        D2 = (hi - lo) ** 2 + 4.0 * p * math.sin(0.5 * t) ** 2
+        return math.sin(t) ** d * p * p / D2 * (1.0 + D2) ** -beta
+
+    peak = (hi - lo) / math.sqrt(p)
+    points = [c * peak for c in (0.25, 1.0, 4.0) if c * peak < math.pi]
+    return quadpack(g, 0.0, math.pi, points, rel_tol=rel_tol, limit=500)[0]
 
 
 def f_inner_quad(r, params, rel_tol=1e-12):
@@ -229,6 +250,25 @@ def flux_F_m_direct(xi_abs, params, m, rel_tol=1e-8):
 
     v, _, _ = radial_quad(inner, lam, rel_tol, 400)
     return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * v
+
+
+def amplitude(sample, k):
+    """rho(k) of a band sample for any lattice mode k = (kx, ky), the kx < 0
+    half read as the conjugate of its partner."""
+    kx, ky = k
+    n = sample.n_max
+    if max(abs(kx), abs(ky)) > n:
+        raise DomainError(f"mode {k} outside the lattice")
+    if kx >= 0:
+        return complex(sample.spec[ky + n, kx])
+    return complex(np.conj(sample.spec[n - ky, -kx]))
+
+
+def mode_dict(sample):
+    """Every lattice mode of a band sample as {(kx, ky): rho(k)}."""
+    n = sample.n_max
+    return {(kx, ky): amplitude(sample, (kx, ky))
+            for kx in range(-n, n + 1) for ky in range(-n, n + 1)}
 
 
 def em_step(sample, noise, dt, rng=None, dbeta=None):

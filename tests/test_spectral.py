@@ -16,7 +16,7 @@ from kraichnan_lab.spectral import (KernelMatrix, RadialGrid, SpectrumState,
                                     balance_check, build_kernel, default_dt,
                                     evolve, propagate, sobolev_norm, step)
 from kraichnan_lab.specfun import ModelParams, sphere_surface
-from oracles import gegenbauer_quad
+from oracles import gegenbauer_quad, massive_ang_quad
 
 P = ModelParams(d=2, alpha=0.5, s=0.75)
 P_NU = ModelParams(d=2, alpha=0.5, s=0.75, nu=0.05)
@@ -51,6 +51,11 @@ def nu_kernel(small_grid, small_kernel):
                         boundary="absorbing")
 
 
+def entries(kernel):
+    """kappa_ij = sigma_ij / w_i, the rate coefficients of the row of node i."""
+    return kernel.sigma / kernel.grid.weights[:, None]
+
+
 def bump_state(grid, center=1.0, width=0.4):
     a = np.exp(-0.5 * ((np.log(grid.nodes) - math.log(center)) / width) ** 2)
     return SpectrumState(grid=grid, values=a, time=0.0, params=P)
@@ -79,7 +84,7 @@ class TestKernel:
     def test_nonnegative_zero_diagonal(self, small_kernel):
         assert np.all(small_kernel.sigma >= 0.0)
         assert np.all(np.diag(small_kernel.sigma) == 0.0)
-        assert np.all(small_kernel.entries >= 0.0)
+        assert np.all(entries(small_kernel) >= 0.0)
 
     def test_monte_carlo_spot_entry(self, small_kernel):
         # kappa_ij = (2 pi)^{-1} int over the annulus cell j of
@@ -103,7 +108,7 @@ class TestKernel:
         area = math.pi * (edges[j + 1] ** 2 - edges[j] ** 2)
         mc = area * float(vals.mean()) / (2.0 * math.pi)
         se = area * float(vals.std()) / math.sqrt(n_mc) / (2.0 * math.pi)
-        kappa = float(small_kernel.entries[i, j])
+        kappa = float(entries(small_kernel)[i, j])
         assert abs(kappa - mc) <= max(0.01 * abs(mc), 4.0 * se)
 
     def test_absorb_rates_positive(self, small_kernel):
@@ -148,6 +153,43 @@ def _scale_free_ang_quad(rho_i, r, d, alpha):
     return (rho_i * r) ** 2 * hi ** (-2.0 * sig) * gegenbauer_quad(d, sig, lo / hi)
 
 
+def _pointwise(ang):
+    """A scalar angular oracle as the (nodes, r) form _absorb_reference
+    takes: one call per node."""
+    def vec(rho, r, d, a):
+        return np.array([ang(x, r, d, a) for x in rho])
+    return vec
+
+
+def _far_field_reference(kernel, i, j, ang):
+    """kappa_ij beyond the near band, midpoint in log:
+    (2 pi)^{-d/2} omega_{d-2} ang(rho_i, rho_j) rho_j^d h."""
+    grid, d, a = kernel.grid, kernel.grid.d, kernel.params.alpha
+    rho = grid.nodes
+    return ((2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
+            * ang(rho[i], rho[j], d, a) * rho[j] ** d * grid.log_step)
+
+
+def _near_band_reference(kernel, i, j, ang):
+    """sigma_ij = pref (v_i q_ij + v_j q_ji) / 2 with q_ij the 16-point
+    Gauss-Legendre integral of ang(rho_i, r) r^d over cell j in log r."""
+    grid, d, a = kernel.grid, kernel.grid.d, kernel.params.alpha
+    rho, edges = grid.nodes, grid.log_edges()
+    x16, w16 = leggauss(16)
+
+    def q(k, cell):
+        mid = 0.5 * (edges[cell] + edges[cell + 1])
+        half = 0.5 * grid.log_step
+        r = np.exp(mid + half * x16)
+        return half * sum(wk * ang(rho[k], rk, d, a) * rk ** d
+                          for wk, rk in zip(w16, r))
+
+    v = rho ** d * grid.log_step
+    pref = ((2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
+            * sphere_surface(d - 1))
+    return 0.5 * pref * (v[i] * q(i, j) + v[j] * q(j, i))
+
+
 class TestScaleFreeKernel:
     """The closed-form scale-free kernel against the angular integral by
     QUADPACK on the same discretization, and its exact scale covariance."""
@@ -167,41 +209,18 @@ class TestScaleFreeKernel:
 
     @pytest.mark.parametrize("i,j", [(3, 40), (20, 25), (31, 5), (0, 47)])
     def test_far_field_vs_quadrature(self, ss, i, j):
-        # midpoint in log: kappa_ij = (2 pi)^{-d/2} omega_{d-2} ang_ij rho_j^d h
-        grid, d, a = ss.grid, ss.grid.d, ss.params.alpha
-        rho = grid.nodes
-        ref = ((2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
-               * _scale_free_ang_quad(rho[i], rho[j], d, a) * rho[j] ** d
-               * grid.log_step)
-        assert abs(ss.entries[i, j] - ref) <= 1e-12 * ref
+        ref = _far_field_reference(ss, i, j, _scale_free_ang_quad)
+        assert abs(entries(ss)[i, j] - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("i,j", [(30, 31), (12, 16), (47, 45)])
     def test_near_band_vs_quadrature(self, ss, i, j):
-        # sigma_ij = pref (v_i q_ij + v_j q_ji) / 2 with q_ij the 16-point
-        # Gauss-Legendre integral of ang(rho_i, r) r^d over cell j in log r
-        grid, d, a = ss.grid, ss.grid.d, ss.params.alpha
-        rho, edges = grid.nodes, grid.log_edges()
-        x16, w16 = leggauss(16)
-
-        def q(k, cell):
-            mid = 0.5 * (edges[cell] + edges[cell + 1])
-            half = 0.5 * grid.log_step
-            r = np.exp(mid + half * x16)
-            return half * sum(wk * _scale_free_ang_quad(rho[k], rk, d, a) * rk ** d
-                              for wk, rk in zip(w16, r))
-
-        v = rho ** d * grid.log_step
-        pref = ((2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
-                * sphere_surface(d - 1))
-        ref = 0.5 * pref * (v[i] * q(i, j) + v[j] * q(j, i))
+        ref = _near_band_reference(ss, i, j, _scale_free_ang_quad)
         assert abs(ss.sigma[i, j] - ref) <= 1e-12 * ref
 
     def test_absorb_vs_quadrature(self, ss):
-        def ang(rho, r, d, a):
-            return np.array([_scale_free_ang_quad(x, r, d, a) for x in rho])
-
         idx = np.array([0, 24, self.N - 1])
-        ref = _absorb_reference(ss.grid, ss.params, ang, idx)
+        ref = _absorb_reference(ss.grid, ss.params,
+                                _pointwise(_scale_free_ang_quad), idx)
         assert np.max(np.abs(ss.absorb[idx] - ref) / ref) <= 1e-12
 
     def test_lambda_scaled_grid(self, ss):
@@ -214,10 +233,80 @@ class TestScaleFreeKernel:
         kern = build_kernel(scaled, ss.params, selfsimilar=True)
         factor = lam ** (2.0 - 2.0 * ss.params.alpha)
         off = ~np.eye(grid.n, dtype=bool)
-        ref = factor * ss.entries[off]
-        assert np.max(np.abs(kern.entries[off] - ref) / ref) <= 1e-12
+        ref = factor * entries(ss)[off]
+        assert np.max(np.abs(entries(kern)[off] - ref) / ref) <= 1e-12
         ref = factor * ss.absorb
         assert np.max(np.abs(kern.absorb - ref) / ref) <= 1e-12
+
+
+# (rho_i, rho_j) pairs in each region of the massive angular integral and
+# next to the region boundaries rho_> - rho_< = 2 and rho_< + rho_> = 0.5
+FAR_GAP, SMALL_SUM = 2.0, 0.5
+MASSIVE_PAIRS = [
+    (1e-3, 0.2), (0.05, 0.4), (0.2, 0.25),              # small pairs
+    (0.3, 1.2), (0.9, 1.1), (1.0, 1.0001), (5.0, 6.5),   # unit scale
+    (0.01, 3.0), (2.0, 40.0), (40.0, 45.0), (3e3, 3.1e3),  # far pairs
+] + [(lo, lo + FAR_GAP * (1.0 + e)) for lo in (0.01, 0.5, 30.0)
+     for e in (-1e-9, 1e-9)] + [
+    (x * SMALL_SUM * (1.0 + e) / (1.0 + x), SMALL_SUM * (1.0 + e) / (1.0 + x))
+    for x in (0.01, 0.5, 0.95) for e in (-1e-9, 1e-9)]
+
+
+class TestMassiveKernel:
+    """The massive kernel against its angular integral by QUADPACK
+    (oracles.massive_ang_quad) on the same discretization: entries with
+    node pairs in each region of the angular evaluation, absorb rates, and
+    the angular function itself on both sides of its region boundaries."""
+
+    N = 48
+
+    @pytest.fixture(scope="class", params=[(2, 0.25), (2, 0.75), (3, 0.25),
+                                           (3, 0.75)])
+    def mk(self, request):
+        d, a = request.param
+        grid = RadialGrid.log_spaced(0.05, 50.0, self.N, d)
+        return build_kernel(grid, ModelParams(d=d, alpha=a, s=0.6))
+
+    def test_flux_form_exactly_symmetric(self, mk):
+        assert np.array_equal(mk.sigma, mk.sigma.T)
+
+    # small (2, 9), (5, 13); unit scale (20, 25), (24, 29), (6, 14);
+    # far (3, 40), (24, 30), (31, 5), (0, 47)
+    @pytest.mark.parametrize("i,j", [(2, 9), (5, 13), (20, 25), (24, 29),
+                                     (6, 14), (3, 40), (24, 30), (31, 5),
+                                     (0, 47)])
+    def test_far_field_vs_quadrature(self, mk, i, j):
+        ref = _far_field_reference(mk, i, j, massive_ang_quad)
+        assert abs(entries(mk)[i, j] - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("i,j", [(3, 5), (30, 31), (12, 16), (47, 45)])
+    def test_near_band_vs_quadrature(self, mk, i, j):
+        ref = _near_band_reference(mk, i, j, massive_ang_quad)
+        assert abs(mk.sigma[i, j] - ref) <= 1e-12 * ref
+
+    def test_absorb_vs_quadrature(self, mk):
+        idx = np.array([0, 24, self.N - 1])
+        ref = _absorb_reference(mk.grid, mk.params, _pointwise(massive_ang_quad),
+                                idx)
+        assert np.max(np.abs(mk.absorb[idx] - ref) / ref) <= 1e-12
+
+    @pytest.mark.parametrize("d,alpha", [(2, 0.25), (2, 0.75), (3, 0.25),
+                                         (3, 0.75)])
+    def test_angular_vs_quadrature(self, d, alpha):
+        lo, hi = np.array(MASSIVE_PAIRS).T
+        got = _angular_integral(lo, hi, d, alpha)
+        ref = np.array([massive_ang_quad(x, y, d, alpha)
+                        for x, y in MASSIVE_PAIRS])
+        assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+    def test_exchange_symmetry_bitwise(self):
+        rng = np.random.default_rng(17)
+        a, b = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), (2, 4000)))
+        near = rng.uniform(size=a.size) < 0.5
+        b[near] = a[near] * np.exp(rng.uniform(-0.1, 0.1, near.sum()))
+        for d, alpha in ((2, 0.25), (3, 0.75)):
+            assert np.array_equal(_angular_integral(a, b, d, alpha),
+                                  _angular_integral(b, a, d, alpha))
 
 
 class TestStep:
