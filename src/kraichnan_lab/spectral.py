@@ -10,8 +10,12 @@ The kernel is stored in symmetric "flux form" sigma_ij = w_i kappa_ij, which
 the builder makes exactly symmetric; rates are computed in the gain-loss
 difference form so constant states have exactly zero rate, term by term.
 Its angular integral is exact for the scale-free kernel, one Gegenbauer 2F1
-per node pair (specfun.gegenbauer_2f1), and a Gauss-Legendre panel ladder
-for the massive one; the radial discretization is the same for both.
+per node pair (specfun.gegenbauer_2f1).  For the massive one it is a short
+binomial series of the same integrals away from the unit scale: in D^-2 for
+pairs at least 2 apart, in D^2 for pairs summing to at most 1/2.  Pairs
+near the unit scale, where the separation D crosses 1 and neither series
+converges, keep a Gauss-Legendre panel ladder.  The radial discretization
+is the same for both kernels.
 
 Because sigma is symmetric and every loss term is diagonal, the rate
 operator L is similar to the symmetric S = W^{1/2} L W^{-1/2}.  One
@@ -45,6 +49,11 @@ __all__ = [
 ]
 
 _NEAR_BAND = 4          # cells each side of the diagonal with sub-cell radial quadrature
+# massive angular integral: binomial series in D^-2 for rho_> - rho_< >= _FAR_GAP,
+# in D^2 for rho_< + rho_> <= _SMALL_SUM, panel ladder in between
+_FAR_GAP = 2.0
+_SMALL_SUM = 0.5
+_SERIES_TOL = 1e-16     # bound on the series truncation, relative to the sum
 _CHUNK_ROWS = 32        # angular evaluations per call: _CHUNK_ROWS * n pairs
 _GL12 = leggauss(12)
 _GL16 = leggauss(16)
@@ -159,18 +168,90 @@ def _angular_integral(rho_i, rho_j, d: int, alpha: float):
     int_0^pi sin^d(t) rho_i^2 rho_j^2 / D^2 * <D>^-(d+2a) dt with
     D^2 = (rho_i-rho_j)^2 + 4 rho_i rho_j sin^2(t/2).
 
-    Uses a geometric panel ladder of 12-point Gauss-Legendre panels refined
-    toward t = 0, where the integrand peaks at scale
-    |rho_i - rho_j| / sqrt(rho_i rho_j).  Every operation is exchange-exact,
-    so the result is bitwise symmetric in (rho_i, rho_j).
+    With beta = (d+2a)/2, D ranges over [rho_> - rho_<, rho_> + rho_<],
+    and (1+D^2)^-beta is a binomial series in D^-2 where D > 1 throughout
+    and in D^2 where D < 1 throughout (_binomial_series): for far pairs,
+    rho_> - rho_< >= _FAR_GAP, and small pairs, rho_< + rho_> <= _SMALL_SUM,
+    both in powers of a q <= 1/4.  Near the unit scale the range of
+    D reaches or crosses D = 1, where neither series converges, and those
+    pairs keep the panel ladder (_panel_ladder).  Every operation reads
+    rho_< and rho_> only, so the result is bitwise symmetric in
+    (rho_i, rho_j).
     """
-    ri = np.asarray(rho_i, dtype=float)
-    rj = np.asarray(rho_j, dtype=float)
-    ri, rj = np.broadcast_arrays(ri, rj)
-    shape = ri.shape
-    ri = ri.ravel()
-    rj = rj.ravel()
+    ri, rj = np.broadcast_arrays(np.asarray(rho_i, dtype=float),
+                                 np.asarray(rho_j, dtype=float))
+    lo, hi = np.minimum(ri, rj).ravel(), np.maximum(ri, rj).ravel()
+    beta = (d + 2.0 * alpha) / 2.0
+    out = np.empty_like(lo)
+    far = hi - lo >= _FAR_GAP
+    small = hi + lo <= _SMALL_SUM
+    ladder = ~(far | small)
+    out[far] = _binomial_series(lo[far], hi[far], d, beta, far=True)
+    out[small] = _binomial_series(lo[small], hi[small], d, beta, far=False)
+    out[ladder] = _panel_ladder(lo[ladder], hi[ladder], d, alpha)
+    return out.reshape(ri.shape)
 
+
+def _binomial_series(lo, hi, d: int, beta: float, far: bool):
+    """(lo hi)^2 int_0^pi sin^d(t) D^-2 (1+D^2)^-beta dt as
+    (lo hi)^2 sum_k C(-beta, k) J(s_k), J(s) = int_0^pi sin^d(t) D^-2s dt.
+
+    Far pairs expand in D^-2 <= q = (hi-lo)^-2, with s_k = beta + 1 + k;
+    small pairs in D^2 <= q = (hi+lo)^2, with s_k = 1 - k.  J(s) is
+    hi^-2s gegenbauer_2f1(d, s, lo/hi) at the first two orders, or
+    J(0) = B(1/2, (d+1)/2); the rest follow from the three-term recurrence
+    that integrating sin^(d+1)(t) D^-2s by parts gives, with A = lo^2 + hi^2
+    and P = (hi^2 - lo^2)^2,
+
+        s P J(s+1) = (2s-d-1) A J(s) + (d+1-s) J(s-1),
+
+    run upward for far pairs and downward for small ones: the direction in
+    which J(s) is the dominant solution, so the recurrence is stable.
+
+    Term k is at most |C(-beta, k)| q^k times the leading one, and the sum
+    at least (1+q)^-beta times it.  A pair leaves the sum once the
+    geometric bound on its remaining terms falls below _SERIES_TOL of the
+    sum, so each pair takes as many terms as its own q needs."""
+    x = lo / hi
+    A = lo * lo + hi * hi
+    P = ((hi - lo) * (hi + lo)) ** 2
+    if far:
+        q = (hi - lo) ** -2.0
+        s, ds = beta + 1.0, 1.0
+        j0 = hi ** (-2.0 * s) * gegenbauer_2f1(d, s, x)
+        j1 = hi ** (-2.0 * s - 2.0) * gegenbauer_2f1(d, s + 1.0, x)
+    else:
+        q = (hi + lo) ** 2
+        s, ds = 1.0, -1.0
+        j0 = hi ** -2.0 * gegenbauer_2f1(d, 1.0, x)
+        j1 = np.full_like(lo, sin_power_integral(d, 0.0))
+    total = np.zeros_like(lo)
+    idx = np.arange(lo.size)
+    bound = (1.0 + q) ** beta    # (1+q)^beta |C(-beta, k)| q^k
+    coef, k = 1.0, 0
+    while idx.size:
+        total[idx] += coef * j0
+        ratio = (beta + k) / (k + 1.0)
+        coef *= -ratio
+        k += 1
+        s += ds
+        # J(s + ds) from J(s) = j1 and J(s - ds) = j0
+        if far:
+            j2 = ((2.0 * s - d - 1.0) * A[idx] * j1 + (d + 1.0 - s) * j0) / (s * P[idx])
+        else:
+            j2 = (s * P[idx] * j0 - (2.0 * s - d - 1.0) * A[idx] * j1) / (d + 1.0 - s)
+        bound = bound * ratio * q[idx]
+        # tail from term k on: term ratios only shrink, so a geometric sum bounds it
+        live = bound > _SERIES_TOL * (1.0 - q[idx] * (beta + k) / (k + 1.0))
+        idx, bound, j0, j1 = idx[live], bound[live], j1[live], j2[live]
+    return (lo * hi) ** 2 * total
+
+
+def _panel_ladder(ri, rj, d: int, alpha: float):
+    """The massive angular integral of _angular_integral on 1-d arrays of
+    pairs, by a geometric ladder of 12-point Gauss-Legendre panels refined
+    toward t = 0, where the integrand peaks at scale
+    |rho_i - rho_j| / sqrt(rho_i rho_j).  Every operation is exchange-exact."""
     delta2 = (ri - rj) ** 2
     p = ri * rj
     t0 = np.clip(0.125 * np.sqrt(delta2 / p), 1e-9, math.pi / 4.0)
@@ -197,7 +278,7 @@ def _angular_integral(rho_i, rho_j, d: int, alpha: float):
         hi = np.minimum(lo * ratio, math.pi)
         add_panel(lo, hi)
         lo = hi
-    return total.reshape(shape)
+    return total
 
 
 def _scale_free_angular(rho_i, rho_j, d: int, alpha: float):
@@ -268,7 +349,8 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
     a band of width _NEAR_BAND around the diagonal where the cell integral is
     done by Gauss-Legendre sub-quadrature (the kernel peaks sharply there).
     The angular integral ang is the closed-form 2F1 for the scale-free
-    kernel and the panel ladder for the massive one.  The far field is
+    kernel and _angular_integral (2F1 series, or the panel ladder near the
+    unit scale) for the massive one.  The far field is
     computed for j - i > _NEAR_BAND only and mirrored; the diagonal is
     excluded, so the flux form sigma = w kappa is exactly symmetric.
     """

@@ -27,12 +27,16 @@ from kraichnan_lab.specfun import (gegenbauer_defect, sin_power_integral,
 def gegenbauer_quad(d, s, r, defect=False, rel_tol=1e-13):
     """int_0^pi sin^d(t) |1 - 2 r cos t + r^2|^{-s} dt by QUADPACK, or of
     1 - |...|^{-s} when `defect`.  Near r = 1 the peak at t = 0 is resolved
-    by t = u^2 on [0, 1/4], and 1 - 2 r cos t + r^2 = 1 + w with
-    w = r (r - 2 cos t) goes through log1p/expm1, so small r loses no
+    by t = u^2 on [0, 1/4].  The base is (1 - r)^2 + 4 r sin^2(t/2), a sum
+    of squares that keeps its digits next to r = 1; for the defect it is
+    1 + w with w = r (r - 2 cos t) through log1p/expm1, so small r loses no
     digits."""
     def g(t):
-        p = -s * math.log1p(r * (r - 2.0 * math.cos(t)))
-        return math.sin(t) ** d * (-math.expm1(p) if defect else math.exp(p))
+        if defect:
+            p = -s * math.log1p(r * (r - 2.0 * math.cos(t)))
+            return -math.sin(t) ** d * math.expm1(p)
+        base = (1.0 - r) ** 2 + 4.0 * r * math.sin(0.5 * t) ** 2
+        return math.sin(t) ** d * base ** -s
 
     if abs(r - 1.0) < 1e-3:
         tc = 0.25

@@ -178,6 +178,35 @@ class TestGegenbauerIntegral:
             gegenbauer_defect(2, 0.5, -0.1)
 
 
+class TestShiftedOrders:
+    """gegenbauer_2f1 at the orders of the massive kernel's binomial series
+    (spectral._binomial_series) against QUADPACK: s = sigma + k for far
+    pairs, where c - a - b = -1 - 2 alpha - 2k is a negative integer at
+    alpha = 1/2, and s = 1 - k for small pairs, a terminating polynomial
+    for k >= 1.  k runs to 30, past the most terms a series takes (31 at
+    q = 1/4 and beta = 2.45); x runs to 0.99, past the largest rho_< / rho_>
+    of a far pair on the test grids (0.9887, on 512 nodes over
+    [1e-2, 1e3])."""
+
+    K = range(31)
+
+    @pytest.mark.parametrize("d,alpha", [(2, 0.5), (2, 0.1), (3, 0.75),
+                                         (3, 0.95)])
+    @pytest.mark.parametrize("x", [0.05, 0.5, 0.9, 0.99])
+    def test_far_orders(self, d, alpha, x):
+        sig = (d + 2.0 * alpha + 2.0) / 2.0
+        for k in self.K:
+            ref = gegenbauer_quad(d, sig + k, x)
+            assert abs(float(gegenbauer_2f1(d, sig + k, x)) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("x", [0.05, 0.5, 0.9, 0.99])
+    def test_small_orders(self, d, x):
+        for k in self.K:
+            ref = gegenbauer_quad(d, 1.0 - k, x)
+            assert abs(float(gegenbauer_2f1(d, 1.0 - k, x)) - ref) <= 1e-12 * ref
+
+
 class TestPoissonBesselDefect:
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("x", [1e-3, 0.1, B_SWITCH * (1.0 - 1e-4),

@@ -10,7 +10,8 @@ from numpy.polynomial.legendre import leggauss
 from kraichnan_lab import mellin
 from kraichnan_lab.errors import (DomainError, StabilityViolation,
                                   TruncationWarning)
-from kraichnan_lab.spectral import (KernelMatrix, RadialGrid, SpectrumState,
+from kraichnan_lab.spectral import (_FAR_GAP, _SMALL_SUM, KernelMatrix,
+                                    RadialGrid, SpectrumState,
                                     _angular_integral,
                                     anomalous_dissipation_integral,
                                     balance_check, build_kernel, default_dt,
@@ -115,8 +116,9 @@ class TestKernel:
         assert np.all(small_kernel.absorb > 0.0)
 
     def test_absorb_rates_match_pointwise_sum(self, small_kernel):
-        # the batched absorb rates sum the same panel-ladder values as a
-        # loop over the 448 radial points, in another order
+        # the batched absorb rates sum the same angular values (2F1 series
+        # or panel ladder, by region) as a loop over the 448 radial points,
+        # in another order
         idx = np.array([0, 40, 127])
         ref = _absorb_reference(small_kernel.grid, P, _angular_integral, idx)
         got = small_kernel.absorb[idx]
@@ -240,16 +242,16 @@ class TestScaleFreeKernel:
 
 
 # (rho_i, rho_j) pairs in each region of the massive angular integral and
-# next to the region boundaries rho_> - rho_< = 2 and rho_< + rho_> = 0.5
-FAR_GAP, SMALL_SUM = 2.0, 0.5
+# next to the region boundaries rho_> - rho_< = _FAR_GAP and
+# rho_< + rho_> = _SMALL_SUM
 MASSIVE_PAIRS = [
     (1e-3, 0.2), (0.05, 0.4), (0.2, 0.25),              # small pairs
     (0.3, 1.2), (0.9, 1.1), (1.0, 1.0001), (5.0, 6.5),   # unit scale
     (0.01, 3.0), (2.0, 40.0), (40.0, 45.0), (3e3, 3.1e3),  # far pairs
-] + [(lo, lo + FAR_GAP * (1.0 + e)) for lo in (0.01, 0.5, 30.0)
+] + [(lo, lo + _FAR_GAP * (1.0 + e)) for lo in (0.01, 0.5, 30.0)
      for e in (-1e-9, 1e-9)] + [
-    (x * SMALL_SUM * (1.0 + e) / (1.0 + x), SMALL_SUM * (1.0 + e) / (1.0 + x))
-    for x in (0.01, 0.5, 0.95) for e in (-1e-9, 1e-9)]
+    (x * hi, hi) for x in (0.01, 0.5, 0.95) for e in (-1e-9, 1e-9)
+    for hi in [_SMALL_SUM * (1.0 + e) / (1.0 + x)]]
 
 
 class TestMassiveKernel:
