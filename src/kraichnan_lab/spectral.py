@@ -50,7 +50,9 @@ __all__ = [
 
 _NEAR_BAND = 4          # cells each side of the diagonal with sub-cell radial quadrature
 # massive angular integral: binomial series in D^-2 for rho_> - rho_< >= _FAR_GAP,
-# in D^2 for rho_< + rho_> <= _SMALL_SUM, panel ladder in between
+# in D^2 for rho_< + rho_> <= _SMALL_SUM, panel ladder in between.  The series
+# need _FAR_GAP > 1 and _SMALL_SUM < 1; build times are flat for _FAR_GAP in
+# [1.5, 3] and _SMALL_SUM in [0.4, 0.65]
 _FAR_GAP = 2.0
 _SMALL_SUM = 0.5
 _SERIES_TOL = 1e-16     # bound on the series truncation, relative to the sum
@@ -197,8 +199,8 @@ def _binomial_series(lo, hi, d: int, beta: float, far: bool):
     (lo hi)^2 sum_k C(-beta, k) J(s_k), J(s) = int_0^pi sin^d(t) D^-2s dt.
 
     Far pairs expand in D^-2 <= q = (hi-lo)^-2, with s_k = beta + 1 + k;
-    small pairs in D^2 <= q = (hi+lo)^2, with s_k = 1 - k.  J(s) is
-    hi^-2s gegenbauer_2f1(d, s, lo/hi) at the first two orders, or
+    small pairs in D^2 <= q = (hi+lo)^2, with s_k = 1 - k.  The first two
+    orders are J(s) = hi^-2s gegenbauer_2f1(d, s, lo/hi), except
     J(0) = B(1/2, (d+1)/2); the rest follow from the three-term recurrence
     that integrating sin^(d+1)(t) D^-2s by parts gives, with A = lo^2 + hi^2
     and P = (hi^2 - lo^2)^2,
