@@ -3,13 +3,13 @@ test-only routes the package itself does not run.
 
 The defining angular integrals by QUADPACK, so the tests compare the 2F1
 forms and the massive kernel (and everything built on them) with a
-separate computation; the
-covariance defect D by radial quadrature of Poisson's Bessel integral,
-against the Gamma quotient mellin.d_constant; J on a vertical Mellin
-contour and its three-term residue expansion; the unsplit polar and the
-direct massive flux integrals; mode access to a lattice sample, the
-single-sample Euler-Maruyama step, the exact second-moment recursion of
-that scheme, and the Sobolev estimate of an ensemble record."""
+separate computation; the covariance defect D by radial quadrature of
+Poisson's Bessel integral, against the Gamma quotient mellin.d_constant;
+J on a vertical Mellin contour and its three-term residue expansion; the
+unsplit polar and the direct massive flux integrals; mode access to a
+lattice sample, the single-sample Euler-Maruyama step, the exact
+second-moment recursion of that scheme, and the Sobolev estimate of an
+ensemble record."""
 
 import math
 
