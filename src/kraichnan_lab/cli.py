@@ -290,7 +290,7 @@ def _exp_mc_ensemble(cfg):
     lat = cfg["lattice"]
     lcfg = _mc.LatticeConfig(n_max=lat["n_max"], alpha=cfg["alpha"],
                              dt=lat["dt"], n_samples=lat["n_samples"],
-                             seed=cfg["seed"])
+                             seed=cfg["seed"], d=cfg["d"])
     noise = _mc.build_noise_modes(lcfg)
     modes = {(kx, ky): 1.0 / (1.0 + kx * kx + ky * ky)
              for kx in range(-2, 3) for ky in range(-2, 3) if (kx, ky) != (0, 0)}

@@ -1,4 +1,4 @@
-"""The spectral flux function F and its regularized / scale-free variants.
+"""The spectral flux function F and its mass-regularized variant.
 
 F(xi) is assembled from the split F = (2 pi)^{-d/2} [I - G]: G is a closed
 form, I = omega_{d-2} |xi|^{d+2-2s} J(|xi|) with J evaluated either by
@@ -16,25 +16,21 @@ import functools
 import io
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from . import mellin, quad
 from .errors import DomainError
 from .specfun import ModelParams, gamma_fn, sin_power_integral, sphere_surface
 
 __all__ = [
-    "FluxTable", "G_term", "flux_F", "flux_F_m", "flux_F_selfsimilar",
-    "asymptotic_residual_table",
+    "FluxTable", "G_term", "flux_F", "flux_F_m", "asymptotic_residual_table",
 ]
 
 # below this |xi| the quadrature route is used unconditionally; above it the
 # residue expansion takes over once its remainder estimate clears tolerance.
 MELLIN_SWITCH = 20.0
 
-# Bounds of the float-keyed caches below.  Per point they hold twice the
-# largest in-process use (balance_check(continuum=True) at n = 512 evaluates
-# F at 512 nodes); the residue expansion is cached per parameter triple.
-_POINT_CACHE = 1024
+# bound of the residue-expansion cache, one entry per parameter triple
 _PARAM_CACHE = 64
 
 
@@ -87,8 +83,10 @@ def _deep_terms(d: int, a: float, s: float):
     return tuple(terms)
 
 
-@functools.lru_cache(maxsize=_POINT_CACHE)
-def _flux_mellin(d: int, a: float, s: float, xi_abs: float) -> float:
+def _flux_mellin(d: int, a: float, s: float,
+                 xi_abs: float) -> Tuple[float, float]:
+    """F(|xi|) by the residue expansion, and the size of its last term, the
+    estimate of the expansion's remainder."""
     terms = _deep_terms(d, a, s)
     pref = (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
     total = 0.0
@@ -96,10 +94,11 @@ def _flux_mellin(d: int, a: float, s: float, xi_abs: float) -> float:
         if abs(t.exponent - d) < 1e-9:
             continue  # cancels exactly against G_term
         total += t.coefficient * xi_abs ** (d + 2.0 - 2.0 * s - t.exponent)
-    return pref * total
+    last = terms[-1]
+    tail = abs(last.coefficient) * xi_abs ** (d + 2.0 - 2.0 * s - last.exponent)
+    return pref * total, pref * tail
 
 
-@functools.lru_cache(maxsize=_POINT_CACHE)
 def _flux_quadrature(d: int, a: float, s: float, xi_abs: float,
                      rel_tol: float) -> float:
     params = ModelParams(d=d, alpha=a, s=s)
@@ -108,22 +107,13 @@ def _flux_quadrature(d: int, a: float, s: float, xi_abs: float,
     return (2.0 * math.pi) ** (-d / 2.0) * (I - G_term(xi_abs, params))
 
 
-def _mellin_remainder_ok(d: int, a: float, s: float, xi_abs: float) -> bool:
-    terms = _deep_terms(d, a, s)
-    last = max(terms, key=lambda t: t.exponent)
-    total = _flux_mellin(d, a, s, xi_abs)
-    tail = abs(last.coefficient) * xi_abs ** (d + 2.0 - 2.0 * s - last.exponent)
-    pref = (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
-    return pref * tail <= 1e-7 * abs(total)
-
-
 def flux_F(xi_abs: float, params: ModelParams, method: str = "auto",
            rel_tol: float = 1e-10) -> float:
     """F(|xi|), radial by isotropy.
 
     method: "quadrature" forces the J_direct route, "mellin" the
     residue expansion (only valid at large |xi|), "auto" switches at
-    |xi| = 20 provided the expansion remainder estimate is below tolerance.
+    |xi| = 20 provided the expansion's last term is below 1e-7 of its sum.
     """
     if xi_abs <= 0:
         raise DomainError("flux_F requires |xi| > 0")
@@ -131,11 +121,13 @@ def flux_F(xi_abs: float, params: ModelParams, method: str = "auto",
     if method == "quadrature":
         return _flux_quadrature(d, a, s, xi_abs, rel_tol)
     if method == "mellin":
-        return _flux_mellin(d, a, s, xi_abs)
+        return _flux_mellin(d, a, s, xi_abs)[0]
     if method != "auto":
         raise DomainError(f"unknown flux_F method {method!r}")
-    if xi_abs > MELLIN_SWITCH and _mellin_remainder_ok(d, a, s, xi_abs):
-        return _flux_mellin(d, a, s, xi_abs)
+    if xi_abs > MELLIN_SWITCH:
+        total, tail = _flux_mellin(d, a, s, xi_abs)
+        if tail <= 1e-7 * abs(total):
+            return total
     return _flux_quadrature(d, a, s, xi_abs, rel_tol)
 
 
@@ -149,14 +141,6 @@ def flux_F_m(xi_abs: float, params: ModelParams, m: float,
         raise DomainError("flux_F_m requires |xi| > 0")
     a, s = params.alpha, params.s
     return m ** (2.0 - 2.0 * s - 2.0 * a) * flux_F(xi_abs / m, params, method=method)
-
-
-def flux_F_selfsimilar(xi_abs: float, params: ModelParams) -> float:
-    """Scale-free limit of the flux: -K |xi|^{2-2a-2s} (always negative)."""
-    if xi_abs <= 0:
-        raise DomainError("flux_F_selfsimilar requires |xi| > 0")
-    a, s = params.alpha, params.s
-    return -mellin.k_constant_gamma(params) * xi_abs ** (2.0 - 2.0 * a - 2.0 * s)
 
 
 def asymptotic_residual_table(params: ModelParams,

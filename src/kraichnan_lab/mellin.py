@@ -145,10 +145,9 @@ def poles_in_strip(expr: GammaProduct, lo: float, hi: float):
                   if o >= 1)
 
 
-def residue_at(expr: GammaProduct, pole: float,
-               lambda_exponent_shift: float = 0.0) -> AsymptoticTerm:
+def residue_at(expr: GammaProduct, pole: float) -> AsymptoticTerm:
     """Asymptotic term from the simple pole of -lambda^{-z} expr(z) at z=pole:
-    coefficient = -lim (z-pole) expr(z), exponent = pole (+ optional shift).
+    coefficient = -lim (z-pole) expr(z), exponent = pole.
 
     The limit is exact Gamma algebra: a factor Gamma(a z + b) whose argument
     hits -n contributes (-1)^n / (n! a) to the residue, and a reciprocal
@@ -175,8 +174,7 @@ def residue_at(expr: GammaProduct, pole: float,
         res *= GammaProduct(1.0, tuple(regular))(complex(pole))
     if abs(res.imag) > 1e-10 * max(1.0, abs(res.real)):
         raise DomainError(f"residue at {pole} came out non-real: {res!r}")
-    return AsymptoticTerm(exponent=pole + lambda_exponent_shift,
-                          coefficient=-res.real)
+    return AsymptoticTerm(exponent=pole, coefficient=-res.real)
 
 
 def expansion_terms(params: ModelParams, r_prime: float):

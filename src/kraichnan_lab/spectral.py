@@ -7,22 +7,25 @@ on a log-spaced grid of |xi|, plus Sobolev-norm tracking, balance checks and
 the anomalous-dissipation time integral.
 
 The kernel is stored in symmetric "flux form" sigma_ij = w_i kappa_ij, which
-the builder makes exactly symmetric; rates are computed in the gain-loss
-difference form so constant states have exactly zero rate, term by term.
-Its angular integral is exact for the scale-free kernel, one Gegenbauer 2F1
-per node pair (specfun.gegenbauer_2f1).  For the massive one it is a short
-binomial series of the same integrals away from the unit scale: in D^-2 for
-pairs at least 2 apart, in D^2 for pairs summing to at most 1/2.  Pairs
-near the unit scale, where the separation D crosses 1 and neither series
-converges, keep a Gauss-Legendre panel ladder.  The radial discretization
-is the same for both kernels.
+the builder makes exactly symmetric.  Its angular integral is exact for the
+scale-free kernel, one Gegenbauer 2F1 per node pair
+(specfun.gegenbauer_2f1).  For the massive one it is a short binomial
+series of the same integrals away from the unit scale: in D^-2 for pairs
+at least 2 apart, in D^2 for pairs summing to at most 1/2.  Pairs near the
+unit scale, where the separation D crosses 1 and neither series converges,
+keep a Gauss-Legendre panel ladder.  The radial discretization is the same
+for both kernels.
 
-Because sigma is symmetric and every loss term is diagonal, the rate
-operator L is similar to the symmetric S = W^{1/2} L W^{-1/2}.  One
-eigendecomposition S = V diag(lam) V^T gives the exact solution
-a(t) = W^{-1/2} V e^{lam t} V^T W^{1/2} a(0) at any t, with no stability
-limit, and the time integral of the mass in closed form.  The explicit RK4
-`step` is kept as the independent reference the tests compare against.
+The rate operator is L a = sigma a / w - loss a, with one loss diagonal:
+the row sums of sigma over w, the absorption to off-grid modes and the
+viscous decay 2 nu rho^2.  Because sigma is symmetric and the loss is
+diagonal, L is self-adjoint in the w-weighted inner product (the balance
+identity of `balance_check`) and similar to the symmetric
+S = W^{1/2} L W^{-1/2}.  One eigendecomposition S = V diag(lam) V^T gives
+the exact solution a(t) = W^{-1/2} V e^{lam t} V^T W^{1/2} a(0) at any t,
+with no stability limit, and the time integral of the mass in closed form.
+The explicit RK4 `step` is kept as the independent reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import flux as _flux
 from . import mellin as _mellin
 from .errors import (ComputeError, DomainError, NegativityError,
                      StabilityViolation, TruncationWarning)
@@ -112,57 +114,36 @@ class SpectrumState:
 @dataclass
 class KernelMatrix:
     """sigma is the exactly-symmetric flux form w_i kappa_ij (diagonal zero);
-    absorb holds the extra per-node loss rate to off-grid modes when the
-    boundary is absorbing (zeros when closed)."""
+    absorb holds the extra per-node loss rate to off-grid modes (zeros for a
+    closed boundary).  loss is the diagonal of the rate operator,
+    sigma.sum(1) / w + absorb + 2 nu rho^2, computed once."""
     sigma: np.ndarray
     absorb: np.ndarray
     grid: RadialGrid
     params: ModelParams
     selfsimilar: bool
-    boundary: str
-    _row_sums: Optional[np.ndarray] = field(default=None, repr=False)
-    _max_loss: Optional[float] = field(default=None, repr=False)
+    loss: np.ndarray = field(init=False, repr=False)
     _modes: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None,
                                                             repr=False)
 
-    def row_sums(self) -> np.ndarray:
-        if self._row_sums is None:
-            self._row_sums = self.sigma.sum(axis=1)
-        return self._row_sums
-
-    def loss_rates(self) -> np.ndarray:
-        out = self.row_sums() / self.grid.weights
-        if self.boundary == "absorbing":
-            out = out + self.absorb
-        if self.params.nu > 0.0:
-            out = out + 2.0 * self.params.nu * self.grid.nodes ** 2
-        return out
-
-    def max_loss_rate(self) -> float:
-        if self._max_loss is None:
-            self._max_loss = float(self.loss_rates().max())
-        return self._max_loss
+    def __post_init__(self):
+        self.loss = (self.sigma.sum(axis=1) / self.grid.weights + self.absorb
+                     + 2.0 * self.params.nu * self.grid.nodes ** 2)
 
     def modes(self) -> Tuple[np.ndarray, np.ndarray]:
         """Eigenvalues lam (ascending, <= 0 up to round-off) and orthonormal
-        eigenvectors V of S = W^{-1/2} sigma W^{-1/2} - diag(loss_rates()),
-        the symmetric operator similar to the rate: L = W^{-1/2} S W^{1/2}."""
+        eigenvectors V of S = W^{-1/2} sigma W^{-1/2} - diag(loss), the
+        symmetric operator similar to the rate: L = W^{-1/2} S W^{1/2}."""
         if self._modes is None:
             r = 1.0 / np.sqrt(self.grid.weights)
             sym = self.sigma * np.outer(r, r)
-            sym[np.diag_indices_from(sym)] -= self.loss_rates()
+            sym[np.diag_indices_from(sym)] -= self.loss
             self._modes = np.linalg.eigh(sym)
         return self._modes
 
     def rate(self, a: np.ndarray) -> np.ndarray:
-        """Gain-loss rate (sigma @ a - a * row_sums) / w, minus absorption
-        and, for nu > 0, the viscous decay 2 nu |xi|^2 a."""
-        out = (self.sigma @ a - a * self.row_sums()) / self.grid.weights
-        if self.boundary == "absorbing":
-            out = out - self.absorb * a
-        if self.params.nu > 0.0:
-            out = out - 2.0 * self.params.nu * self.grid.nodes ** 2 * a
-        return out
+        """The rate L a = sigma a / w - loss a."""
+        return self.sigma @ a / self.grid.weights - self.loss * a
 
 
 def _angular_integral(rho_i, rho_j, d: int, alpha: float):
@@ -397,12 +378,12 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
         absorb = np.zeros(n)
 
     return KernelMatrix(sigma=sigma, absorb=absorb, grid=grid, params=params,
-                        selfsimilar=selfsimilar, boundary=boundary)
+                        selfsimilar=selfsimilar)
 
 
 def default_dt(kernel: KernelMatrix) -> float:
-    """dt = 0.25 / max total loss rate."""
-    return 0.25 / kernel.max_loss_rate()
+    """dt = 0.25 / max loss rate."""
+    return 0.25 / float(kernel.loss.max())
 
 
 def _check_spectrum(values: np.ndarray, where: str):
@@ -426,7 +407,7 @@ def step(state: SpectrumState, kernel: KernelMatrix, dt: float) -> SpectrumState
     the round-off band; they are never clamped."""
     if dt <= 0:
         raise DomainError("dt must be positive")
-    max_loss = kernel.max_loss_rate()
+    max_loss = float(kernel.loss.max())
     if dt * max_loss > 0.5 + 1e-12:
         raise StabilityViolation(
             f"dt * max loss rate = {dt * max_loss:.3f} exceeds 0.5")
@@ -476,38 +457,20 @@ def sobolev_norm(state: SpectrumState, s_query: float) -> float:
 class BalanceReport:
     lhs: float
     rhs: float
-    rhs_continuum: Optional[float] = None
 
 
-def balance_check(state: SpectrumState, kernel: KernelMatrix, s_query: float,
-                  continuum: bool = False) -> BalanceReport:
-    """Discrete balance identity for the norm of index -s_query.
-
-    lhs sums rho^{-2s} (da/dt) w from the kernel action; rhs sums
-    a * F_grid * w where F_grid is the kernel's own row discretization of the
-    flux function (including the absorbed outflow, weighted by the norm
-    symbol).  The two are the same double sum in different order.  When
-    `continuum` is set, the report also carries the same sum with the
-    library's F(|xi|) in place of F_grid.
-    """
-    rho = state.grid.nodes
-    w = state.grid.weights
-    a = state.values
-    psi = rho ** (-2.0 * s_query)
-    lhs = float(np.sum(psi * w * kernel.rate(a)))
-    f_grid = np.einsum("ij,ij->i", kernel.sigma, psi[None, :] - psi[:, None]) / w
-    if kernel.boundary == "absorbing":
-        f_grid = f_grid - kernel.absorb * psi
-    if kernel.params.nu > 0.0:
-        f_grid = f_grid - 2.0 * kernel.params.nu * rho ** 2 * psi
-    rhs = float(np.sum(a * w * f_grid))
-    rhs_cont = None
-    if continuum:
-        flux_fn = _flux.flux_F_selfsimilar if kernel.selfsimilar else _flux.flux_F
-        f_cont = np.array([flux_fn(float(r), state.params) for r in rho])
-        # absorbed outflow is part of the continuum flux already
-        rhs_cont = float(np.sum(a * w * f_cont))
-    return BalanceReport(lhs=lhs, rhs=rhs, rhs_continuum=rhs_cont)
+def balance_check(state: SpectrumState, kernel: KernelMatrix,
+                  s_query: float) -> BalanceReport:
+    """Discrete balance identity for the norm of index -s_query, with
+    psi = rho^{-2 s_query}: lhs = sum psi w L(a), the norm's rate of change
+    under the kernel, and rhs = sum a w L(psi), the state weighted by the
+    grid flux of psi (absorbed outflow and viscous decay included).  They
+    agree to round-off because L is self-adjoint in the w-weighted inner
+    product."""
+    w, a = state.grid.weights, state.values
+    psi = state.grid.nodes ** (-2.0 * s_query)
+    return BalanceReport(lhs=float(np.sum(psi * w * kernel.rate(a))),
+                         rhs=float(np.sum(a * w * kernel.rate(psi))))
 
 
 @dataclass
@@ -598,11 +561,11 @@ def anomalous_dissipation_integral(initial: SpectrumState, kernel: KernelMatrix)
     the norm of index alpha-1 divided by the dissipation constant at
     s = 1 - alpha.
 
-    Raises DomainError for a closed boundary without viscosity, where the
-    mass is conserved and the integral diverges."""
+    Raises DomainError for a kernel with neither absorption nor viscosity,
+    where the mass is conserved and the integral diverges."""
     if not kernel.selfsimilar:
         raise DomainError("anomalous dissipation integral needs the scale-free kernel")
-    if kernel.boundary == "closed" and kernel.params.nu == 0.0:
+    if not kernel.absorb.any() and kernel.params.nu == 0.0:
         raise DomainError("a closed boundary with nu = 0 conserves mass: "
                           "the time integral of the mass diverges")
     params = initial.params

@@ -6,8 +6,10 @@ forms and the massive kernel (and everything built on them) with a
 separate computation; the covariance defect D by radial quadrature of
 Poisson's Bessel integral, against the Gamma quotient mellin.d_constant;
 J on a vertical Mellin contour and its three-term residue expansion; the
-unsplit polar and the direct massive flux integrals; mode access to a
-lattice sample, the single-sample Euler-Maruyama step, the exact
+unsplit polar and the direct massive flux integrals, the scale-free flux
+-K |xi|^{2-2a-2s}, the continuum right side of the balance identity and
+the grid flux of a weight summed pair by pair; mode access to a lattice
+sample, the single-sample Euler-Maruyama step, the exact
 second-moment recursion of that scheme, and the Sobolev estimate of an
 ensemble record."""
 
@@ -17,8 +19,10 @@ import numpy as np
 from scipy import special as _scisp
 
 from kraichnan_lab.errors import DomainError, ToleranceNotReached
+from kraichnan_lab.flux import flux_F
 from kraichnan_lab.mc_spde import FieldSample, _BandStepper, lattice_master_rate
-from kraichnan_lab.mellin import expansion_terms, jl_product, poles_in_strip
+from kraichnan_lab.mellin import (expansion_terms, jl_product, k_constant_gamma,
+                                  poles_in_strip)
 from kraichnan_lab.quad import quadpack, radial_quad
 from kraichnan_lab.specfun import (gegenbauer_defect, sin_power_integral,
                                    sphere_surface)
@@ -254,6 +258,34 @@ def flux_F_m_direct(xi_abs, params, m, rel_tol=1e-8):
 
     v, _, _ = radial_quad(inner, lam, rel_tol, 400)
     return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * v
+
+
+def flux_F_selfsimilar(xi_abs, params):
+    """Scale-free limit of the flux: -K |xi|^{2-2a-2s} (always negative)."""
+    if xi_abs <= 0:
+        raise DomainError("flux_F_selfsimilar requires |xi| > 0")
+    a, s = params.alpha, params.s
+    return -k_constant_gamma(params) * xi_abs ** (2.0 - 2.0 * a - 2.0 * s)
+
+
+def continuum_rhs(state, kernel):
+    """sum a w F(rho): the right side of the balance identity with the
+    continuum flux F (flux_F, or its scale-free limit for a scale-free
+    kernel) in place of the grid flux.  The absorbed outflow is part of F
+    already."""
+    flux_fn = flux_F_selfsimilar if kernel.selfsimilar else flux_F
+    f = np.array([flux_fn(float(r), state.params) for r in state.grid.nodes])
+    return float(np.sum(state.values * state.grid.weights * f))
+
+
+def grid_flux(kernel, psi):
+    """The kernel's grid flux of the weight psi, summed pair by pair:
+    sum_j sigma_ij (psi_j - psi_i) / w_i - absorb_i psi_i
+    - 2 nu rho_i^2 psi_i."""
+    grid = kernel.grid
+    exchange = np.einsum("ij,ij->i", kernel.sigma, psi[None, :] - psi[:, None])
+    return (exchange / grid.weights - kernel.absorb * psi
+            - 2.0 * kernel.params.nu * grid.nodes ** 2 * psi)
 
 
 def amplitude(sample, k):

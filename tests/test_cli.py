@@ -216,6 +216,21 @@ class TestSmallMcEnsemble:
         summary = json.loads((out / "summary.json").read_text())
         assert [c["id"] for c in summary["checks"]] == ["mc.master_equation_rates"]
 
+    def test_three_dimensional_config_exits_2(self, tmp_path, capsys):
+        # the lattice is 2-d only; a config asking for d = 3 is refused
+        # instead of running the 2-d lattice
+        cfg = {
+            "experiment": "mc-ensemble", "d": 3, "alpha": 0.5, "s": 0.5,
+            "time": {"t_final": 12e-4},
+            "lattice": {"n_max": 4, "n_samples": 64, "dt": 1e-4},
+            "seed": 3,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", str(path), "--output-dir",
+                         str(tmp_path / "out")]) == 2
+        assert "2-d only" in capsys.readouterr().err
+
     def test_run_shorter_than_half_a_step_exits_2(self, tmp_path):
         # t_final < dt / 2 rounds to zero steps: a single record, no rate
         cfg = {

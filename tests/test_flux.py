@@ -9,10 +9,11 @@ import pytest
 from kraichnan_lab import flux, mellin
 from kraichnan_lab.errors import DomainError
 from kraichnan_lab.flux import (FluxTable, G_term, asymptotic_residual_table,
-                                flux_F, flux_F_m, flux_F_selfsimilar)
+                                flux_F, flux_F_m)
 from kraichnan_lab.quad import quadpack
 from kraichnan_lab.specfun import ModelParams, sphere_surface
-from oracles import expand_J, flux_F_m_direct, flux_F_reference_2d
+from oracles import (expand_J, flux_F_m_direct, flux_F_reference_2d,
+                     flux_F_selfsimilar)
 
 P = ModelParams(d=2, alpha=0.5, s=0.75)
 
@@ -73,10 +74,8 @@ class TestFluxF:
                 assert abs(lhs - G_term(xi, p)) <= 1e-10 * G_term(xi, p)
 
     def test_caches_bounded(self):
-        # float-keyed caches stay bounded in parameter sweeps, yet hold the
-        # 512 nodes of a continuum balance check without recomputing
-        for cached in (flux._flux_quadrature, flux._flux_mellin):
-            assert 512 <= cached.cache_info().maxsize < math.inf
+        # the float-keyed residue-expansion cache stays bounded in
+        # parameter sweeps
         assert flux._deep_terms.cache_info().maxsize is not None
 
     def test_method_validation(self):

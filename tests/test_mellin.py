@@ -91,11 +91,6 @@ class TestResidues:
         with pytest.raises(HigherOrderPole):
             residue_at(expr, 0.0)
 
-    def test_exponent_shift(self):
-        term = residue_at(GammaProduct(1.0, ((1.0, 0.0, +1),)), 0.0,
-                          lambda_exponent_shift=2.5)
-        assert term.exponent == 2.5
-
 
 class TestParseval:
     @pytest.mark.parametrize("d,a,s,lam,line", [

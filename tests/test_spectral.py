@@ -17,7 +17,7 @@ from kraichnan_lab.spectral import (_FAR_GAP, _SMALL_SUM, KernelMatrix,
                                     balance_check, build_kernel, default_dt,
                                     evolve, propagate, sobolev_norm, step)
 from kraichnan_lab.specfun import ModelParams, sphere_surface
-from oracles import gegenbauer_quad, massive_ang_quad
+from oracles import continuum_rhs, gegenbauer_quad, grid_flux, massive_ang_quad
 
 P = ModelParams(d=2, alpha=0.5, s=0.75)
 P_NU = ModelParams(d=2, alpha=0.5, s=0.75, nu=0.05)
@@ -48,8 +48,7 @@ def nu_kernel(small_grid, small_kernel):
     # the exchange kernel is nu-independent; viscosity only adds the
     # diagonal decay 2 nu |xi|^2, so the viscous kernel reuses sigma
     return KernelMatrix(sigma=small_kernel.sigma, absorb=small_kernel.absorb,
-                        grid=small_grid, params=P_NU, selfsimilar=False,
-                        boundary="absorbing")
+                        grid=small_grid, params=P_NU, selfsimilar=False)
 
 
 def entries(kernel):
@@ -334,7 +333,7 @@ class TestStep:
     def test_stability_guard(self, small_kernel, small_grid):
         st = bump_state(small_grid)
         with pytest.raises(StabilityViolation):
-            step(st, small_kernel, 10.0 / small_kernel.max_loss_rate())
+            step(st, small_kernel, 10.0 / small_kernel.loss.max())
 
     def test_mass_conserved_closed(self, small_kernel_closed, small_grid):
         st = bump_state(small_grid)
@@ -345,6 +344,30 @@ class TestStep:
             state = step(state, small_kernel_closed, dt)
         drift = abs(sobolev_norm(state, 0.0) - m0) / m0
         assert drift <= 1e-10 * max(1.0, state.time)
+
+
+class TestRate:
+    """The rate of the weight psi = rho^{-2s} against the grid flux summed
+    pair by pair (oracles.grid_flux), on absorbing, closed and viscous
+    kernels, massive and scale-free."""
+
+    @pytest.mark.parametrize("s", [0.4, 0.75, 0.9])
+    @pytest.mark.parametrize("variant", ["absorbing", "closed", "viscous"])
+    @pytest.mark.parametrize("selfsimilar", [False, True])
+    def test_rate_of_weight_vs_grid_flux(self, small_kernel, ss_kernel,
+                                         selfsimilar, variant, s):
+        base = ss_kernel if selfsimilar else small_kernel
+        grid = base.grid
+        kernel = KernelMatrix(
+            sigma=base.sigma,
+            absorb=np.zeros(grid.n) if variant == "closed" else base.absorb,
+            grid=grid, params=P_NU if variant == "viscous" else P,
+            selfsimilar=selfsimilar)
+        psi = grid.nodes ** (-2.0 * s)
+        # round-off scale of each node: the gain and the loss term
+        scale = kernel.sigma @ psi / grid.weights + kernel.loss * psi
+        err = np.abs(kernel.rate(psi) - grid_flux(kernel, psi))
+        assert np.all(err <= 1e-12 * scale)
 
 
 class TestSobolevNorm:
@@ -380,9 +403,9 @@ class TestBalance:
 
     def test_continuum_agreement(self, small_kernel, small_grid):
         st = bump_state(small_grid)
-        rep = balance_check(st, small_kernel, P.s, continuum=True)
-        assert rep.rhs_continuum is not None
-        assert abs(rep.rhs - rep.rhs_continuum) <= 0.02 * abs(rep.rhs_continuum)
+        rep = balance_check(st, small_kernel, P.s)
+        cont = continuum_rhs(st, small_kernel)
+        assert abs(rep.rhs - cont) <= 0.02 * abs(cont)
 
     def test_selfsimilar_ratio_near_K(self, ss_kernel, small_grid):
         st = bump_state(small_grid)
@@ -445,8 +468,7 @@ class TestDissipationIntegral:
 
     def test_closed_scale_free_kernel_diverges(self, ss_kernel, small_grid):
         closed = KernelMatrix(sigma=ss_kernel.sigma, absorb=np.zeros(small_grid.n),
-                              grid=small_grid, params=P, selfsimilar=True,
-                              boundary="closed")
+                              grid=small_grid, params=P, selfsimilar=True)
         with pytest.raises(DomainError):
             anomalous_dissipation_integral(bump_state(small_grid), closed)
 
