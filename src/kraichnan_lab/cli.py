@@ -1,6 +1,12 @@
 """Experiment runner: validated JSON configs in, reproducible CSV tables and
 a machine-readable summary out.
 
+The schema checks shape, types and the ranges no constructor checks.
+`_setup` then builds the experiment's inputs (ModelParams, grid, |xi| list,
+lattice config, sample times), whose constructors check the rest.
+`validate` runs both and computes nothing else, so it refuses exactly the
+configs `run` refuses.
+
 Exit codes: 0 all asserted checks passed, 1 a check failed, 2 config error,
 3 compute error.
 """
@@ -15,7 +21,7 @@ import sys
 import tempfile
 import time
 import warnings
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 import jsonschema
@@ -41,10 +47,10 @@ CONFIG_SCHEMA = {
     "required": ["experiment", "d", "alpha", "s"],
     "properties": {
         "experiment": {"enum": list(EXPERIMENTS)},
-        "d": {"type": "integer", "minimum": 2},
+        "d": {"type": "integer"},
         "alpha": {"type": "number"},
         "s": {"type": "number"},
-        "nu": {"type": "number", "minimum": 0},
+        "nu": {"type": "number"},
         "grid": {
             "type": "object",
             "additionalProperties": False,
@@ -70,9 +76,9 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["n_max", "n_samples", "dt"],
             "properties": {
-                "n_max": {"type": "integer", "minimum": 4},
-                "n_samples": {"type": "integer", "minimum": 1},
-                "dt": {"type": "number", "exclusiveMinimum": 0},
+                "n_max": {"type": "integer"},
+                "n_samples": {"type": "integer"},
+                "dt": {"type": "number"},
             },
         },
         "seed": {"type": "integer"},
@@ -91,7 +97,44 @@ _DEFAULTS = {
 }
 
 
-def load_config(path: str) -> dict:
+def _setup(cfg: dict) -> dict:
+    """The runner's inputs besides cfg, by keyword, built before anything is
+    computed; raises DomainError for a config the experiment cannot run."""
+    exp, g, t_final = cfg["experiment"], cfg["grid"], cfg["time"]["t_final"]
+    params = ModelParams(d=cfg["d"], alpha=cfg["alpha"], s=cfg["s"], nu=cfg["nu"])
+    setup = {"params": params}
+    if exp in ("spectral-evolve", "selfsimilar-balance", "dissipation-integral"):
+        setup["grid"] = _spectral.RadialGrid.log_spaced(
+            g["rho_min"], g["rho_max"], g["nodes"], params.d)
+    if exp == "selfsimilar-balance":
+        # propagate is exact, so the samples need no time step
+        setup["times"] = [t_final * (i + 1) / 11.0 for i in range(10)]
+    elif exp in ("flux-table", "asymptotics"):
+        if g["nodes"] > 1 and not g["rho_min"] < g["rho_max"]:
+            raise DomainError("a flux grid of more than one node needs "
+                              "rho_min < rho_max")
+        xi = np.geomspace(g["rho_min"], g["rho_max"], g["nodes"]).tolist()
+        if exp == "asymptotics" and not xi:
+            xi = np.geomspace(1.0, 1e3, 40).tolist()
+        setup["xi"] = xi
+    elif exp == "mc-ensemble":
+        lat = cfg["lattice"]
+        setup["lattice"] = _mc.LatticeConfig(
+            n_max=lat["n_max"], alpha=cfg["alpha"], dt=lat["dt"],
+            n_samples=lat["n_samples"], seed=cfg["seed"], d=cfg["d"])
+        n_steps = int(round(t_final / lat["dt"]))
+        if n_steps < 1:
+            raise DomainError("t_final is shorter than half a lattice step: "
+                              "the rate check needs at least one step")
+        stride = _mc.MC_RECORD_STRIDE
+        setup["times"] = [min(k * stride * lat["dt"], t_final)
+                          for k in range(n_steps // stride + 1)] + [t_final]
+    return setup
+
+
+def load_config(path: str):
+    """(resolved config, set-up); raises ConfigError for a config that is
+    unreadable, breaks the schema or cannot be set up."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -107,25 +150,10 @@ def load_config(path: str) -> dict:
             resolved[key] = json.loads(json.dumps(val))
     if "trackers" not in resolved:
         resolved["trackers"] = [resolved["s"]]
-    # parameter-range validation happens in ModelParams and is a config error
     try:
-        _params(resolved)
+        return resolved, _setup(resolved)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    return resolved
-
-
-def _params(cfg: dict) -> ModelParams:
-    return ModelParams(d=cfg["d"], alpha=cfg["alpha"], s=cfg["s"], nu=cfg["nu"])
-
-
-def _xi_grid(cfg: dict) -> List[float]:
-    g = cfg["grid"]
-    if g["nodes"] == 0:
-        return []
-    if g["nodes"] == 1:
-        return [g["rho_min"]]
-    return np.geomspace(g["rho_min"], g["rho_max"], g["nodes"]).tolist()
 
 
 def _check(check_id: str, passed: bool, value, target: str) -> dict:
@@ -134,10 +162,9 @@ def _check(check_id: str, passed: bool, value, target: str) -> dict:
 
 
 # --------------------------------------------------------------------------
-# experiment bodies: return (artifacts: name->text, checks)
+# experiment bodies: (cfg, **_setup(cfg)) -> (artifacts: name->text, checks)
 
-def _exp_k_constants(cfg):
-    params = _params(cfg)
+def _exp_k_constants(cfg, params):
     report = _mellin.k_report(params)
     checks = [
         _check("k.gamma_positive", report.k_gamma > 0, report.k_gamma, "> 0"),
@@ -160,9 +187,8 @@ def _exp_k_constants(cfg):
     return {"k_constants.csv": "\n".join(rows) + "\n"}, checks
 
 
-def _exp_flux_table(cfg):
-    params = _params(cfg)
-    table = _flux.asymptotic_residual_table(params, _xi_grid(cfg))
+def _exp_flux_table(cfg, params, xi):
+    table = _flux.asymptotic_residual_table(params, xi)
     checks = []
     if table.xi_values:
         checks.append(_check("flux.residuals_finite",
@@ -181,9 +207,7 @@ def _residual_slope(table) -> float:
     return float(slope)
 
 
-def _exp_asymptotics(cfg):
-    params = _params(cfg)
-    xi = _xi_grid(cfg) or np.geomspace(1.0, 1e3, 40).tolist()
+def _exp_asymptotics(cfg, params, xi):
     table = _flux.asymptotic_residual_table(params, xi)
     slope = _residual_slope(table)
     checks = [_check("asym.residual_slope", slope <= 0.1, slope, "<= 0.1")]
@@ -217,13 +241,8 @@ def _balance_scale(state, kernel, s_query) -> float:
     return scale + 1e-300
 
 
-def _exp_spectral_evolve(cfg):
-    params = _params(cfg)
-    g = cfg["grid"]
-    grid = _spectral.RadialGrid.log_spaced(g["rho_min"], g["rho_max"],
-                                           g["nodes"], params.d)
-    kernel = _spectral.build_kernel(grid, params,
-                                    selfsimilar=cfg["selfsimilar"])
+def _exp_spectral_evolve(cfg, params, grid):
+    kernel = _spectral.build_kernel(grid, params, selfsimilar=cfg["selfsimilar"])
     state = _initial_gaussian(grid, params)
     with warnings.catch_warnings():
         # reported in the summary's diagnostics instead
@@ -231,8 +250,8 @@ def _exp_spectral_evolve(cfg):
         traj = _spectral.evolve(state, kernel, cfg["time"]["t_final"],
                                 dt=cfg["time"].get("dt"),
                                 trackers=cfg["trackers"])
-    rep = _spectral.balance_check(traj.final_state, kernel, cfg["s"])
-    rel = abs(rep.lhs - rep.rhs) / _balance_scale(traj.final_state, kernel, cfg["s"])
+    rep = _spectral.balance_check(traj.final_state, kernel, params.s)
+    rel = abs(rep.lhs - rep.rhs) / _balance_scale(traj.final_state, kernel, params.s)
     checks = [
         _check("spectral.balance_identity", rel <= 1e-12, rel, "rel <= 1e-12"),
         _check("spectral.no_negative_values",
@@ -244,37 +263,25 @@ def _exp_spectral_evolve(cfg):
     return {"trajectory.csv": traj.to_csv()}, checks, diagnostics
 
 
-def _exp_selfsimilar_balance(cfg):
-    params = _params(cfg)
-    g = cfg["grid"]
-    grid = _spectral.RadialGrid.log_spaced(g["rho_min"], g["rho_max"],
-                                           g["nodes"], params.d)
+def _exp_selfsimilar_balance(cfg, params, grid, times):
     kernel = _spectral.build_kernel(grid, params, selfsimilar=True)
     state = _initial_log_bump(grid, params)
     K = _mellin.k_constant_gamma(params)
-    t_final = cfg["time"]["t_final"]
-    dt = cfg["time"].get("dt") or _spectral.default_dt(kernel)
-    n_steps = int(math.ceil(t_final / dt))
-    sample_at = sorted({int(round(n_steps * (i + 1) / 11.0)) for i in range(10)} - {0})
     rows = ["t,ratio,K"]
     worst = 0.0
-    for k in sample_at:
-        at_k = _spectral.propagate(state, kernel, k * dt)
-        rep = _spectral.balance_check(at_k, kernel, params.s)
-        denom = _spectral.sobolev_norm(at_k, params.s + params.alpha - 1.0)
+    for t in times:
+        at_t = _spectral.propagate(state, kernel, t)
+        rep = _spectral.balance_check(at_t, kernel, params.s)
+        denom = _spectral.sobolev_norm(at_t, params.s + params.alpha - 1.0)
         ratio = -rep.lhs / denom
         worst = max(worst, abs(ratio - K) / K)
-        rows.append(f"{at_k.time!r},{ratio!r},{K!r}")
+        rows.append(f"{t!r},{ratio!r},{K!r}")
     checks = [_check("selfsimilar.ratio_matches_K", worst <= 0.02, worst,
                      "rel <= 2e-2 at 10 mid-trajectory times")]
     return {"selfsimilar_balance.csv": "\n".join(rows) + "\n"}, checks
 
 
-def _exp_dissipation_integral(cfg):
-    params = _params(cfg)
-    g = cfg["grid"]
-    grid = _spectral.RadialGrid.log_spaced(g["rho_min"], g["rho_max"],
-                                           g["nodes"], params.d)
+def _exp_dissipation_integral(cfg, params, grid):
     kernel = _spectral.build_kernel(grid, params, selfsimilar=True)
     state = _initial_log_bump(grid, params, center=4.0)
     integral, reference = _spectral.anomalous_dissipation_integral(state, kernel)
@@ -286,21 +293,12 @@ def _exp_dissipation_integral(cfg):
     return {"dissipation_integral.csv": body}, checks
 
 
-def _exp_mc_ensemble(cfg):
-    lat = cfg["lattice"]
-    lcfg = _mc.LatticeConfig(n_max=lat["n_max"], alpha=cfg["alpha"],
-                             dt=lat["dt"], n_samples=lat["n_samples"],
-                             seed=cfg["seed"], d=cfg["d"])
-    noise = _mc.build_noise_modes(lcfg)
+def _exp_mc_ensemble(cfg, params, lattice, times):
+    noise = _mc.build_noise_modes(lattice)
     modes = {(kx, ky): 1.0 / (1.0 + kx * kx + ky * ky)
              for kx in range(-2, 3) for ky in range(-2, 3) if (kx, ky) != (0, 0)}
     initial = _mc.FieldSample.from_modes(noise, modes)
-    t_final = cfg["time"]["t_final"]
-    stride = _mc.MC_RECORD_STRIDE
-    n_steps = int(round(t_final / lcfg.dt))
-    records = [min(k * stride * lcfg.dt, t_final)
-               for k in range(n_steps // stride + 1)] + [t_final]
-    stats = _mc.run_ensemble(lcfg, initial, t_final, record_times=records)
+    stats = _mc.run_ensemble(lattice, initial, times[-1], record_times=times)
     frac = _mc.rate_agreement(noise, stats)
     checks = [_check("mc.master_equation_rates", frac >= 0.95, frac,
                      ">= 0.95 of modes within 3 sigma")]
@@ -336,7 +334,7 @@ def _atomic_write(path: str, text: str):
 
 def run(config_path: str, output_dir: Optional[str] = None) -> int:
     try:
-        cfg = load_config(config_path)
+        cfg, setup = load_config(config_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -344,8 +342,8 @@ def run(config_path: str, output_dir: Optional[str] = None) -> int:
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.monotonic()
     try:
-        artifacts, checks, *diagnostics = _RUNNERS[cfg["experiment"]](cfg)
-    except (ConfigError, DomainError) as exc:
+        artifacts, checks, *diagnostics = _RUNNERS[cfg["experiment"]](cfg, **setup)
+    except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except KraichnanLabError as exc:
@@ -381,7 +379,7 @@ def run(config_path: str, output_dir: Optional[str] = None) -> int:
 
 def validate(config_path: str) -> int:
     try:
-        cfg = load_config(config_path)
+        cfg, _ = load_config(config_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

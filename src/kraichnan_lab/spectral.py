@@ -509,7 +509,8 @@ def evolve(initial: SpectrumState, kernel: KernelMatrix, t_final: float,
            dt: Optional[float] = None, trackers: Sequence[float] = ()) -> Trajectory:
     """Solve the master equation to t_final exactly from the kernel's modes,
     recording mass, the tracked Sobolev norms and the boundary mass fraction
-    every dt.  Records are computed in blocks of bounded memory.
+    every dt and at t_final.  Records are computed in blocks of bounded
+    memory.
 
     Stops with a TruncationWarning at the first record where the outer 5%
     of nodes on either end hold more than 1% of the mass; that record is
@@ -518,8 +519,11 @@ def evolve(initial: SpectrumState, kernel: KernelMatrix, t_final: float,
     if dt is None:
         dt = default_dt(kernel)
     grid, t0 = initial.grid, initial.time
-    n_steps = max(1, int(math.ceil((t_final - t0) / dt)))
-    taus = dt * np.arange(1, n_steps + 1)
+    if t_final < t0:
+        raise DomainError("evolve runs forward in time only")
+    # a step count a rounding error above an integer adds no record
+    n_steps = max(1, math.ceil((t_final - t0) / dt * (1.0 - 1e-12)))
+    taus = np.minimum(dt * np.arange(1, n_steps + 1), t_final - t0)
     probes = np.array([_norm_weights(grid, s) for s in (0.0, *trackers)])
     sums = [probes @ initial.values[:, None]]
     bfrac = [_boundary_fraction(grid, initial.values)]
@@ -556,10 +560,10 @@ def evolve(initial: SpectrumState, kernel: KernelMatrix, t_final: float,
 
 def anomalous_dissipation_integral(initial: SpectrumState, kernel: KernelMatrix):
     """(integral, reference) for the scale-free energy-decay identity:
-    integral = int_0^inf mass dt, in closed form from the kernel's modes as
-    sum_k (sqrt(w).v_k) (v_k.sqrt(w) a_0) / (-lam_k); reference = ||a_0|| in
-    the norm of index alpha-1 divided by the dissipation constant at
-    s = 1 - alpha.
+    integral = int_0^inf mass dt = w^T M^-1 (w a_0) by one linear solve,
+    with M = diag(w loss) - sigma = -W L symmetric positive definite;
+    reference = ||a_0|| in the norm of index alpha-1 divided by the
+    dissipation constant at s = 1 - alpha.
 
     Raises DomainError for a kernel with neither absorption nor viscosity,
     where the mass is conserved and the integral diverges."""
@@ -572,9 +576,9 @@ def anomalous_dissipation_integral(initial: SpectrumState, kernel: KernelMatrix)
     a = params.alpha
     if float(np.max(initial.values)) == 0.0:
         return 0.0, 0.0
-    lam, vecs = kernel.modes()
-    sw = np.sqrt(initial.grid.weights)
-    integral = float(np.sum((sw @ vecs) * (vecs.T @ (sw * initial.values)) / -lam))
+    w = initial.grid.weights
+    M = np.diag(w * kernel.loss) - kernel.sigma
+    integral = float(w @ np.linalg.solve(M, w * initial.values))
     k_ref = _mellin.k_constant_gamma(ModelParams(d=params.d, alpha=a, s=1.0 - a))
     reference = sobolev_norm(initial, 1.0 - a) / k_ref
     return integral, reference

@@ -2,6 +2,7 @@
 reproducibility."""
 
 import csv
+import glob
 import json
 import os
 
@@ -61,6 +62,48 @@ class TestValidate:
 
     def test_unreadable_config(self, tmp_path):
         assert cli.main(["validate", str(tmp_path / "missing.json")]) == 2
+
+
+# configs the schema accepts but no experiment can set up
+UNRUNNABLE = {
+    "spectral-evolve-reversed-grid": {
+        "experiment": "spectral-evolve",
+        "grid": {"rho_min": 10.0, "rho_max": 1.0, "nodes": 16}},
+    "selfsimilar-balance-one-node": {
+        "experiment": "selfsimilar-balance",
+        "grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 1}},
+    "selfsimilar-balance-no-nodes": {
+        "experiment": "selfsimilar-balance",
+        "grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 0}},
+    "mc-ensemble-3d": {
+        "experiment": "mc-ensemble", "d": 3, "s": 0.5,
+        "time": {"t_final": 12e-4},
+        "lattice": {"n_max": 4, "n_samples": 64, "dt": 1e-4}},
+    "mc-ensemble-under-half-a-step": {
+        "experiment": "mc-ensemble", "s": 0.5, "time": {"t_final": 1e-5},
+        "lattice": {"n_max": 4, "n_samples": 64, "dt": 1e-4}},
+    "flux-table-reversed-grid": {
+        "grid": {"rho_min": 10.0, "rho_max": 1.0, "nodes": 4}},
+}
+
+
+class TestSetUp:
+    @pytest.mark.parametrize("overrides", UNRUNNABLE.values(), ids=UNRUNNABLE)
+    def test_validate_and_run_refuse_alike(self, tmp_path, capsys, overrides):
+        path = write_cfg(tmp_path, **overrides)
+        assert cli.main(["validate", path]) == 2
+        refused = capsys.readouterr()
+        assert refused.out == "" and refused.err.startswith("config error: ")
+        assert refused.err.count("\n") == 1
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr() == refused
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.json"))),
+                             ids=os.path.basename)
+    def test_shipped_config_validates(self, path):
+        assert cli.main(["validate", path]) == 0
 
 
 class TestRun:
@@ -138,6 +181,18 @@ class TestRun:
             for key, cell in row.items():
                 if key != "route":
                     float(cell)
+
+    def test_selfsimilar_samples_ignore_time_dt(self, tmp_path):
+        # samples at t_final (i+1)/11 even when time.dt exceeds t_final
+        path = write_cfg(tmp_path, experiment="selfsimilar-balance",
+                         selfsimilar=True,
+                         grid={"rho_min": 1e-2, "rho_max": 1e3, "nodes": 64},
+                         time={"t_final": 0.1, "dt": 1.0})
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--output-dir", str(out)]) == 0
+        with open(out / "selfsimilar_balance.csv", newline="") as fh:
+            times = [float(row["t"]) for row in csv.DictReader(fh)]
+        assert len(times) == 10 and max(times) <= 0.1
 
     def test_output_dir_from_config(self, tmp_path):
         out = tmp_path / "from_cfg"

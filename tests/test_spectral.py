@@ -430,6 +430,17 @@ class TestEvolve:
             traj = evolve(st, small_kernel, 0.05)
         assert traj.truncated and traj.truncation_time is not None
 
+    def test_last_record_at_t_final(self, small_kernel, small_grid):
+        # 2.5 steps record at 0, dt, 2 dt and t_final, none past it; 0.07 /
+        # 0.01 rounds a hair above 7, which adds no eighth record
+        for t_final, n_records in ((0.025, 4), (0.07, 8)):
+            traj = evolve(bump_state(small_grid), small_kernel, t_final, dt=0.01)
+            assert len(traj.times) == n_records
+            assert traj.times[-1] == traj.final_state.time == t_final
+            assert np.all(np.diff(traj.times) > 0)
+        with pytest.raises(DomainError):
+            evolve(bump_state(small_grid), small_kernel, -0.01)
+
     def test_csv_layout(self, small_kernel, small_grid):
         traj = evolve(bump_state(small_grid), small_kernel, 5e-4,
                       trackers=(0.75, 0.25))
@@ -479,6 +490,22 @@ class TestDissipationIntegral:
         i4, r4 = anomalous_dissipation_integral(st4, ss_kernel)
         assert i4 == pytest.approx(4.0 * i1, rel=1e-10)
         assert r4 == pytest.approx(4.0 * r1, rel=1e-12)
+
+    @pytest.mark.parametrize("viscous_closed", [False, True],
+                             ids=["absorbing", "viscous-closed"])
+    def test_solve_matches_modal_sum(self, ss_kernel, small_grid, viscous_closed):
+        # int_0^inf mass dt = sum_k (sqrt(w).v_k) (v_k.sqrt(w) a_0) / -lam_k
+        kernel = ss_kernel
+        if viscous_closed:
+            kernel = KernelMatrix(sigma=ss_kernel.sigma, absorb=np.zeros(small_grid.n),
+                                  grid=small_grid, params=P_NU, selfsimilar=True)
+        st = SpectrumState(small_grid, bump_state(small_grid).values, 0.0,
+                           kernel.params)
+        lam, vecs = kernel.modes()
+        sw = np.sqrt(small_grid.weights)
+        modal = float(np.sum((sw @ vecs) * (vecs.T @ (sw * st.values)) / -lam))
+        integral, _ = anomalous_dissipation_integral(st, kernel)
+        assert integral == pytest.approx(modal, rel=1e-12)
 
     def test_closed_form_is_trapezoid_plus_remainder(self, ss_kernel, small_grid):
         # dense (geometrically graded) trapezoid of the propagated mass on
