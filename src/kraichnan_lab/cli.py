@@ -7,6 +7,10 @@ lattice config, sample times), whose constructors check the rest.
 `validate` runs both and computes nothing else, so it refuses exactly the
 configs `run` refuses.
 
+The library returns numbers; every table is written here, by `_csv`
+alone, so one rule decides how a number is printed.  Run it as
+`kraichnan-lab` or `python -m kraichnan_lab`.
+
 Exit codes: 0 all asserted checks passed, 1 a check failed, 2 config error,
 3 compute error.
 """
@@ -96,6 +100,9 @@ _DEFAULTS = {
     "lattice": {"n_max": 16, "n_samples": 2000, "dt": 1e-3},
 }
 
+# the residual slope of `asymptotics` is fitted over |xi| >= this
+_SLOPE_XI_MIN = 10.0
+
 
 def _setup(cfg: dict) -> dict:
     """The runner's inputs besides cfg, by keyword, built before anything is
@@ -114,8 +121,11 @@ def _setup(cfg: dict) -> dict:
             raise DomainError("a flux grid of more than one node needs "
                               "rho_min < rho_max")
         xi = np.geomspace(g["rho_min"], g["rho_max"], g["nodes"]).tolist()
-        if exp == "asymptotics" and not xi:
-            xi = np.geomspace(1.0, 1e3, 40).tolist()
+        if exp == "asymptotics":
+            xi = xi or np.geomspace(1.0, 1e3, 40).tolist()
+            if sum(x >= _SLOPE_XI_MIN for x in xi) < 2:
+                raise DomainError("the residual slope needs at least two "
+                                  f"|xi| >= {_SLOPE_XI_MIN:g}")
         setup["xi"] = xi
     elif exp == "mc-ensemble":
         lat = cfg["lattice"]
@@ -161,65 +171,80 @@ def _check(check_id: str, passed: bool, value, target: str) -> dict:
             "target": target}
 
 
+def _cell(v) -> str:
+    """Strings verbatim, integers in decimal, every other number as the repr
+    of its float, which reads back to the same value."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
+def _csv(header, rows) -> str:
+    """The one table writer: a header line, then one line per row."""
+    return "".join(",".join(map(_cell, line)) + "\n" for line in [header, *rows])
+
+
 # --------------------------------------------------------------------------
 # experiment bodies: (cfg, **_setup(cfg)) -> (artifacts: name->text, checks)
 
 def _exp_k_constants(cfg, params):
-    report = _mellin.k_report(params)
-    checks = [
-        _check("k.gamma_positive", report.k_gamma > 0, report.k_gamma, "> 0"),
-        _check("k.gamma_vs_integral",
-               abs(report.k_integral - report.k_gamma) <= 1e-6 * report.k_gamma,
-               abs(report.k_integral - report.k_gamma) / report.k_gamma,
-               "rel <= 1e-6"),
-    ]
-    if report.k_appendix is not None:
-        checks.append(_check(
-            "k.gamma_vs_appendix",
-            abs(report.k_appendix - report.k_gamma) <= 1e-4 * report.k_gamma,
-            abs(report.k_appendix - report.k_gamma) / report.k_gamma,
-            "rel <= 1e-4"))
-    rows = ["route,value",
-            f"gamma,{report.k_gamma!r}",
-            f"integral,{report.k_integral!r}"]
-    if report.k_appendix is not None:
-        rows.append(f"appendix,{float(report.k_appendix)!r}")
-    return {"k_constants.csv": "\n".join(rows) + "\n"}, checks
+    k = {"gamma": _mellin.k_constant_gamma(params),
+         "integral": _mellin.k_constant_integral(params)}
+    # the real-space route needs a Riesz-potential contracted kernel
+    if params.s + params.alpha > 1.0:
+        k["appendix"] = _mellin.k_constant_appendix(params)
+    kg = k["gamma"]
+    checks = [_check("k.gamma_positive", kg > 0, kg, "> 0")]
+    for route, tol, target in (("integral", 1e-6, "rel <= 1e-6"),
+                               ("appendix", 1e-4, "rel <= 1e-4")):
+        if route in k:
+            dev = abs(k[route] - kg)
+            checks.append(_check(f"k.gamma_vs_{route}", dev <= tol * kg,
+                                 dev / kg, target))
+    return {"k_constants.csv": _csv(("route", "value"), k.items())}, checks
+
+
+def _flux_csv(params, xi, F, residuals, K) -> str:
+    return _csv(("xi", "F", "residual", "K", "d", "alpha", "s"),
+                [(x, f, r, K, params.d, params.alpha, params.s)
+                 for x, f, r in zip(xi, F, residuals)])
 
 
 def _exp_flux_table(cfg, params, xi):
-    table = _flux.asymptotic_residual_table(params, xi)
+    F, residuals, K = _flux.asymptotic_residual_table(params, xi)
     checks = []
-    if table.xi_values:
+    if xi:
         checks.append(_check("flux.residuals_finite",
-                             all(math.isfinite(r) for r in table.residuals),
-                             max(table.residuals), "finite"))
-    return {"flux_table.csv": table.to_csv()}, checks
+                             all(math.isfinite(r) for r in residuals),
+                             max(residuals), "finite"))
+    return {"flux_table.csv": _flux_csv(params, xi, F, residuals, K)}, checks
 
 
-def _residual_slope(table) -> float:
-    xs = np.array(table.xi_values)
-    rs = np.array(table.residuals)
-    sel = (xs >= 10.0) & (rs > 0)
+def _residual_slope(xi, residuals) -> float:
+    """Log-log slope of the positive residuals at |xi| >= _SLOPE_XI_MIN;
+    NaN, which fails the check, where fewer than two remain."""
+    xs, rs = np.array(xi), np.array(residuals)
+    sel = (xs >= _SLOPE_XI_MIN) & (rs > 0)
     if sel.sum() < 2:
-        return 0.0
+        return math.nan
     slope, _ = np.polyfit(np.log(xs[sel]), np.log(rs[sel]), 1)
     return float(slope)
 
 
 def _exp_asymptotics(cfg, params, xi):
-    table = _flux.asymptotic_residual_table(params, xi)
-    slope = _residual_slope(table)
+    F, residuals, K = _flux.asymptotic_residual_table(params, xi)
+    slope = _residual_slope(xi, residuals)
     checks = [_check("asym.residual_slope", slope <= 0.1, slope, "<= 0.1")]
-    window = [x for x in (20.0, 27.0, 35.0, 42.0, 50.0)]
     worst = 0.0
-    for x in window:
+    for x in (20.0, 27.0, 35.0, 42.0, 50.0):
         fq = _flux.flux_F(x, params, method="quadrature", rel_tol=1e-11)
         fm = _flux.flux_F(x, params, method="mellin")
         worst = max(worst, abs(fq - fm) / abs(fq))
     checks.append(_check("asym.dual_path_agreement", worst <= 1e-5, worst,
                          "rel <= 1e-5 on [20,50]"))
-    return {"asymptotics.csv": table.to_csv()}, checks
+    return {"asymptotics.csv": _flux_csv(params, xi, F, residuals, K)}, checks
 
 
 def _initial_gaussian(grid: _spectral.RadialGrid, params) -> _spectral.SpectrumState:
@@ -260,14 +285,19 @@ def _exp_spectral_evolve(cfg, params, grid):
     ]
     diagnostics = {"truncated": traj.truncated,
                    "truncation_time": traj.truncation_time}
-    return {"trajectory.csv": traj.to_csv()}, checks, diagnostics
+    cols = sorted(traj.norms)
+    table = _csv(("t", "mass", *(f"norm_{_cell(s)}" for s in cols),
+                  "boundary_fraction"),
+                 zip(traj.times, traj.mass, *(traj.norms[s] for s in cols),
+                     traj.boundary_fraction))
+    return {"trajectory.csv": table}, checks, diagnostics
 
 
 def _exp_selfsimilar_balance(cfg, params, grid, times):
     kernel = _spectral.build_kernel(grid, params, selfsimilar=True)
     state = _initial_log_bump(grid, params)
     K = _mellin.k_constant_gamma(params)
-    rows = ["t,ratio,K"]
+    rows = []
     worst = 0.0
     for t in times:
         at_t = _spectral.propagate(state, kernel, t)
@@ -275,10 +305,10 @@ def _exp_selfsimilar_balance(cfg, params, grid, times):
         denom = _spectral.sobolev_norm(at_t, params.s + params.alpha - 1.0)
         ratio = -rep.lhs / denom
         worst = max(worst, abs(ratio - K) / K)
-        rows.append(f"{t!r},{ratio!r},{K!r}")
+        rows.append((t, ratio, K))
     checks = [_check("selfsimilar.ratio_matches_K", worst <= 0.02, worst,
                      "rel <= 2e-2 at 10 mid-trajectory times")]
-    return {"selfsimilar_balance.csv": "\n".join(rows) + "\n"}, checks
+    return {"selfsimilar_balance.csv": _csv(("t", "ratio", "K"), rows)}, checks
 
 
 def _exp_dissipation_integral(cfg, params, grid):
@@ -288,9 +318,8 @@ def _exp_dissipation_integral(cfg, params, grid):
     ratio = integral / reference if reference else float("nan")
     checks = [_check("dissipation.integral_vs_reference",
                      0.9 <= ratio <= 1.1, ratio, "in [0.9, 1.1]")]
-    body = ("integral,reference,ratio\n"
-            f"{integral!r},{reference!r},{ratio!r}\n")
-    return {"dissipation_integral.csv": body}, checks
+    table = _csv(("integral", "reference", "ratio"), [(integral, reference, ratio)])
+    return {"dissipation_integral.csv": table}, checks
 
 
 def _exp_mc_ensemble(cfg, params, lattice, times):
@@ -302,7 +331,11 @@ def _exp_mc_ensemble(cfg, params, lattice, times):
     frac = _mc.rate_agreement(noise, stats)
     checks = [_check("mc.master_equation_rates", frac >= 0.95, frac,
                      ">= 0.95 of modes within 3 sigma")]
-    artifacts = {f"ensemble_t{idx}.csv": st.to_csv() for idx, st in enumerate(stats)}
+    artifacts = {f"ensemble_t{idx}.csv": _csv(
+        ("t", "kx", "ky", "mean_sq", "std_err"),
+        [(st.time, kx, ky, m, e)
+         for (kx, ky), m, e in zip(st.modes, st.mean_spectrum, st.std_err)])
+        for idx, st in enumerate(stats)}
     return artifacts, checks
 
 

@@ -13,9 +13,7 @@ and the direct massive integral) live with the tests, in tests/oracles.py.
 from __future__ import annotations
 
 import functools
-import io
 import math
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from . import mellin, quad
@@ -23,7 +21,7 @@ from .errors import DomainError
 from .specfun import ModelParams, gamma_fn, sin_power_integral, sphere_surface
 
 __all__ = [
-    "FluxTable", "G_term", "flux_F", "flux_F_m", "asymptotic_residual_table",
+    "G_term", "flux_F", "flux_F_m", "asymptotic_residual_table",
 ]
 
 # below this |xi| the quadrature route is used unconditionally; above it the
@@ -32,33 +30,6 @@ MELLIN_SWITCH = 20.0
 
 # bound of the residue-expansion cache, one entry per parameter triple
 _PARAM_CACHE = 64
-
-
-@dataclass
-class FluxTable:
-    """Sampled F(|xi|) with the asymptotic residuals
-    |F + K |xi|^{2-2a-2s}| * |xi|^{2s}; the max residual is the empirical
-    bound constant."""
-    params: ModelParams
-    xi_values: List[float]
-    F_values: List[float]
-    residuals: List[float]
-    K_used: float
-
-    def __post_init__(self):
-        if not (len(self.xi_values) == len(self.F_values) == len(self.residuals)):
-            raise DomainError("FluxTable columns must be aligned")
-        if any(b <= a for a, b in zip(self.xi_values, self.xi_values[1:])):
-            raise DomainError("xi_values must be strictly increasing")
-
-    def to_csv(self) -> str:
-        p = self.params
-        buf = io.StringIO()
-        buf.write("xi,F,residual,K,d,alpha,s\n")
-        for x, f, r in zip(self.xi_values, self.F_values, self.residuals):
-            buf.write(f"{float(x)!r},{float(f)!r},{float(r)!r},"
-                      f"{float(self.K_used)!r},{p.d},{p.alpha!r},{p.s!r}\n")
-        return buf.getvalue()
 
 
 def G_term(xi_abs: float, params: ModelParams) -> float:
@@ -143,19 +114,17 @@ def flux_F_m(xi_abs: float, params: ModelParams, m: float,
     return m ** (2.0 - 2.0 * s - 2.0 * a) * flux_F(xi_abs / m, params, method=method)
 
 
-def asymptotic_residual_table(params: ModelParams,
-                              xi_grid: Sequence[float]) -> FluxTable:
-    """Tabulate F and the residual |F + K |xi|^{2-2a-2s}| |xi|^{2s} on a grid;
-    the table's max residual is the empirical bound-constant estimate."""
+def asymptotic_residual_table(params: ModelParams, xi_grid: Sequence[float]
+                              ) -> Tuple[List[float], List[float], float]:
+    """(F values, residuals, K) on a grid of |xi|, with the residuals
+    |F + K |xi|^{2-2a-2s}| |xi|^{2s}; their max is the empirical
+    bound-constant estimate."""
     xi_grid = list(xi_grid)
     if any(x <= 0 for x in xi_grid):
         raise DomainError("xi grid must be positive")
     K = mellin.k_constant_gamma(params)
     a, s = params.alpha, params.s
-    F_vals, residuals = [], []
-    for x in xi_grid:
-        F = flux_F(x, params)
-        F_vals.append(F)
-        residuals.append(abs(F + K * x ** (2.0 - 2.0 * a - 2.0 * s)) * x ** (2.0 * s))
-    return FluxTable(params=params, xi_values=xi_grid, F_values=F_vals,
-                     residuals=residuals, K_used=K)
+    F_vals = [flux_F(x, params) for x in xi_grid]
+    residuals = [abs(F + K * x ** (2.0 - 2.0 * a - 2.0 * s)) * x ** (2.0 * s)
+                 for x, F in zip(xi_grid, F_vals)]
+    return F_vals, residuals, K

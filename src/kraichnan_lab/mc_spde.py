@@ -279,11 +279,6 @@ class EnsembleStats:
                 out[(-int(kx), -int(ky))] = float(v)
         return out
 
-    def to_csv(self) -> str:
-        lines = ["t,kx,ky,mean_sq,std_err"]
-        for (kx, ky), m, s in zip(self.modes, self.mean_spectrum, self.std_err):
-            lines.append(f"{self.time!r},{kx},{ky},{float(m)!r},{float(s)!r}")
-        return "\n".join(lines) + "\n"
 
 
 def _collect_stats(batch, noise, t, prev_powers, prev_time, valid):

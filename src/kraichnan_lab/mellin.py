@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import special as _scisp
@@ -24,11 +23,11 @@ from .specfun import (ModelParams, gamma_fn, gamma_pole_index,
                       gegenbauer_defect, sphere_surface)
 
 __all__ = [
-    "GammaProduct", "AsymptoticTerm", "KReport",
+    "GammaProduct", "AsymptoticTerm",
     "h_product", "f_product", "jl_product",
     "poles_in_strip", "residue_at", "expansion_terms",
     "k_constant_gamma", "k_constant_integral", "k_constant_appendix",
-    "riesz_constant", "d_constant", "k_report",
+    "riesz_constant", "d_constant",
 ]
 
 
@@ -87,15 +86,6 @@ class AsymptoticTerm:
     """One term coefficient * lambda^{-exponent} of a residue expansion."""
     exponent: float
     coefficient: float
-
-
-@dataclass
-class KReport:
-    """The dissipation constant computed along independent routes."""
-    k_gamma: float
-    k_integral: float
-    k_appendix: Optional[float]
-    params: ModelParams
 
 
 def h_product(params: ModelParams) -> GammaProduct:
@@ -281,12 +271,3 @@ def k_constant_appendix(params: ModelParams) -> float:
     return (d_constant(d, a) * 2.0 * (d - 2.0 * s) * (s + a - 1.0)
             * riesz_constant(d, s + a - 1.0) / riesz_constant(d, s))
 
-
-def k_report(params: ModelParams) -> KReport:
-    """All available K routes for one parameter point."""
-    kg = k_constant_gamma(params)
-    ki = k_constant_integral(params)
-    ka = None
-    if params.s + params.alpha > 1.0:
-        ka = k_constant_appendix(params)
-    return KReport(k_gamma=kg, k_integral=ki, k_appendix=ka, params=params)

@@ -483,16 +483,6 @@ class Trajectory:
     truncation_time: Optional[float]
     final_state: SpectrumState
 
-    def to_csv(self) -> str:
-        cols = sorted(self.norms)
-        lines = ["t,mass," + ",".join(f"norm_{s!r}" for s in cols)
-                 + ",boundary_fraction"]
-        for k, t in enumerate(self.times):
-            row = [repr(float(t)), repr(float(self.mass[k]))]
-            row += [repr(float(self.norms[s][k])) for s in cols]
-            row.append(repr(float(self.boundary_fraction[k])))
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
 
 
 def _boundary_fraction(grid: RadialGrid, values: np.ndarray) -> np.ndarray:

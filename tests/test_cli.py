@@ -4,15 +4,19 @@ reproducibility."""
 import csv
 import glob
 import json
+import math
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from kraichnan_lab import cli
 from kraichnan_lab.errors import TruncationWarning
 
-CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "scripts", "configs")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = os.path.join(ROOT, "scripts", "configs")
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -84,6 +88,13 @@ UNRUNNABLE = {
         "lattice": {"n_max": 4, "n_samples": 64, "dt": 1e-4}},
     "flux-table-reversed-grid": {
         "grid": {"rho_min": 10.0, "rho_max": 1.0, "nodes": 4}},
+    # the residual slope is fitted over |xi| >= 10 and needs two such nodes
+    "asymptotics-below-slope-window": {
+        "experiment": "asymptotics",
+        "grid": {"rho_min": 1.0, "rho_max": 5.0, "nodes": 8}},
+    "asymptotics-one-node": {
+        "experiment": "asymptotics",
+        "grid": {"rho_min": 20.0, "rho_max": 20.0, "nodes": 1}},
 }
 
 
@@ -104,6 +115,35 @@ class TestSetUp:
                              ids=os.path.basename)
     def test_shipped_config_validates(self, path):
         assert cli.main(["validate", path]) == 0
+
+
+class TestTableWriter:
+    def test_cell_rules(self):
+        # strings verbatim, integers in decimal, other numbers by float repr
+        table = cli._csv(("a", "b", "c", "d", "e"),
+                         [(1, np.int64(3), np.float64(0.1), 1e-300, "gamma")])
+        assert table == "a,b,c,d,e\n1,3,0.1,1e-300,gamma\n"
+
+    def test_header_alone(self):
+        assert cli._csv(("t", "ratio"), []) == "t,ratio\n"
+
+    def test_too_few_residuals_fail_the_slope(self):
+        # a zero residual leaves one usable point: no slope, no pass
+        slope = cli._residual_slope([10.0, 20.0, 40.0], [0.0, 0.0, 1e-3])
+        assert math.isnan(slope) and not slope <= 0.1
+
+
+def test_python_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kraichnan_lab", "validate",
+         os.path.join(CONFIGS, "k_constants.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ok")
+    assert "RuntimeWarning" not in proc.stderr
 
 
 class TestRun:
@@ -134,6 +174,19 @@ class TestRun:
         assert summary["passed"] is True
         body = (out / "k_constants.csv").read_text().strip().split("\n")
         assert body[0] == "route,value" and len(body) == 4
+
+    def test_k_constants_without_appendix_route(self, tmp_path):
+        # s + alpha <= 1: the real-space route does not apply, so no row
+        path = write_cfg(tmp_path, experiment="k-constants", alpha=0.25,
+                         s=0.5)
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--output-dir", str(out)]) == 0
+        with open(out / "k_constants.csv", newline="") as fh:
+            routes = [row["route"] for row in csv.DictReader(fh)]
+        assert routes == ["gamma", "integral"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert [c["id"] for c in summary["checks"]] == [
+            "k.gamma_positive", "k.gamma_vs_integral"]
 
     @pytest.mark.parametrize("overrides,table", [
         ({"grid": {"rho_min": 1.0, "rho_max": 30.0, "nodes": 4}},
@@ -261,10 +314,14 @@ class TestSmallMcEnsemble:
         tables = sorted(p.name for p in out.iterdir()
                         if p.name.startswith("ensemble_t"))
         assert tables == [f"ensemble_t{i}.csv" for i in range(4)]
+        n = cfg["lattice"]["n_max"]
         for name in tables:
+            lines = (out / name).read_text().splitlines()
+            # the half band: every ky, and kx = 0..n
+            assert lines[0] == "t,kx,ky,mean_sq,std_err"
+            assert len(lines) == 1 + (2 * n + 1) * (n + 1)
             with open(out / name, newline="") as fh:
                 rows = list(csv.DictReader(fh))
-            assert rows
             for row in rows:
                 for cell in row.values():
                     float(cell)

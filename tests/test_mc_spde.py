@@ -269,13 +269,6 @@ class TestRunEnsemble:
         v, err = sobolev_estimate(st, 0.0)
         assert v == pytest.approx(st.l2_mean, rel=1e-12)
 
-    def test_csv_layout(self, noise4):
-        fs = FieldSample.from_modes(noise4, {(1, 0): 1.0})
-        st = run_ensemble(CFG4, fs, 1e-3, record_times=[1e-3])[0]
-        lines = st.to_csv().strip().split("\n")
-        assert lines[0] == "t,kx,ky,mean_sq,std_err"
-        assert len(lines) == 1 + len(st.modes)
-
     def test_mixing_norm_decays(self):
         # H^{-s} estimate of a smooth datum decreases significantly by t = 1
         cfg = LatticeConfig(n_max=6, alpha=0.5, dt=8e-4, n_samples=200, seed=4)

@@ -13,8 +13,8 @@ from kraichnan_lab.errors import (CaseOutOfRange, DomainError, HigherOrderPole,
 from kraichnan_lab.mellin import (GammaProduct, d_constant, expansion_terms,
                                   f_product, h_product, jl_product,
                                   k_constant_appendix, k_constant_gamma,
-                                  k_constant_integral, k_report,
-                                  poles_in_strip, residue_at, riesz_constant)
+                                  k_constant_integral, poles_in_strip,
+                                  residue_at, riesz_constant)
 from kraichnan_lab.quad import quadpack
 from kraichnan_lab.specfun import (ModelParams, gamma_fn, gegenbauer_defect,
                                    sin_power_integral, sphere_surface)
@@ -244,15 +244,6 @@ class TestKConstants:
         below = k_constant_gamma(ModelParams(d=2, alpha=0.6, s=0.399))
         above = k_constant_gamma(ModelParams(d=2, alpha=0.6, s=0.401))
         assert abs(above - below) < 0.01 * above
-
-    def test_report(self):
-        p = ModelParams(d=2, alpha=0.75, s=0.75)
-        rep = k_report(p)
-        assert rep.k_appendix is not None
-        assert max(abs(k - rep.k_gamma) / rep.k_gamma
-                   for k in (rep.k_integral, rep.k_appendix)) < 1e-4
-        rep2 = k_report(ModelParams(d=2, alpha=0.25, s=0.5))
-        assert rep2.k_appendix is None
 
 
 class TestRiesz:

@@ -5,7 +5,9 @@ benchmark's tracer wraps resolves (perfbench/tracing.py looks them up by
 name, so deleting or renaming one would break traced runs without failing a
 test).  Also the one quadrature layer: only quad.py reaches scipy.integrate,
 the tail map t = lo + u/(1-u) is written once, inside quad.quadpack, and the
-package calls quadpack only from quad.radial_quad, which certifies it."""
+package calls quadpack only from quad.radial_quad, which certifies it.
+And the one table writer: no module defines a to_csv or reaches io or
+csv, so every artifact is formatted by cli._csv."""
 
 import ast
 import functools
@@ -183,3 +185,25 @@ def test_quadpack_called_only_in_radial_quad():
             assert len(_quadpack_calls(rq)) == 2
         stray = [n for n in _quadpack_calls(tree) if n not in allowed]
         assert not stray, f"{path}: quadpack called on lines {stray}"
+
+
+def _formats_tables(tree):
+    """Line numbers of every to_csv definition and io/csv import."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == "to_csv":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] in ("io", "csv") for a in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module.split(".")[0] in ("io", "csv"):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_cli_formats_tables():
+    for path in PACKAGE:
+        stray = _formats_tables(_parse(path))
+        assert not stray, f"{path}: table formatting on lines {stray}"

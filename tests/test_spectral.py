@@ -441,12 +441,6 @@ class TestEvolve:
         with pytest.raises(DomainError):
             evolve(bump_state(small_grid), small_kernel, -0.01)
 
-    def test_csv_layout(self, small_kernel, small_grid):
-        traj = evolve(bump_state(small_grid), small_kernel, 5e-4,
-                      trackers=(0.75, 0.25))
-        header = traj.to_csv().split("\n", 1)[0]
-        assert header == "t,mass,norm_0.25,norm_0.75,boundary_fraction"
-
 
 class TestPropagate:
     @pytest.mark.parametrize("kernel_name",
