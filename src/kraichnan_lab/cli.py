@@ -94,7 +94,6 @@ CONFIG_SCHEMA = {
 _DEFAULTS = {
     "nu": 0.0,
     "seed": 0,
-    "selfsimilar": False,
     "grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 512},
     "time": {"t_final": 1.0},
     "lattice": {"n_max": 16, "n_samples": 2000, "dt": 1e-3},
@@ -102,6 +101,9 @@ _DEFAULTS = {
 
 # the residual slope of `asymptotics` is fitted over |xi| >= this
 _SLOPE_XI_MIN = 10.0
+# experiments that compare with K and run the scale-free kernel only;
+# "selfsimilar" resolves to true for them and to false for the others
+_SCALE_FREE = ("selfsimilar-balance", "dissipation-integral")
 
 
 def _setup(cfg: dict) -> dict:
@@ -110,7 +112,10 @@ def _setup(cfg: dict) -> dict:
     exp, g, t_final = cfg["experiment"], cfg["grid"], cfg["time"]["t_final"]
     params = ModelParams(d=cfg["d"], alpha=cfg["alpha"], s=cfg["s"], nu=cfg["nu"])
     setup = {"params": params}
-    if exp in ("spectral-evolve", "selfsimilar-balance", "dissipation-integral"):
+    if exp in _SCALE_FREE and not cfg["selfsimilar"]:
+        raise DomainError(f"{exp} runs the scale-free kernel only: "
+                          "selfsimilar must be true")
+    if exp in ("spectral-evolve", *_SCALE_FREE):
         setup["grid"] = _spectral.RadialGrid.log_spaced(
             g["rho_min"], g["rho_max"], g["nodes"], params.d)
     if exp == "selfsimilar-balance":
@@ -129,9 +134,11 @@ def _setup(cfg: dict) -> dict:
         setup["xi"] = xi
     elif exp == "mc-ensemble":
         lat = cfg["lattice"]
+        if params.d != _mc.LATTICE_D:
+            raise DomainError("Monte Carlo lattice runs are 2-d only")
         setup["lattice"] = _mc.LatticeConfig(
             n_max=lat["n_max"], alpha=cfg["alpha"], dt=lat["dt"],
-            n_samples=lat["n_samples"], seed=cfg["seed"], d=cfg["d"])
+            n_samples=lat["n_samples"], seed=cfg["seed"])
         n_steps = int(round(t_final / lat["dt"]))
         if n_steps < 1:
             raise DomainError("t_final is shorter than half a lattice step: "
@@ -158,8 +165,8 @@ def load_config(path: str):
     for key, val in _DEFAULTS.items():
         if key not in resolved:
             resolved[key] = json.loads(json.dumps(val))
-    if "trackers" not in resolved:
-        resolved["trackers"] = [resolved["s"]]
+    resolved.setdefault("selfsimilar", resolved["experiment"] in _SCALE_FREE)
+    resolved.setdefault("trackers", [resolved["s"]])
     try:
         return resolved, _setup(resolved)
     except DomainError as exc:
@@ -277,12 +284,10 @@ def _exp_spectral_evolve(cfg, params, grid):
                                 trackers=cfg["trackers"])
     rep = _spectral.balance_check(traj.final_state, kernel, params.s)
     rel = abs(rep.lhs - rep.rhs) / _balance_scale(traj.final_state, kernel, params.s)
-    checks = [
-        _check("spectral.balance_identity", rel <= 1e-12, rel, "rel <= 1e-12"),
-        _check("spectral.no_negative_values",
-               float(traj.final_state.values.min()) >= -1e-12 * float(traj.final_state.values.max()),
-               float(traj.final_state.values.min()), ">= -1e-12 * max"),
-    ]
+    # evolve raises NegativityError (exit 3) on any record below -1e-12 max,
+    # so negativity needs no check here
+    checks = [_check("spectral.balance_identity", rel <= 1e-12, rel,
+                     "rel <= 1e-12")]
     diagnostics = {"truncated": traj.truncated,
                    "truncation_time": traj.truncation_time}
     cols = sorted(traj.norms)

@@ -30,8 +30,11 @@ from .errors import DomainError, InvalidSampleRate
 __all__ = [
     "LatticeConfig", "NoiseModes", "FieldSample", "EnsembleStats",
     "build_noise_modes", "run_ensemble", "lattice_master_rate",
-    "rate_agreement", "MC_RECORD_STRIDE",
+    "rate_agreement", "MC_RECORD_STRIDE", "LATTICE_D",
 ]
+
+# the lattice dimension: the runs are 2-d only
+LATTICE_D = 2
 
 # steps between ensemble records for the master-equation rate check
 MC_RECORD_STRIDE = 5
@@ -43,17 +46,14 @@ _CHUNK_SAMPLES = 128
 
 @dataclass(frozen=True)
 class LatticeConfig:
-    """Truncated-lattice run configuration (d = 2 only)."""
+    """Truncated-lattice run configuration (d = LATTICE_D = 2)."""
     n_max: int
     alpha: float
     dt: float
     n_samples: int
     seed: int = 0
-    d: int = 2
 
     def __post_init__(self):
-        if self.d != 2:
-            raise DomainError("Monte Carlo lattice runs are 2-d only")
         if self.n_max < 4:
             raise DomainError("n_max must be >= 4")
         if self.dt <= 0:
@@ -91,7 +91,7 @@ def build_noise_modes(cfg: LatticeConfig) -> NoiseModes:
             reps.append((kx, ky))
     k_half = np.array(reps, dtype=int)
     k2 = (k_half ** 2).sum(axis=1).astype(float)
-    sigma = (1.0 + k2) ** (-(cfg.d / 2.0 + cfg.alpha) / 2.0)
+    sigma = (1.0 + k2) ** (-(LATTICE_D / 2.0 + cfg.alpha) / 2.0)
     norm = np.sqrt(k2)
     e_pol = np.stack([-k_half[:, 1] / norm, k_half[:, 0] / norm], axis=1)
 

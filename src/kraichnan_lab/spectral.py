@@ -14,7 +14,10 @@ series of the same integrals away from the unit scale: in D^-2 for pairs
 at least 2 apart, in D^2 for pairs summing to at most 1/2.  Pairs near the
 unit scale, where the separation D crosses 1 and neither series converges,
 keep a Gauss-Legendre panel ladder.  The radial discretization is the same
-for both kernels.
+for both kernels: every rate is one radial sum of the angular integral
+(_radial_sums), with the far field at the nodes, the near band on 16
+Gauss-Legendre points per cell and the absorbing boundary on 28 log panels
+outside the grid plus an analytic tail (the three rules of build_kernel).
 
 The rate operator is L a = sigma a / w - loss a, with one loss diagonal:
 the row sums of sigma over w, the absorption to off-grid modes and the
@@ -58,7 +61,7 @@ _NEAR_BAND = 4          # cells each side of the diagonal with sub-cell radial q
 _FAR_GAP = 2.0
 _SMALL_SUM = 0.5
 _SERIES_TOL = 1e-16     # bound on the series truncation, relative to the sum
-_CHUNK_ROWS = 32        # angular evaluations per call: _CHUNK_ROWS * n pairs
+_CHUNK_PAIRS = 16384    # bound on the (rho, r) pairs per angular call
 _GL12 = leggauss(12)
 _GL16 = leggauss(16)
 # memory cap on the block of record states evolve holds at once
@@ -230,6 +233,14 @@ def _binomial_series(lo, hi, d: int, beta: float, far: bool):
     return (lo * hi) ** 2 * total
 
 
+def _gauss_panels(lo, hi, rule):
+    """Points and weights of the Gauss-Legendre rule (x, w) on [-1, 1] mapped
+    to each panel [lo, hi], as arrays with one row per panel."""
+    x, w = rule
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    return mid[..., None] + half[..., None] * x, half[..., None] * w
+
+
 def _panel_ladder(ri, rj, d: int, alpha: float):
     """The massive angular integral of _angular_integral on 1-d arrays of
     pairs, by a geometric ladder of 12-point Gauss-Legendre panels refined
@@ -238,29 +249,16 @@ def _panel_ladder(ri, rj, d: int, alpha: float):
     delta2 = (ri - rj) ** 2
     p = ri * rj
     t0 = np.clip(0.125 * np.sqrt(delta2 / p), 1e-9, math.pi / 4.0)
-
     n_panels = 20
     ratio = (math.pi / t0) ** (1.0 / n_panels)
-    x12, w12 = _GL12
-
     total = np.zeros_like(ri)
-
-    def add_panel(lo, hi):
-        nonlocal total
-        mid = 0.5 * (hi + lo)
-        half = 0.5 * (hi - lo)
-        t = mid[:, None] + half[:, None] * x12[None, :]
+    lo, hi = np.zeros_like(t0), t0
+    for _ in range(n_panels + 1):
+        t, wt = _gauss_panels(lo, hi, _GL12)
         D2 = delta2[:, None] + 4.0 * p[:, None] * np.sin(0.5 * t) ** 2
         W = (1.0 + D2) ** (-(d + 2.0 * alpha) / 2.0) / D2
-        vals = np.sin(t) ** d * W
-        total = total + p ** 2 * (vals * w12[None, :]).sum(axis=1) * half
-
-    add_panel(np.zeros_like(t0), t0)
-    lo = t0
-    for _ in range(n_panels):
-        hi = np.minimum(lo * ratio, math.pi)
-        add_panel(lo, hi)
-        lo = hi
+        total = total + p ** 2 * (np.sin(t) ** d * W * wt).sum(axis=1)
+        lo, hi = hi, np.minimum(hi * ratio, math.pi)
     return total
 
 
@@ -278,64 +276,51 @@ def _scale_free_angular(rho_i, rho_j, d: int, alpha: float):
     return (ri * rj) ** 2 * hi ** (-2.0 * sig) * gegenbauer_2f1(d, sig, lo / hi)
 
 
-def _radial_cell_integral(ang, rho_i, lo_log, hi_log, d, alpha):
-    """int over one radial cell of ang(rho_i, r) r^{d-1} dr in log coordinates
-    (16-point Gauss-Legendre), for arrays of nodes rho_i and cell edges."""
-    x16, w16 = _GL16
-    mid = 0.5 * (hi_log + lo_log)
-    half = 0.5 * (hi_log - lo_log)
-    r = np.exp(mid[:, None] + half[:, None] * x16[None, :])
-    vals = ang(rho_i[:, None], r, d, alpha)
-    rd = r ** d
-    out = np.zeros_like(rho_i)
-    for k, wk in enumerate(w16):
-        out = out + wk * vals[:, k] * rd[:, k]
-    return out * half
+def _radial_sums(ang, rho, r, wr, d: int, alpha: float):
+    """sum_k wr_k ang(rho, r_k) for each row rho: the one radial rule of
+    every kernel rate.  The points r and weights wr are (m, K) arrays, one
+    row per rho, or (K,) arrays shared by every row.  ang sees at most
+    _CHUNK_PAIRS (rho, r) pairs per call, and a row is summed once all its
+    values are in, so the sums do not depend on where the chunks cut."""
+    shape = (rho.size, r.shape[-1])
+    rows = np.broadcast_to(rho[:, None], shape).ravel()
+    pts = np.broadcast_to(r, shape).ravel()
+    vals = np.empty(rows.size)
+    for k0 in range(0, rows.size, _CHUNK_PAIRS):
+        k1 = k0 + _CHUNK_PAIRS
+        vals[k0:k1] = ang(rows[k0:k1], pts[k0:k1], d, alpha)
+    return (vals.reshape(shape) * wr).sum(axis=1)
 
 
-def _absorb_rates(grid: RadialGrid, params: ModelParams, ang):
-    """Per-node loss rate to modes outside [rho_min, rho_max]: 14 GL16 log
-    panels below rho_min (the integrand ~ r^{d+1}, so nothing survives 25
-    e-folds below the edge) and 14 above rho_max up to R* = 100 rho_max,
-    then the analytic algebraic tail.  The 448 radial points go to `ang`
-    in chunks of _CHUNK_ROWS points per node."""
-    d, a = grid.d, params.alpha
-    nodes = grid.nodes
-    pref = (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
-    x16, w16 = _GL16
-
-    def log_panels(lo_log, hi_log, n_panels):
-        edges = np.linspace(lo_log, hi_log, n_panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        return mid[:, None] + half[:, None] * x16, half[:, None] * w16
-
-    r_star = 100.0 * grid.rho_max
-    lower = log_panels(math.log(grid.rho_min) - 25.0, math.log(grid.rho_min), 14)
-    upper = log_panels(math.log(grid.rho_max), math.log(r_star), 14)
-    r = np.exp(np.concatenate((lower[0], upper[0])).ravel())
-    wr = np.concatenate((lower[1], upper[1])).ravel() * r ** d
-    total = np.zeros_like(nodes)
-    for k0 in range(0, r.size, _CHUNK_ROWS):
-        k1 = k0 + _CHUNK_ROWS
-        total += (ang(nodes[:, None], r[None, k0:k1], d, a) * wr[k0:k1]).sum(axis=1)
-    tail = nodes ** 2 * sin_power_integral(d, 0.0) * r_star ** (-2.0 * a) / (2.0 * a)
-    return pref * (total + tail)
+def _log_panels(lo_log, hi_log, d: int):
+    """Radial points r and weights r^d dlog r of the 16-point Gauss-Legendre
+    rule on each log panel [lo_log, hi_log], one row per panel."""
+    t, wt = _gauss_panels(lo_log, hi_log, _GL16)
+    r = np.exp(t)
+    return r, wt * r ** d
 
 
 def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = False,
                  boundary: str = "absorbing") -> KernelMatrix:
     """Assemble the jump-kernel matrix on the grid.
 
-    Row discretization: kappa_ij = (2 pi)^{-d/2} omega_{d-2}
-    int_{cell j} ang(rho_i, r) r^{d-1} dr, midpoint in log within cells except
-    a band of width _NEAR_BAND around the diagonal where the cell integral is
-    done by Gauss-Legendre sub-quadrature (the kernel peaks sharply there).
-    The angular integral ang is the closed-form 2F1 for the scale-free
-    kernel and _angular_integral (2F1 series, or the panel ladder near the
-    unit scale) for the massive one.  The far field is
-    computed for j - i > _NEAR_BAND only and mirrored; the diagonal is
-    excluded, so the flux form sigma = w kappa is exactly symmetric.
+    kappa_ij = (2 pi)^{-d/2} omega_{d-2} int_{cell j} ang(rho_i, r) r^d dlog r
+    and each absorb rate are _radial_sums of ang, by three rules:
+
+    - far field, j - i > _NEAR_BAND: the node rho_j as its cell's single
+      point, with weight v_j = rho_j^d h;
+    - near band, 0 < j - i <= _NEAR_BAND, where the kernel peaks sharply:
+      16 Gauss-Legendre points in log over cell j, and sigma_ij the mean of
+      w_i kappa_ij and w_j kappa_ji;
+    - absorb: 14 16-point log panels from 25 e-folds below rho_min to
+      rho_min (the integrand ~ r^{d+1}, so nothing survives below) and 14
+      from rho_max to R* = 100 rho_max, plus the analytic algebraic tail
+      beyond R*.
+
+    ang is the closed-form 2F1 for the scale-free kernel and
+    _angular_integral (2F1 series, or the panel ladder near the unit scale)
+    for the massive one.  Only the upper triangle is computed and then
+    mirrored, so sigma = w kappa is exactly symmetric with a zero diagonal.
     """
     if boundary not in ("absorbing", "closed"):
         raise DomainError("boundary must be 'absorbing' or 'closed'")
@@ -343,39 +328,40 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
     d, a = grid.d, params.alpha
     nodes = grid.nodes
     n = grid.n
-    pref = (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * sphere_surface(d - 1)
+    pref = (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
     ang = _scale_free_angular if selfsimilar else _angular_integral
-
-    # far field: midpoint in log, v_i v_j ang_ij on the upper pairs beyond
-    # the band, mirrored
-    iu, ju = np.triu_indices(n, _NEAR_BAND + 1)
-    far = np.empty(iu.size)
-    for k0 in range(0, iu.size, _CHUNK_ROWS * n):
-        k1 = k0 + _CHUNK_ROWS * n
-        far[k0:k1] = ang(nodes[iu[k0:k1]], nodes[ju[k0:k1]], d, a)
-    v = nodes ** d * grid.log_step
+    w = grid.weights
+    iu, ju = np.triu_indices(n, 1)
+    band = ju - iu <= _NEAR_BAND
     sigma = np.zeros((n, n))
-    sigma[iu, ju] = pref * far * (v[iu] * v[ju])
-    sigma[ju, iu] = sigma[iu, ju]
 
-    # near-diagonal band: the sub-cell radial integral in place of the midpoint
+    i, j = iu[~band], ju[~band]
+    v = nodes[j, None] ** d * grid.log_step
+    kappa = pref * _radial_sums(ang, nodes[i], nodes[j, None], v, d, a)
+    sigma[i, j] = w[i] * kappa
+
+    i, j = iu[band], ju[band]
     edges = grid.log_edges()
-    for off in range(1, _NEAR_BAND + 1):
-        i = np.arange(0, n - off)
-        j = i + off
-        q_ij = _radial_cell_integral(ang, nodes[i], edges[j], edges[j + 1], d, a)
-        q_ji = _radial_cell_integral(ang, nodes[j], edges[i], edges[i + 1], d, a)
-        sym = 0.5 * pref * (v[i] * q_ij + v[j] * q_ji)
-        sigma[i, j] = sym
-        sigma[j, i] = sym
+    cells = np.concatenate((j, i))
+    kappa = pref * _radial_sums(ang, nodes[np.concatenate((i, j))],
+                                *_log_panels(edges[cells], edges[cells + 1], d),
+                                d, a)
+    sigma[i, j] = 0.5 * (w[i] * kappa[:i.size] + w[j] * kappa[i.size:])
+    sigma += sigma.T
 
     if np.any(sigma < 0.0):
         raise ComputeError("kernel entries must be nonnegative")
 
+    absorb = np.zeros(n)
     if boundary == "absorbing":
-        absorb = _absorb_rates(grid, params, ang)
-    else:
-        absorb = np.zeros(n)
+        lo, r_star = math.log(grid.rho_min), 100.0 * grid.rho_max
+        lower = np.linspace(lo - 25.0, lo, 15)
+        upper = np.linspace(math.log(grid.rho_max), math.log(r_star), 15)
+        r, wr = _log_panels(np.concatenate((lower[:-1], upper[:-1])),
+                            np.concatenate((lower[1:], upper[1:])), d)
+        tail = (nodes ** 2 * sin_power_integral(d, 0.0) * r_star ** (-2.0 * a)
+                / (2.0 * a))
+        absorb = pref * (_radial_sums(ang, nodes, r.ravel(), wr.ravel(), d, a) + tail)
 
     return KernelMatrix(sigma=sigma, absorb=absorb, grid=grid, params=params,
                         selfsimilar=selfsimilar)

@@ -95,6 +95,10 @@ UNRUNNABLE = {
     "asymptotics-one-node": {
         "experiment": "asymptotics",
         "grid": {"rho_min": 20.0, "rho_max": 20.0, "nodes": 1}},
+    # the comparison with K runs the scale-free kernel only
+    "dissipation-integral-massive": {
+        "experiment": "dissipation-integral", "selfsimilar": False,
+        "grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 32}},
 }
 
 
@@ -246,6 +250,20 @@ class TestRun:
         with open(out / "selfsimilar_balance.csv", newline="") as fh:
             times = [float(row["t"]) for row in csv.DictReader(fh)]
         assert len(times) == 10 and max(times) <= 0.1
+
+    @pytest.mark.parametrize("experiment,selfsimilar", [
+        ("selfsimilar-balance", True), ("dissipation-integral", True),
+        ("spectral-evolve", False)])
+    def test_manifest_records_the_kernel_run(self, tmp_path, experiment,
+                                             selfsimilar):
+        # a config without "selfsimilar" records the kernel the runner builds
+        path = write_cfg(tmp_path, experiment=experiment,
+                         grid={"rho_min": 1e-2, "rho_max": 1e3, "nodes": 32},
+                         time={"t_final": 0.1})
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["selfsimilar"] is selfsimilar
 
     def test_output_dir_from_config(self, tmp_path):
         out = tmp_path / "from_cfg"

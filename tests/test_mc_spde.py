@@ -7,7 +7,7 @@ import pytest
 
 from kraichnan_lab import flux, mc_spde
 from kraichnan_lab.errors import DomainError, InvalidSampleRate
-from kraichnan_lab.mc_spde import (FieldSample, LatticeConfig,
+from kraichnan_lab.mc_spde import (LATTICE_D, FieldSample, LatticeConfig,
                                    build_noise_modes, lattice_master_rate,
                                    run_ensemble)
 from kraichnan_lab.specfun import ModelParams
@@ -57,8 +57,6 @@ class TestNoiseModes:
             LatticeConfig(n_max=2, alpha=0.5, dt=1e-3, n_samples=8)
         with pytest.raises(DomainError):
             LatticeConfig(n_max=8, alpha=0.5, dt=-1.0, n_samples=8)
-        with pytest.raises(DomainError):
-            LatticeConfig(n_max=8, alpha=0.5, dt=1e-3, n_samples=8, d=3)
 
 
 class TestFieldSample:
@@ -212,7 +210,7 @@ class TestEmStep:
         se = stats.std_err[idx]
         kvec = np.array([1.0, 0.0])
         e = np.array([0.0, 1.0])
-        sig2 = (1.0 + 1.0) ** (-(cfg.d / 2.0 + cfg.alpha))
+        sig2 = (1.0 + 1.0) ** (-(LATTICE_D / 2.0 + cfg.alpha))
         xi = np.array(target_mode, dtype=float)
         # both +k and -k transfer routes start from k0 with |amp|^2 = 1
         expect = sig2 * (e @ xi) ** 2 * cfg.dt

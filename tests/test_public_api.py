@@ -7,7 +7,8 @@ test).  Also the one quadrature layer: only quad.py reaches scipy.integrate,
 the tail map t = lo + u/(1-u) is written once, inside quad.quadpack, and the
 package calls quadpack only from quad.radial_quad, which certifies it.
 And the one table writer: no module defines a to_csv or reaches io or
-csv, so every artifact is formatted by cli._csv."""
+csv, so every artifact is formatted by cli._csv; and the one radial rule:
+in spectral.py only _radial_sums calls the angular integral."""
 
 import ast
 import functools
@@ -26,6 +27,7 @@ TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
 PACKAGE = sorted(glob.glob(os.path.join(ROOT, "src", "kraichnan_lab", "*.py")))
 SOURCES = PACKAGE + sorted(glob.glob(os.path.join(ROOT, "tests", "*.py")))
 QUAD = os.path.join(ROOT, "src", "kraichnan_lab", "quad.py")
+SPECTRAL = os.path.join(ROOT, "src", "kraichnan_lab", "spectral.py")
 
 # Public names that no code in the package calls, each with why it stays.
 LIBRARY_API = {
@@ -185,6 +187,22 @@ def test_quadpack_called_only_in_radial_quad():
             assert len(_quadpack_calls(rq)) == 2
         stray = [n for n in _quadpack_calls(tree) if n not in allowed]
         assert not stray, f"{path}: quadpack called on lines {stray}"
+
+
+ANGULAR = ("ang", "_angular_integral", "_scale_free_angular")
+
+
+def test_angular_called_only_in_radial_sums():
+    # one radial rule: every kernel rate is a _radial_sums of the angular
+    # integral, so no second cell or panel quadrature can call it
+    tree = _parse(SPECTRAL)
+    rs = _function(tree, "_radial_sums")
+    allowed = set(range(rs.lineno, rs.end_lineno + 1))
+    calls = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and getattr(n.func, "id", None) in ANGULAR]
+    assert [n for n in calls if n in allowed], "_radial_sums calls no angular integral"
+    stray = [n for n in calls if n not in allowed]
+    assert not stray, f"spectral.py: angular integral called on lines {stray}"
 
 
 def _formats_tables(tree):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from kraichnan_lab import mellin
+from kraichnan_lab import mellin, spectral
 from kraichnan_lab.errors import (DomainError, StabilityViolation,
                                   TruncationWarning)
 from kraichnan_lab.spectral import (_FAR_GAP, _SMALL_SUM, KernelMatrix,
@@ -115,9 +115,10 @@ class TestKernel:
         assert np.all(small_kernel.absorb > 0.0)
 
     def test_absorb_rates_match_pointwise_sum(self, small_kernel):
-        # the batched absorb rates sum the same angular values (2F1 series
-        # or panel ladder, by region) as a loop over the 448 radial points,
-        # in another order
+        # absorb is one _radial_sums over the 448 points outside the grid,
+        # shared by every node: the same angular values (2F1 series or
+        # panel ladder, by region) as a loop over the points one at a time,
+        # summed in another order
         idx = np.array([0, 40, 127])
         ref = _absorb_reference(small_kernel.grid, P, _angular_integral, idx)
         got = small_kernel.absorb[idx]
@@ -308,6 +309,23 @@ class TestMassiveKernel:
         for d, alpha in ((2, 0.25), (3, 0.75)):
             assert np.array_equal(_angular_integral(a, b, d, alpha),
                                   _angular_integral(b, a, d, alpha))
+
+
+class TestRadialSums:
+    @pytest.mark.parametrize("selfsimilar", [False, True],
+                             ids=["massive", "scale-free"])
+    def test_chunk_size_invariance(self, monkeypatch, selfsimilar):
+        # 37 divides neither the 16 points of a band cell nor the 448 shared
+        # points outside the grid, so chunks cut through rows of both; each
+        # row is summed only once all its values are in, so the kernel is
+        # the same to the bit
+        grid = RadialGrid.log_spaced(0.05, 50.0, 48, 2)
+        params = ModelParams(d=2, alpha=0.75, s=0.6)
+        ref = build_kernel(grid, params, selfsimilar=selfsimilar)
+        monkeypatch.setattr(spectral, "_CHUNK_PAIRS", 37)
+        got = build_kernel(grid, params, selfsimilar=selfsimilar)
+        assert np.array_equal(got.sigma, ref.sigma)
+        assert np.array_equal(got.absorb, ref.absorb)
 
 
 class TestStep:
