@@ -101,9 +101,11 @@ _DEFAULTS = {
 
 # the residual slope of `asymptotics` is fitted over |xi| >= this
 _SLOPE_XI_MIN = 10.0
-# experiments that compare with K and run the scale-free kernel only;
-# "selfsimilar" resolves to true for them and to false for the others
+# experiments that compare with the inviscid K on the scale-free kernel;
+# "selfsimilar" resolves to true for them and to false for spectral-evolve,
+# and the experiments that build no radial kernel refuse it
 _SCALE_FREE = ("selfsimilar-balance", "dissipation-integral")
+_KERNEL = ("spectral-evolve", *_SCALE_FREE)
 
 
 def _setup(cfg: dict) -> dict:
@@ -112,10 +114,13 @@ def _setup(cfg: dict) -> dict:
     exp, g, t_final = cfg["experiment"], cfg["grid"], cfg["time"]["t_final"]
     params = ModelParams(d=cfg["d"], alpha=cfg["alpha"], s=cfg["s"], nu=cfg["nu"])
     setup = {"params": params}
-    if exp in _SCALE_FREE and not cfg["selfsimilar"]:
-        raise DomainError(f"{exp} runs the scale-free kernel only: "
-                          "selfsimilar must be true")
-    if exp in ("spectral-evolve", *_SCALE_FREE):
+    if "selfsimilar" in cfg and exp not in _KERNEL:
+        raise DomainError(f"{exp} builds no radial kernel: "
+                          "selfsimilar does not apply")
+    if exp in _SCALE_FREE and not (cfg["selfsimilar"] and params.nu == 0.0):
+        raise DomainError(f"{exp} compares with the inviscid K on the scale-free "
+                          "kernel only: selfsimilar must be true and nu 0")
+    if exp in _KERNEL:
         setup["grid"] = _spectral.RadialGrid.log_spaced(
             g["rho_min"], g["rho_max"], g["nodes"], params.d)
     if exp == "selfsimilar-balance":
@@ -165,7 +170,8 @@ def load_config(path: str):
     for key, val in _DEFAULTS.items():
         if key not in resolved:
             resolved[key] = json.loads(json.dumps(val))
-    resolved.setdefault("selfsimilar", resolved["experiment"] in _SCALE_FREE)
+    if resolved["experiment"] in _KERNEL:
+        resolved.setdefault("selfsimilar", resolved["experiment"] in _SCALE_FREE)
     resolved.setdefault("trackers", [resolved["s"]])
     try:
         return resolved, _setup(resolved)

@@ -49,9 +49,7 @@ def _deep_terms(d: int, a: float, s: float):
     """Residue expansion of J past the exponents used in the two-term
     asymptotics; needed to hit 1e-5 two-path agreement already at |xi|=20."""
     params = ModelParams(d=d, alpha=a, s=s)
-    r_deep = d + a + 7.0
-    terms, _ = mellin.expansion_terms(params, r_deep)
-    return tuple(terms)
+    return tuple(mellin.expansion_terms(params, d + a + 7.0))
 
 
 def _flux_mellin(d: int, a: float, s: float,

@@ -182,7 +182,7 @@ def expansion_terms(params: ModelParams, r_prime: float):
         if order > 1:
             raise HigherOrderPole(f"pole of order {order} at z = {x}")
         terms.append(residue_at(prod, x))
-    return terms, r_prime
+    return terms
 
 
 def k_constant_gamma(params: ModelParams) -> float:

@@ -134,7 +134,7 @@ def gegenbauer_2f1(d: float, s: float, x):
     = B(1/2, (d+1)/2) 2F1(s, s - d/2; d/2 + 1; x^2) for 0 <= x <= 1 (DLMF
     15.4, 18.12); elementwise on arrays, unchecked.  The one 2F1 identity of
     the library: gegenbauer_integral reflects r > 1 onto it, and the
-    scale-free kernel calls it with x = rho_< / rho_>."""
+    kernel's angular series calls it with x = rho_< / rho_>."""
     return sin_power_integral(d, 0.0) * _scisp.hyp2f1(
         s, s - d / 2.0, d / 2.0 + 1.0, x * x)
 

@@ -7,17 +7,15 @@ on a log-spaced grid of |xi|, plus Sobolev-norm tracking, balance checks and
 the anomalous-dissipation time integral.
 
 The kernel is stored in symmetric "flux form" sigma_ij = w_i kappa_ij, which
-the builder makes exactly symmetric.  Its angular integral is exact for the
-scale-free kernel, one Gegenbauer 2F1 per node pair
-(specfun.gegenbauer_2f1).  For the massive one it is a short binomial
-series of the same integrals away from the unit scale: in D^-2 for pairs
-at least 2 apart, in D^2 for pairs summing to at most 1/2.  Pairs near the
-unit scale, where the separation D crosses 1 and neither series converges,
-keep a Gauss-Legendre panel ladder.  The radial discretization is the same
-for both kernels: every rate is one radial sum of the angular integral
-(_radial_sums), with the far field at the nodes, the near band on 16
-Gauss-Legendre points per cell and the absorbing boundary on 28 log panels
-outside the grid plus an analytic tail (the three rules of build_kernel).
+the builder makes exactly symmetric.  Both kernels share one angular
+integral (_angular_integral) of the covariance (m^2 + |k|^2)^-(d/2+a), with
+mass m = 1 for the massive kernel and m = 0 for the scale-free one: a
+binomial series of Gegenbauer 2F1s (specfun.gegenbauer_2f1), which at
+m = 0 is one 2F1 per pair, plus a Gauss-Legendre panel ladder for massive
+pairs near the unit scale, where no series converges.  Every rate is one
+radial sum of it (_radial_sums): the far field at the nodes, the near band
+on 16 Gauss-Legendre points per cell and the absorbing boundary on 28 log
+panels outside the grid plus an analytic tail (build_kernel's three rules).
 
 The rate operator is L a = sigma a / w - loss a, with one loss diagonal:
 the row sums of sigma over w, the absorption to off-grid modes and the
@@ -149,45 +147,48 @@ class KernelMatrix:
         return self.sigma @ a / self.grid.weights - self.loss * a
 
 
-def _angular_integral(rho_i, rho_j, d: int, alpha: float):
-    """Massive angular integral, vectorized over pairs:
-    int_0^pi sin^d(t) rho_i^2 rho_j^2 / D^2 * <D>^-(d+2a) dt with
-    D^2 = (rho_i-rho_j)^2 + 4 rho_i rho_j sin^2(t/2).
+def _angular_integral(rho_i, rho_j, d: int, alpha: float, mass: float):
+    """The one angular integral of the kernel, vectorized over pairs:
+    int_0^pi sin^d(t) rho_i^2 rho_j^2 D^-2 (m^2 + D^2)^-beta dt with
+    D^2 = (rho_i-rho_j)^2 + 4 rho_i rho_j sin^2(t/2), beta = (d+2a)/2 and
+    mass m = 1 (the massive kernel) or 0 (the scale-free one).
 
-    With beta = (d+2a)/2, D ranges over [rho_> - rho_<, rho_> + rho_<],
-    and (1+D^2)^-beta is a binomial series in D^-2 where D > 1 throughout
-    and in D^2 where D < 1 throughout (_binomial_series): for far pairs,
-    rho_> - rho_< >= _FAR_GAP, and small pairs, rho_< + rho_> <= _SMALL_SUM,
-    both in powers of a q <= 1/4.  Near the unit scale the range of
-    D reaches or crosses D = 1, where neither series converges, and those
-    pairs keep the panel ladder (_panel_ladder).  Every operation reads
+    D ranges over [rho_> - rho_<, rho_> + rho_<], and (m^2+D^2)^-beta is a
+    binomial series in m^2 D^-2 where D > m throughout and in D^2 where
+    D < m throughout (_binomial_series): for far pairs,
+    rho_> - rho_< >= _FAR_GAP m, and small pairs, rho_< + rho_> <= _SMALL_SUM m,
+    both in powers of a q <= 1/4; at m = 0 every pair is far.  Massive pairs
+    near the unit scale, whose D reaches or crosses 1 where neither series
+    converges, keep the panel ladder (_panel_ladder).  Every operation reads
     rho_< and rho_> only, so the result is bitwise symmetric in
     (rho_i, rho_j).
     """
-    ri, rj = np.broadcast_arrays(np.asarray(rho_i, dtype=float),
-                                 np.asarray(rho_j, dtype=float))
-    lo, hi = np.minimum(ri, rj).ravel(), np.maximum(ri, rj).ravel()
+    lo, hi = np.minimum(rho_i, rho_j), np.maximum(rho_i, rho_j)
+    shape, lo, hi = lo.shape, lo.ravel(), hi.ravel()
     beta = (d + 2.0 * alpha) / 2.0
+    if not mass:
+        return _binomial_series(lo, hi, d, beta, mass, far=True).reshape(shape)
     out = np.empty_like(lo)
     far = hi - lo >= _FAR_GAP
     small = hi + lo <= _SMALL_SUM
     ladder = ~(far | small)
-    out[far] = _binomial_series(lo[far], hi[far], d, beta, far=True)
-    out[small] = _binomial_series(lo[small], hi[small], d, beta, far=False)
+    out[far] = _binomial_series(lo[far], hi[far], d, beta, mass, far=True)
+    out[small] = _binomial_series(lo[small], hi[small], d, beta, mass, far=False)
     out[ladder] = _panel_ladder(lo[ladder], hi[ladder], d, alpha)
-    return out.reshape(ri.shape)
+    return out.reshape(shape)
 
 
-def _binomial_series(lo, hi, d: int, beta: float, far: bool):
-    """(lo hi)^2 int_0^pi sin^d(t) D^-2 (1+D^2)^-beta dt as
-    (lo hi)^2 sum_k C(-beta, k) J(s_k), J(s) = int_0^pi sin^d(t) D^-2s dt.
+def _binomial_series(lo, hi, d: int, beta: float, mass: float, far: bool):
+    """(lo hi)^2 int_0^pi sin^d(t) D^-2 (m^2+D^2)^-beta dt, m = mass,
+    as (lo hi)^2 sum_k C(-beta, k) m^2k J(s_k) with
+    J(s) = int_0^pi sin^d(t) D^-2s dt = hi^-2s gegenbauer_2f1(d, s, lo/hi).
 
-    Far pairs expand in D^-2 <= q = (hi-lo)^-2, with s_k = beta + 1 + k;
-    small pairs in D^2 <= q = (hi+lo)^2, with s_k = 1 - k.  The first two
-    orders are J(s) = hi^-2s gegenbauer_2f1(d, s, lo/hi), except
-    J(0) = B(1/2, (d+1)/2); the rest follow from the three-term recurrence
-    that integrating sin^(d+1)(t) D^-2s by parts gives, with A = lo^2 + hi^2
-    and P = (hi^2 - lo^2)^2,
+    Far pairs expand in m^2 D^-2 <= q = m^2 (hi-lo)^-2, with
+    s_k = beta + 1 + k, a single term at m = 0; small pairs (m = 1) in
+    D^2 <= q = (hi+lo)^2, with s_k = 1 - k and J(0) = B(1/2, (d+1)/2).
+    Past the first two orders the terms follow from the three-term
+    recurrence that integrating sin^(d+1)(t) D^-2s by parts gives, with
+    A = lo^2 + hi^2 and P = (hi^2 - lo^2)^2,
 
         s P J(s+1) = (2s-d-1) A J(s) + (d+1-s) J(s-1),
 
@@ -199,24 +200,25 @@ def _binomial_series(lo, hi, d: int, beta: float, far: bool):
     geometric bound on its remaining terms falls below _SERIES_TOL of the
     sum, so each pair takes as many terms as its own q needs."""
     x = lo / hi
+
+    def J(s):
+        return hi ** (-2.0 * s) * gegenbauer_2f1(d, s, x)
+
+    s, ds = (beta + 1.0, 1.0) if far else (1.0, -1.0)
+    j0 = J(s)
+    if not mass:    # q = 0: the first term is the sum
+        return (lo * hi) ** 2 * j0
+    if far:
+        q, j1 = (hi - lo) ** -2.0, J(s + 1.0)
+    else:
+        q, j1 = (hi + lo) ** 2, np.full_like(lo, sin_power_integral(d, 0.0))
     A = lo * lo + hi * hi
     P = ((hi - lo) * (hi + lo)) ** 2
-    if far:
-        q = (hi - lo) ** -2.0
-        s, ds = beta + 1.0, 1.0
-        j0 = hi ** (-2.0 * s) * gegenbauer_2f1(d, s, x)
-        j1 = hi ** (-2.0 * s - 2.0) * gegenbauer_2f1(d, s + 1.0, x)
-    else:
-        q = (hi + lo) ** 2
-        s, ds = 1.0, -1.0
-        j0 = hi ** -2.0 * gegenbauer_2f1(d, 1.0, x)
-        j1 = np.full_like(lo, sin_power_integral(d, 0.0))
-    total = np.zeros_like(lo)
+    total = j0.copy()
     idx = np.arange(lo.size)
     bound = (1.0 + q) ** beta    # (1+q)^beta |C(-beta, k)| q^k
     coef, k = 1.0, 0
     while idx.size:
-        total[idx] += coef * j0
         ratio = (beta + k) / (k + 1.0)
         coef *= -ratio
         k += 1
@@ -230,6 +232,7 @@ def _binomial_series(lo, hi, d: int, beta: float, far: bool):
         # tail from term k on: term ratios only shrink, so a geometric sum bounds it
         live = bound > _SERIES_TOL * (1.0 - q[idx] * (beta + k) / (k + 1.0))
         idx, bound, j0, j1 = idx[live], bound[live], j1[live], j2[live]
+        total[idx] += coef * j0
     return (lo * hi) ** 2 * total
 
 
@@ -262,33 +265,20 @@ def _panel_ladder(ri, rj, d: int, alpha: float):
     return total
 
 
-def _scale_free_angular(rho_i, rho_j, d: int, alpha: float):
-    """Scale-free angular integral in closed form, elementwise over pairs:
-    int_0^pi sin^d(t) rho_i^2 rho_j^2 D^-(d+2a+2) dt.  With
-    D^2 = rho_>^2 (1 - 2 x cos t + x^2) and x = rho_< / rho_> <= 1 it is
-    (rho_i rho_j)^2 rho_>^{-2 sig} B(1/2, (d+1)/2)
-    2F1(sig, sig - d/2; d/2 + 1; x^2), sig = (d + 2a + 2)/2 (specfun's
-    gegenbauer_2f1); exactly symmetric, infinite at rho_i = rho_j."""
-    ri, rj = np.broadcast_arrays(np.asarray(rho_i, dtype=float),
-                                 np.asarray(rho_j, dtype=float))
-    lo, hi = np.minimum(ri, rj), np.maximum(ri, rj)
-    sig = (d + 2.0 * alpha + 2.0) / 2.0
-    return (ri * rj) ** 2 * hi ** (-2.0 * sig) * gegenbauer_2f1(d, sig, lo / hi)
-
-
-def _radial_sums(ang, rho, r, wr, d: int, alpha: float):
-    """sum_k wr_k ang(rho, r_k) for each row rho: the one radial rule of
-    every kernel rate.  The points r and weights wr are (m, K) arrays, one
-    row per rho, or (K,) arrays shared by every row.  ang sees at most
-    _CHUNK_PAIRS (rho, r) pairs per call, and a row is summed once all its
-    values are in, so the sums do not depend on where the chunks cut."""
+def _radial_sums(rho, r, wr, d: int, alpha: float, mass: float):
+    """sum_k wr_k _angular_integral(rho, r_k) for each row rho: the one
+    radial rule of every kernel rate.  The points r and weights wr are
+    (m, K) arrays, one row per rho, or (K,) arrays shared by every row.  The
+    angular integral sees at most _CHUNK_PAIRS (rho, r) pairs per call, and
+    a row is summed once all its values are in, so the sums do not depend
+    on where the chunks cut."""
     shape = (rho.size, r.shape[-1])
     rows = np.broadcast_to(rho[:, None], shape).ravel()
     pts = np.broadcast_to(r, shape).ravel()
     vals = np.empty(rows.size)
     for k0 in range(0, rows.size, _CHUNK_PAIRS):
         k1 = k0 + _CHUNK_PAIRS
-        vals[k0:k1] = ang(rows[k0:k1], pts[k0:k1], d, alpha)
+        vals[k0:k1] = _angular_integral(rows[k0:k1], pts[k0:k1], d, alpha, mass)
     return (vals.reshape(shape) * wr).sum(axis=1)
 
 
@@ -305,7 +295,7 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
     """Assemble the jump-kernel matrix on the grid.
 
     kappa_ij = (2 pi)^{-d/2} omega_{d-2} int_{cell j} ang(rho_i, r) r^d dlog r
-    and each absorb rate are _radial_sums of ang, by three rules:
+    and each absorb rate are _radial_sums of the angular integral, by three rules:
 
     - far field, j - i > _NEAR_BAND: the node rho_j as its cell's single
       point, with weight v_j = rho_j^d h;
@@ -317,10 +307,10 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
       from rho_max to R* = 100 rho_max, plus the analytic algebraic tail
       beyond R*.
 
-    ang is the closed-form 2F1 for the scale-free kernel and
-    _angular_integral (2F1 series, or the panel ladder near the unit scale)
-    for the massive one.  Only the upper triangle is computed and then
-    mirrored, so sigma = w kappa is exactly symmetric with a zero diagonal.
+    ang is _angular_integral at mass 0 for the scale-free kernel
+    (selfsimilar) and at mass 1 for the massive one.  Only the upper triangle
+    is computed and then mirrored, so sigma = w kappa is exactly symmetric
+    with a zero diagonal.
     """
     if boundary not in ("absorbing", "closed"):
         raise DomainError("boundary must be 'absorbing' or 'closed'")
@@ -329,7 +319,7 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
     nodes = grid.nodes
     n = grid.n
     pref = (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
-    ang = _scale_free_angular if selfsimilar else _angular_integral
+    mass = 0.0 if selfsimilar else 1.0
     w = grid.weights
     iu, ju = np.triu_indices(n, 1)
     band = ju - iu <= _NEAR_BAND
@@ -337,15 +327,15 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
 
     i, j = iu[~band], ju[~band]
     v = nodes[j, None] ** d * grid.log_step
-    kappa = pref * _radial_sums(ang, nodes[i], nodes[j, None], v, d, a)
+    kappa = pref * _radial_sums(nodes[i], nodes[j, None], v, d, a, mass)
     sigma[i, j] = w[i] * kappa
 
     i, j = iu[band], ju[band]
     edges = grid.log_edges()
     cells = np.concatenate((j, i))
-    kappa = pref * _radial_sums(ang, nodes[np.concatenate((i, j))],
+    kappa = pref * _radial_sums(nodes[np.concatenate((i, j))],
                                 *_log_panels(edges[cells], edges[cells + 1], d),
-                                d, a)
+                                d, a, mass)
     sigma[i, j] = 0.5 * (w[i] * kappa[:i.size] + w[j] * kappa[i.size:])
     sigma += sigma.T
 
@@ -361,7 +351,7 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
                             np.concatenate((lower[1:], upper[1:])), d)
         tail = (nodes ** 2 * sin_power_integral(d, 0.0) * r_star ** (-2.0 * a)
                 / (2.0 * a))
-        absorb = pref * (_radial_sums(ang, nodes, r.ravel(), wr.ravel(), d, a) + tail)
+        absorb = pref * (_radial_sums(nodes, r.ravel(), wr.ravel(), d, a, mass) + tail)
 
     return KernelMatrix(sigma=sigma, absorb=absorb, grid=grid, params=params,
                         selfsimilar=selfsimilar)
@@ -468,7 +458,6 @@ class Trajectory:
     truncated: bool
     truncation_time: Optional[float]
     final_state: SpectrumState
-
 
 
 def _boundary_fraction(grid: RadialGrid, values: np.ndarray) -> np.ndarray:

@@ -99,6 +99,15 @@ UNRUNNABLE = {
     "dissipation-integral-massive": {
         "experiment": "dissipation-integral", "selfsimilar": False,
         "grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 32}},
+    # ... and compares with the inviscid K
+    "selfsimilar-balance-viscous": {
+        "experiment": "selfsimilar-balance", "nu": 0.01,
+        "grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 32}},
+    "dissipation-integral-viscous": {
+        "experiment": "dissipation-integral", "nu": 0.01,
+        "grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 32}},
+    # selfsimilar chooses a radial kernel, and k-constants builds none
+    "k-constants-selfsimilar": {"experiment": "k-constants", "selfsimilar": True},
 }
 
 
@@ -264,6 +273,13 @@ class TestRun:
         assert cli.main(["run", path, "--output-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["selfsimilar"] is selfsimilar
+
+    def test_manifest_of_a_kernel_free_run_has_no_selfsimilar(self, tmp_path):
+        path = write_cfg(tmp_path, experiment="k-constants", alpha=0.25, s=0.5)
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "selfsimilar" not in manifest["config"]
 
     def test_output_dir_from_config(self, tmp_path):
         out = tmp_path / "from_cfg"

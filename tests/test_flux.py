@@ -66,7 +66,7 @@ class TestFluxF:
         for d, a, s in ((2, 0.5, 0.75), (3, 0.25, 1.0), (2, 0.75, 0.3),
                         (3, 0.75, 1.2), (2, 0.3, 0.33)):
             p = ModelParams(d=d, alpha=a, s=s)
-            terms, _ = expand_J(p, d + 2.0 + a)
+            terms = expand_J(p, d + 2.0 + a)
             c_d = [t.coefficient for t in terms if abs(t.exponent - d) < 1e-9][0]
             for xi in (0.7, 5.0):
                 lhs = sphere_surface(d - 2) * c_d * xi ** (2.0 - 2.0 * s)

@@ -120,9 +120,10 @@ class TestParseval:
         # contour at r equals residues in (r, r') plus contour shifted past
         # the first pole ladder; checked through the expansion terms
         p = ModelParams(d=2, alpha=0.4, s=0.6)
+        rp = p.d + 2.0 + p.alpha
+        terms = expand_J(p, rp)
         for lam in (5.0, 20.0):
             base = parseval_contour(lam, p, 1.5)
-            terms, rp = expand_J(p, p.d + 2.0 + p.alpha)
             total = sum(t.coefficient * lam ** -t.exponent for t in terms)
             assert abs(base - total) <= max(1e-6 * abs(base),
                                             2.0 * lam ** -rp)
@@ -137,7 +138,7 @@ class TestExpand:
 
     def test_term_structure(self):
         p = ModelParams(d=2, alpha=0.4, s=0.6)
-        terms, rp = expand_J(p, 4.5)
+        terms = expand_J(p, 4.5)
         exps = [t.exponent for t in terms]
         assert exps == sorted(exps)
         assert exps == pytest.approx([2.0, 2.8, 4.0])
@@ -149,7 +150,7 @@ class TestExpand:
     def test_remainder_slope(self):
         # J minus the two leading terms scales like lambda^{-(d+2)}
         p = ModelParams(d=2, alpha=0.4, s=0.6)
-        terms, _ = expand_J(p, 4.5)
+        terms = expand_J(p, 4.5)
         two = [t for t in terms if t.exponent < p.d + 2.0 - 1e-9]
         lams = np.array([20.0, 40.0, 80.0])
         rem = []
@@ -161,7 +162,7 @@ class TestExpand:
 
     def test_deep_expansion_matches_direct(self):
         p = ModelParams(d=3, alpha=0.3, s=0.8)
-        terms, rp = expansion_terms(p, p.d + p.alpha + 7.0)
+        terms = expansion_terms(p, p.d + p.alpha + 7.0)
         lam = 30.0
         total = sum(t.coefficient * lam ** -t.exponent for t in terms)
         jd = quad.J_direct(lam, p, rel_tol=1e-11)
@@ -215,7 +216,7 @@ class TestKConstants:
         # term), including the |xi|^{d+2-2s} prefactor bookkeeping
         for d, a, s in ((2, 0.5, 0.5), (3, 0.25, 1.0), (2, 0.75, 0.3)):
             p = ModelParams(d=d, alpha=a, s=s)
-            terms, _ = expand_J(p, d + 2.0 + a)
+            terms = expand_J(p, d + 2.0 + a)
             coeff = [t.coefficient for t in terms
                      if abs(t.exponent - (d + 2.0 * a)) < 1e-9][0]
             route = -(2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * coeff

@@ -189,7 +189,7 @@ def test_quadpack_called_only_in_radial_quad():
         assert not stray, f"{path}: quadpack called on lines {stray}"
 
 
-ANGULAR = ("ang", "_angular_integral", "_scale_free_angular")
+ANGULAR = ("_angular_integral",)
 
 
 def test_angular_called_only_in_radial_sums():

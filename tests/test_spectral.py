@@ -1,6 +1,7 @@
 """Spectral master equation: kernel structure, conservation, balance
 identities, evolution diagnostics."""
 
+import functools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from kraichnan_lab.spectral import (_FAR_GAP, _SMALL_SUM, KernelMatrix,
                                     anomalous_dissipation_integral,
                                     balance_check, build_kernel, default_dt,
                                     evolve, propagate, sobolev_norm, step)
-from kraichnan_lab.specfun import ModelParams, sphere_surface
+from kraichnan_lab.specfun import ModelParams, gegenbauer_2f1, sphere_surface
 from oracles import continuum_rhs, gegenbauer_quad, grid_flux, massive_ang_quad
 
 P = ModelParams(d=2, alpha=0.5, s=0.75)
@@ -120,7 +121,8 @@ class TestKernel:
         # panel ladder, by region) as a loop over the points one at a time,
         # summed in another order
         idx = np.array([0, 40, 127])
-        ref = _absorb_reference(small_kernel.grid, P, _angular_integral, idx)
+        ref = _absorb_reference(small_kernel.grid, P,
+                                functools.partial(_angular_integral, mass=1.0), idx)
         got = small_kernel.absorb[idx]
         assert np.max(np.abs(got - ref) / ref) <= 1e-14
 
@@ -192,9 +194,64 @@ def _near_band_reference(kernel, i, j, ang):
     return 0.5 * pref * (v[i] * q(i, j) + v[j] * q(j, i))
 
 
+# (rho_i, rho_j) pairs in each region of the massive angular integral and
+# next to the region boundaries rho_> - rho_< = _FAR_GAP and
+# rho_< + rho_> = _SMALL_SUM
+MASSIVE_PAIRS = [
+    (1e-3, 0.2), (0.05, 0.4), (0.2, 0.25),              # small pairs
+    (0.3, 1.2), (0.9, 1.1), (1.0, 1.0001), (5.0, 6.5),   # unit scale
+    (0.01, 3.0), (2.0, 40.0), (40.0, 45.0), (3e3, 3.1e3),  # far pairs
+] + [(lo, lo + _FAR_GAP * (1.0 + e)) for lo in (0.01, 0.5, 30.0)
+     for e in (-1e-9, 1e-9)] + [
+    (x * hi, hi) for x in (0.01, 0.5, 0.95) for e in (-1e-9, 1e-9)
+    for hi in [_SMALL_SUM * (1.0 + e) / (1.0 + x)]]
+
+
+ANGULAR_PARAMS = [(2, 0.25), (2, 0.75), (3, 0.25), (3, 0.75)]
+
+
+def _check_angular_vs_quadrature(d, alpha, mass, oracle):
+    lo, hi = np.array(MASSIVE_PAIRS).T
+    got = _angular_integral(lo, hi, d, alpha, mass)
+    ref = np.array([oracle(x, y, d, alpha) for x, y in MASSIVE_PAIRS])
+    assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+
+def _check_exchange_symmetry(mass):
+    rng = np.random.default_rng(17)
+    a, b = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), (2, 4000)))
+    near = rng.uniform(size=a.size) < 0.5
+    b[near] = a[near] * np.exp(rng.uniform(-0.1, 0.1, near.sum()))
+    for d, alpha in ((2, 0.25), (3, 0.75)):
+        assert np.array_equal(_angular_integral(a, b, d, alpha, mass),
+                              _angular_integral(b, a, d, alpha, mass))
+
+
 class TestScaleFreeKernel:
-    """The closed-form scale-free kernel against the angular integral by
-    QUADPACK on the same discretization, and its exact scale covariance."""
+    """The scale-free kernel, the mass-zero angular integral, against the
+    angular integral by QUADPACK on the same discretization, and its exact
+    scale covariance."""
+
+    @pytest.mark.parametrize("d,alpha", ANGULAR_PARAMS)
+    def test_angular_vs_quadrature(self, d, alpha):
+        _check_angular_vs_quadrature(d, alpha, 0.0, _scale_free_ang_quad)
+
+    def test_exchange_symmetry_bitwise(self):
+        _check_exchange_symmetry(0.0)
+
+    def test_one_2f1_per_pair(self, monkeypatch):
+        # at mass 0 every pair is far with q = 0, so the series is its first
+        # term: a second term would add evaluations, a ladder pass take some
+        evaluated = []
+
+        def counting(d, s, x):
+            evaluated.append(np.size(x))
+            return gegenbauer_2f1(d, s, x)
+
+        monkeypatch.setattr(spectral, "gegenbauer_2f1", counting)
+        lo, hi = np.array(MASSIVE_PAIRS).T
+        _angular_integral(lo, hi, 2, 0.75, 0.0)
+        assert sum(evaluated) == lo.size
 
     N = 48
 
@@ -241,19 +298,6 @@ class TestScaleFreeKernel:
         assert np.max(np.abs(kern.absorb - ref) / ref) <= 1e-12
 
 
-# (rho_i, rho_j) pairs in each region of the massive angular integral and
-# next to the region boundaries rho_> - rho_< = _FAR_GAP and
-# rho_< + rho_> = _SMALL_SUM
-MASSIVE_PAIRS = [
-    (1e-3, 0.2), (0.05, 0.4), (0.2, 0.25),              # small pairs
-    (0.3, 1.2), (0.9, 1.1), (1.0, 1.0001), (5.0, 6.5),   # unit scale
-    (0.01, 3.0), (2.0, 40.0), (40.0, 45.0), (3e3, 3.1e3),  # far pairs
-] + [(lo, lo + _FAR_GAP * (1.0 + e)) for lo in (0.01, 0.5, 30.0)
-     for e in (-1e-9, 1e-9)] + [
-    (x * hi, hi) for x in (0.01, 0.5, 0.95) for e in (-1e-9, 1e-9)
-    for hi in [_SMALL_SUM * (1.0 + e) / (1.0 + x)]]
-
-
 class TestMassiveKernel:
     """The massive kernel against its angular integral by QUADPACK
     (oracles.massive_ang_quad) on the same discretization: entries with
@@ -292,23 +336,12 @@ class TestMassiveKernel:
                                 idx)
         assert np.max(np.abs(mk.absorb[idx] - ref) / ref) <= 1e-12
 
-    @pytest.mark.parametrize("d,alpha", [(2, 0.25), (2, 0.75), (3, 0.25),
-                                         (3, 0.75)])
+    @pytest.mark.parametrize("d,alpha", ANGULAR_PARAMS)
     def test_angular_vs_quadrature(self, d, alpha):
-        lo, hi = np.array(MASSIVE_PAIRS).T
-        got = _angular_integral(lo, hi, d, alpha)
-        ref = np.array([massive_ang_quad(x, y, d, alpha)
-                        for x, y in MASSIVE_PAIRS])
-        assert np.max(np.abs(got - ref) / ref) <= 1e-12
+        _check_angular_vs_quadrature(d, alpha, 1.0, massive_ang_quad)
 
     def test_exchange_symmetry_bitwise(self):
-        rng = np.random.default_rng(17)
-        a, b = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), (2, 4000)))
-        near = rng.uniform(size=a.size) < 0.5
-        b[near] = a[near] * np.exp(rng.uniform(-0.1, 0.1, near.sum()))
-        for d, alpha in ((2, 0.25), (3, 0.75)):
-            assert np.array_equal(_angular_integral(a, b, d, alpha),
-                                  _angular_integral(b, a, d, alpha))
+        _check_exchange_symmetry(1.0)
 
 
 class TestRadialSums:
