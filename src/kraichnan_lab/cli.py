@@ -92,7 +92,6 @@ CONFIG_SCHEMA = {
 }
 
 _DEFAULTS = {
-    "nu": 0.0,
     "seed": 0,
     "grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 512},
     "time": {"t_final": 1.0},
@@ -103,7 +102,8 @@ _DEFAULTS = {
 _SLOPE_XI_MIN = 10.0
 # experiments that compare with the inviscid K on the scale-free kernel;
 # "selfsimilar" resolves to true for them and to false for spectral-evolve,
-# and the experiments that build no radial kernel refuse it
+# "nu" to 0 for all three, and the experiments that build no radial kernel
+# refuse both
 _SCALE_FREE = ("selfsimilar-balance", "dissipation-integral")
 _KERNEL = ("spectral-evolve", *_SCALE_FREE)
 
@@ -112,11 +112,13 @@ def _setup(cfg: dict) -> dict:
     """The runner's inputs besides cfg, by keyword, built before anything is
     computed; raises DomainError for a config the experiment cannot run."""
     exp, g, t_final = cfg["experiment"], cfg["grid"], cfg["time"]["t_final"]
-    params = ModelParams(d=cfg["d"], alpha=cfg["alpha"], s=cfg["s"], nu=cfg["nu"])
+    params = ModelParams(d=cfg["d"], alpha=cfg["alpha"], s=cfg["s"],
+                         nu=cfg.get("nu", 0.0))
     setup = {"params": params}
-    if "selfsimilar" in cfg and exp not in _KERNEL:
-        raise DomainError(f"{exp} builds no radial kernel: "
-                          "selfsimilar does not apply")
+    for key in ("selfsimilar", "nu"):
+        if key in cfg and exp not in _KERNEL:
+            raise DomainError(f"{exp} builds no radial kernel: "
+                              f"{key} does not apply")
     if exp in _SCALE_FREE and not (cfg["selfsimilar"] and params.nu == 0.0):
         raise DomainError(f"{exp} compares with the inviscid K on the scale-free "
                           "kernel only: selfsimilar must be true and nu 0")
@@ -172,6 +174,7 @@ def load_config(path: str):
             resolved[key] = json.loads(json.dumps(val))
     if resolved["experiment"] in _KERNEL:
         resolved.setdefault("selfsimilar", resolved["experiment"] in _SCALE_FREE)
+        resolved.setdefault("nu", 0.0)
     resolved.setdefault("trackers", [resolved["s"]])
     try:
         return resolved, _setup(resolved)

@@ -14,8 +14,10 @@ binomial series of Gegenbauer 2F1s (specfun.gegenbauer_2f1), which at
 m = 0 is one 2F1 per pair, plus a Gauss-Legendre panel ladder for massive
 pairs near the unit scale, where no series converges.  Every rate is one
 radial sum of it (_radial_sums): the far field at the nodes, the near band
-on 16 Gauss-Legendre points per cell and the absorbing boundary on 28 log
-panels outside the grid plus an analytic tail (build_kernel's three rules).
+on 16 Gauss-Legendre points per cell and the absorbing boundary on log
+panels outside the grid, h/2 wide at each grid end and doubling outward,
+with the tail past the last panel as one more point (build_kernel's three
+rules).
 
 The rate operator is L a = sigma a / w - loss a, with one loss diagonal:
 the row sums of sigma over w, the absorption to off-grid modes and the
@@ -60,6 +62,10 @@ _FAR_GAP = 2.0
 _SMALL_SUM = 0.5
 _SERIES_TOL = 1e-16     # bound on the series truncation, relative to the sum
 _CHUNK_PAIRS = 16384    # bound on the (rho, r) pairs per angular call
+# the absorb rule leaves out e^-37 < 1e-16 of each rate: the r^(d+2) integrand
+# below 37/(d+2) e-folds under rho_min, and the relative (rho/R*)^2 (plus
+# m^2/R*^2) of the tail's leading term past R* = rho_max e^(37/2)
+_EFOLDS = 37.0
 _GL12 = leggauss(12)
 _GL16 = leggauss(16)
 # memory cap on the block of record states evolve holds at once
@@ -302,18 +308,27 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
     - near band, 0 < j - i <= _NEAR_BAND, where the kernel peaks sharply:
       16 Gauss-Legendre points in log over cell j, and sigma_ij the mean of
       w_i kappa_ij and w_j kappa_ji;
-    - absorb: 14 16-point log panels from 25 e-folds below rho_min to
-      rho_min (the integrand ~ r^{d+1}, so nothing survives below) and 14
-      from rho_max to R* = 100 rho_max, plus the analytic algebraic tail
-      beyond R*.
+    - absorb: 16-point Gauss-Legendre log panels outside the grid, h/2
+      wide at each grid end, where the edge node's kernel peaks, and
+      doubling in width outward: to _EFOLDS/(d+2) e-folds below rho_min,
+      past which the integrand ~ r^{d+2} in log r leaves less than 1e-16,
+      and to R* = rho_max e^{_EFOLDS/2} above.  Beyond R* the integrand is
+      B rho^2 r^{-1-2a} (B = int_0^pi sin^d t dt) up to a relative
+      (rho^2 + m^2) / R*^2, so the tail is one more point, R*, with weight
+      R*^d / (2a): that integral's leading term.  The panels are anchored
+      to the log grid ends, so on a lambda-scaled grid every point scales
+      by lambda.
 
     ang is _angular_integral at mass 0 for the scale-free kernel
     (selfsimilar) and at mass 1 for the massive one.  Only the upper triangle
     is computed and then mirrored, so sigma = w kappa is exactly symmetric
-    with a zero diagonal.
+    with a zero diagonal.  Raises DomainError for an unknown boundary and
+    for a grid whose dimension is not params.d.
     """
     if boundary not in ("absorbing", "closed"):
         raise DomainError("boundary must be 'absorbing' or 'closed'")
+    if grid.d != params.d:
+        raise DomainError(f"grid dimension {grid.d} differs from params.d = {params.d}")
 
     d, a = grid.d, params.alpha
     nodes = grid.nodes
@@ -344,14 +359,14 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
 
     absorb = np.zeros(n)
     if boundary == "absorbing":
-        lo, r_star = math.log(grid.rho_min), 100.0 * grid.rho_max
-        lower = np.linspace(lo - 25.0, lo, 15)
-        upper = np.linspace(math.log(grid.rho_max), math.log(r_star), 15)
-        r, wr = _log_panels(np.concatenate((lower[:-1], upper[:-1])),
-                            np.concatenate((lower[1:], upper[1:])), d)
-        tail = (nodes ** 2 * sin_power_integral(d, 0.0) * r_star ** (-2.0 * a)
-                / (2.0 * a))
-        absorb = pref * (_radial_sums(nodes, r.ravel(), wr.ravel(), d, a, mass) + tail)
+        h = grid.log_step
+        ends = 0.5 * h * (2.0 ** np.arange(1 + math.ceil(math.log2(1 + _EFOLDS / h))) - 1)
+        lower = math.log(grid.rho_min) - np.unique(np.minimum(ends, _EFOLDS / (d + 2)))
+        upper = math.log(grid.rho_max) + np.unique(np.minimum(ends, _EFOLDS / 2))
+        r, wr = _log_panels(np.r_[lower[1:], upper[:-1]], np.r_[lower[:-1], upper[1:]], d)
+        r_star = math.exp(upper[-1])
+        absorb = pref * _radial_sums(nodes, np.append(r, r_star),
+                                     np.append(wr, r_star ** d / (2.0 * a)), d, a, mass)
 
     return KernelMatrix(sigma=sigma, absorb=absorb, grid=grid, params=params,
                         selfsimilar=selfsimilar)
@@ -474,8 +489,9 @@ def evolve(initial: SpectrumState, kernel: KernelMatrix, t_final: float,
            dt: Optional[float] = None, trackers: Sequence[float] = ()) -> Trajectory:
     """Solve the master equation to t_final exactly from the kernel's modes,
     recording mass, the tracked Sobolev norms and the boundary mass fraction
-    every dt and at t_final.  Records are computed in blocks of bounded
-    memory.
+    at t0, every dt and at t_final (at t0 alone when t_final = t0).  Records
+    are computed in blocks of bounded memory.  Raises DomainError for
+    dt <= 0 or t_final < t0.
 
     Stops with a TruncationWarning at the first record where the outer 5%
     of nodes on either end hold more than 1% of the mass; that record is
@@ -483,11 +499,14 @@ def evolve(initial: SpectrumState, kernel: KernelMatrix, t_final: float,
     """
     if dt is None:
         dt = default_dt(kernel)
+    if dt <= 0:
+        raise DomainError("dt must be positive")
     grid, t0 = initial.grid, initial.time
     if t_final < t0:
         raise DomainError("evolve runs forward in time only")
-    # a step count a rounding error above an integer adds no record
-    n_steps = max(1, math.ceil((t_final - t0) / dt * (1.0 - 1e-12)))
+    # a step count a rounding error above an integer adds no record, and
+    # t_final = t0 records t0 alone
+    n_steps = math.ceil((t_final - t0) / dt * (1.0 - 1e-12))
     taus = np.minimum(dt * np.arange(1, n_steps + 1), t_final - t0)
     probes = np.array([_norm_weights(grid, s) for s in (0.0, *trackers)])
     sums = [probes @ initial.values[:, None]]

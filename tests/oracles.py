@@ -3,15 +3,16 @@ test-only routes the package itself does not run.
 
 The defining angular integrals by QUADPACK, so the tests compare the 2F1
 forms and the massive kernel (and everything built on them) with a
-separate computation; the covariance defect D by radial quadrature of
-Poisson's Bessel integral, against the Gamma quotient mellin.d_constant;
-J on a vertical Mellin contour and its three-term residue expansion; the
-unsplit polar and the direct massive flux integrals, the scale-free flux
--K |xi|^{2-2a-2s}, the continuum right side of the balance identity and
-the grid flux of a weight summed pair by pair; mode access to a lattice
-sample, the single-sample Euler-Maruyama step, the exact
-second-moment recursion of that scheme, and the Sobolev estimate of an
-ensemble record."""
+separate computation; the continuum integral over the modes outside a
+radial grid, by adaptive QUADPACK; the covariance defect D by radial
+quadrature of Poisson's Bessel integral, against the Gamma quotient
+mellin.d_constant; J on a vertical Mellin contour and its three-term
+residue expansion; the unsplit polar and the direct massive flux
+integrals, the scale-free flux -K |xi|^{2-2a-2s}, the continuum right
+side of the balance identity and the grid flux of a weight summed pair
+by pair; mode access to a lattice sample, the single-sample
+Euler-Maruyama step, the exact second-moment recursion of that scheme,
+and the Sobolev estimate of an ensemble record."""
 
 import math
 
@@ -69,6 +70,30 @@ def massive_ang_quad(rho_i, rho_j, d, alpha, rel_tol=1e-13):
     peak = (hi - lo) / math.sqrt(p)
     points = [c * peak for c in (0.25, 1.0, 4.0) if c * peak < math.pi]
     return quadpack(g, 0.0, math.pi, points, rel_tol=rel_tol, limit=500)[0]
+
+
+def off_grid_quad(ang, rho, rho_min, rho_max, d, alpha, rel_tol=1e-13):
+    """The continuum absorb rate of a node at rho: (2 pi)^{-d/2} omega_{d-2}
+    times int ang(rho, r) r^{d-1} dr over r < rho_min and r > rho_max, by
+    QUADPACK of the scalar angular integral ang(rho, r), independent of the
+    package's radial points.  Each side maps onto x in (0, 1], with
+    x = (r/rho_min)^{d+2} below the grid and x = (rho_max/r)^{2a} above it:
+    the powers with which the integrand vanishes at r = 0 and decays at
+    r = inf, so it tends to a constant at x = 0, and adaptive bisection
+    resolves the peak next to the grid end at x = 1.  Raises
+    ToleranceNotReached when QUADPACK flags a side."""
+    def side(end, p):
+        def g(x):
+            r = end * x ** (1.0 / p)
+            return ang(rho, r) * r ** d / (abs(p) * x)
+        value, err, ok = quadpack(g, 0.0, 1.0, rel_tol=rel_tol, limit=1000)
+        if not ok:
+            raise ToleranceNotReached("off-grid quadrature flagged",
+                                      value=value, error_estimate=err)
+        return value
+
+    total = side(rho_min, d + 2.0) + side(rho_max, -2.0 * alpha)
+    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * total
 
 
 def f_inner_quad(r, params, rel_tol=1e-12):

@@ -108,6 +108,14 @@ UNRUNNABLE = {
         "grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 32}},
     # selfsimilar chooses a radial kernel, and k-constants builds none
     "k-constants-selfsimilar": {"experiment": "k-constants", "selfsimilar": True},
+    # nu is the radial kernel's viscous decay, which no other experiment has
+    "k-constants-nu": {"experiment": "k-constants", "nu": 0.01},
+    "flux-table-nu": {"nu": 0.0},
+    "asymptotics-nu": {"experiment": "asymptotics", "nu": 0.01},
+    "mc-ensemble-nu": {
+        "experiment": "mc-ensemble", "s": 0.5, "nu": 0.01,
+        "time": {"t_final": 12e-4},
+        "lattice": {"n_max": 4, "n_samples": 64, "dt": 1e-4}},
 }
 
 
@@ -265,7 +273,8 @@ class TestRun:
         ("spectral-evolve", False)])
     def test_manifest_records_the_kernel_run(self, tmp_path, experiment,
                                              selfsimilar):
-        # a config without "selfsimilar" records the kernel the runner builds
+        # a config without "selfsimilar" or "nu" records the kernel the
+        # runner builds
         path = write_cfg(tmp_path, experiment=experiment,
                          grid={"rho_min": 1e-2, "rho_max": 1e3, "nodes": 32},
                          time={"t_final": 0.1})
@@ -273,6 +282,7 @@ class TestRun:
         assert cli.main(["run", path, "--output-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["selfsimilar"] is selfsimilar
+        assert manifest["config"]["nu"] == 0.0
 
     def test_manifest_of_a_kernel_free_run_has_no_selfsimilar(self, tmp_path):
         path = write_cfg(tmp_path, experiment="k-constants", alpha=0.25, s=0.5)
@@ -280,6 +290,14 @@ class TestRun:
         assert cli.main(["run", path, "--output-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert "selfsimilar" not in manifest["config"]
+
+    def test_manifest_of_a_kernel_free_run_has_no_nu(self, tmp_path):
+        path = write_cfg(tmp_path, grid={"rho_min": 1.0, "rho_max": 10.0,
+                                         "nodes": 0})
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "nu" not in manifest["config"]
 
     def test_output_dir_from_config(self, tmp_path):
         out = tmp_path / "from_cfg"

@@ -18,7 +18,8 @@ from kraichnan_lab.spectral import (_FAR_GAP, _SMALL_SUM, KernelMatrix,
                                     balance_check, build_kernel, default_dt,
                                     evolve, propagate, sobolev_norm, step)
 from kraichnan_lab.specfun import ModelParams, gegenbauer_2f1, sphere_surface
-from oracles import continuum_rhs, gegenbauer_quad, grid_flux, massive_ang_quad
+from oracles import (continuum_rhs, gegenbauer_quad, grid_flux, massive_ang_quad,
+                     off_grid_quad)
 
 P = ModelParams(d=2, alpha=0.5, s=0.75)
 P_NU = ModelParams(d=2, alpha=0.5, s=0.75, nu=0.05)
@@ -79,6 +80,12 @@ class TestRadialGrid:
 
 
 class TestKernel:
+    def test_rejects_grid_of_another_dimension(self, small_grid):
+        # the kernel would be built in the grid's d and carry params.d, which
+        # the dissipation reference and the balance ratio read
+        with pytest.raises(DomainError, match="dimension"):
+            build_kernel(small_grid, ModelParams(d=3, alpha=0.5, s=0.75))
+
     def test_flux_form_exactly_symmetric(self, small_kernel):
         assert np.array_equal(small_kernel.sigma, small_kernel.sigma.T)
 
@@ -116,7 +123,7 @@ class TestKernel:
         assert np.all(small_kernel.absorb > 0.0)
 
     def test_absorb_rates_match_pointwise_sum(self, small_kernel):
-        # absorb is one _radial_sums over the 448 points outside the grid,
+        # absorb is one _radial_sums over the points outside the grid,
         # shared by every node: the same angular values (2F1 series or
         # panel ladder, by region) as a loop over the points one at a time,
         # summed in another order
@@ -128,25 +135,28 @@ class TestKernel:
 
 
 def _absorb_reference(grid, params, ang, idx):
-    """Absorb rates of the nodes idx, one radial point at a time: 14 GL16
-    log panels from 25 e-folds below rho_min to rho_min, 14 from rho_max
-    to R* = 100 rho_max, and the algebraic tail beyond R*."""
+    """Absorb rates of the nodes idx, one radial point at a time: GL16 log
+    panels h/2 wide at each grid end and doubling outward, to 37/(d+2)
+    e-folds below rho_min and to R* = rho_max e^18.5 above, the last panel
+    cut at that reach, and the tail beyond R* as the single point R* with
+    weight R*^d / (2 alpha)."""
     d, a = grid.d, params.alpha
     rho = grid.nodes[idx]
     x16, w16 = leggauss(16)
-    r_star = 100.0 * grid.rho_max
     total = np.zeros(len(rho))
-    for lo, hi in ((math.log(grid.rho_min) - 25.0, math.log(grid.rho_min)),
-                   (math.log(grid.rho_max), math.log(r_star))):
-        edges = np.linspace(lo, hi, 15)
-        for e0, e1 in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (e0 + e1), 0.5 * (e1 - e0)
+    for end, sign, reach in ((math.log(grid.rho_min), -1.0, 37.0 / (d + 2)),
+                             (math.log(grid.rho_max), 1.0, 18.5)):
+        near, width = 0.0, 0.5 * grid.log_step
+        while near < reach:
+            far = min(near + width, reach)
+            mid, half = end + sign * 0.5 * (near + far), 0.5 * (far - near)
             for xk, wk in zip(x16, w16):
                 r = math.exp(mid + half * xk)
                 total += half * wk * ang(rho, r, d, a) * r ** d
-    tail = rho ** 2 * math.gamma(0.5) * math.gamma((d + 1) / 2.0) / math.gamma(
-        d / 2.0 + 1.0) * r_star ** (-2.0 * a) / (2.0 * a)
-    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * (total + tail)
+            near, width = far, 2.0 * width
+    r_star = grid.rho_max * math.exp(18.5)
+    total += ang(rho, r_star, d, a) * r_star ** d / (2.0 * a)
+    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * total
 
 
 def _scale_free_ang_quad(rho_i, r, d, alpha):
@@ -348,7 +358,7 @@ class TestRadialSums:
     @pytest.mark.parametrize("selfsimilar", [False, True],
                              ids=["massive", "scale-free"])
     def test_chunk_size_invariance(self, monkeypatch, selfsimilar):
-        # 37 divides neither the 16 points of a band cell nor the 448 shared
+        # 37 divides neither the 16 points of a band cell nor the 273 shared
         # points outside the grid, so chunks cut through rows of both; each
         # row is summed only once all its values are in, so the kernel is
         # the same to the bit
@@ -359,6 +369,33 @@ class TestRadialSums:
         got = build_kernel(grid, params, selfsimilar=selfsimilar)
         assert np.array_equal(got.sigma, ref.sigma)
         assert np.array_equal(got.absorb, ref.absorb)
+
+
+class TestOffGridIntegral:
+    """Absorb rates against the continuum integral over the modes outside
+    the grid by QUADPACK (oracles.off_grid_quad), with the same angular
+    integral: the nodes next to each grid end, whose kernel peaks h/2
+    beyond it, and the middle node, far from both."""
+
+    N = 512
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.75])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("mass", [0.0, 1.0], ids=["scale-free", "massive"])
+    @pytest.mark.parametrize("rho_max", [1e3, 30.0])
+    def test_nodes_vs_quadpack(self, rho_max, mass, d, alpha):
+        grid = RadialGrid.log_spaced(1e-2, rho_max, self.N, d)
+        kern = build_kernel(grid, ModelParams(d=d, alpha=alpha, s=0.5),
+                            selfsimilar=not mass)
+
+        def ang(rho, r):
+            return float(_angular_integral(np.array(rho), np.array(r), d, alpha,
+                                           mass))
+
+        for i in (0, 1, self.N // 2, self.N - 2, self.N - 1):
+            ref = off_grid_quad(ang, grid.nodes[i], grid.rho_min, grid.rho_max,
+                                d, alpha)
+            assert abs(kern.absorb[i] - ref) <= 1e-12 * ref, i
 
 
 class TestStep:
@@ -491,6 +528,20 @@ class TestEvolve:
             assert np.all(np.diff(traj.times) > 0)
         with pytest.raises(DomainError):
             evolve(bump_state(small_grid), small_kernel, -0.01)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    def test_rejects_nonpositive_dt(self, small_kernel, small_grid, dt):
+        with pytest.raises(DomainError):
+            evolve(bump_state(small_grid), small_kernel, 0.02, dt=dt)
+
+    def test_zero_duration_records_t0_once(self, small_kernel, small_grid):
+        st = bump_state(small_grid)
+        traj = evolve(st, small_kernel, st.time, trackers=[0.5])
+        assert traj.times.tolist() == [st.time]
+        assert traj.mass.size == traj.norms[0.5].size == 1
+        assert traj.boundary_fraction.size == 1
+        assert traj.final_state.time == st.time
+        assert np.array_equal(traj.final_state.values, st.values)
 
 
 class TestPropagate:
