@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -68,6 +69,41 @@ class TestValidate:
         assert cli.main(["validate", str(tmp_path / "missing.json")]) == 2
 
 
+class TestSchema:
+    def test_schema_passes_its_metaschema(self):
+        # the metaschema check, run once here instead of once per config
+        cls = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
+        assert cls is jsonschema.Draft202012Validator
+        cls.check_schema(cli.CONFIG_SCHEMA)
+
+    def test_runs_skip_the_metaschema_check(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_schema ran for a config")
+        cls = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
+        monkeypatch.setattr(cls, "check_schema", refuse)
+        path = write_cfg(tmp_path, experiment="k-constants", alpha=0.25, s=0.5)
+        assert cli.main(["validate", path]) == 0
+        assert cli.main(["run", path, "--output-dir", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("overrides", [
+        {"bogus": 1, "d": 2.5},
+        # the nested grid error comes first, the top-level seed error wins
+        {"grid": {"rho_min": 1.0, "rho_max": 2.0, "nodes": 1.5}, "seed": "x"},
+    ], ids=["unknown-field-and-fractional-d", "nested-error-first"])
+    def test_message_is_the_best_match(self, tmp_path, capsys, overrides):
+        # two violations: the message is the one jsonschema.validate picks
+        path = write_cfg(tmp_path, **overrides)
+        with open(path) as fh:
+            raw = json.load(fh)
+        with pytest.raises(jsonschema.ValidationError) as exc:
+            jsonschema.validate(raw, cli.CONFIG_SCHEMA)
+        expected = f"config error: config schema violation: {exc.value.message}\n"
+        assert cli.main(["validate", path]) == 2
+        assert capsys.readouterr().err == expected
+        assert cli.main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == expected
+
+
 # configs the schema accepts but no experiment can set up
 UNRUNNABLE = {
     "spectral-evolve-reversed-grid": {
@@ -86,6 +122,9 @@ UNRUNNABLE = {
     "mc-ensemble-under-half-a-step": {
         "experiment": "mc-ensemble", "s": 0.5, "time": {"t_final": 1e-5},
         "lattice": {"n_max": 4, "n_samples": 64, "dt": 1e-4}},
+    # a table of no rows would pass with no check run
+    "flux-table-no-nodes": {
+        "grid": {"rho_min": 1.0, "rho_max": 10.0, "nodes": 0}},
     "flux-table-reversed-grid": {
         "grid": {"rho_min": 10.0, "rho_max": 1.0, "nodes": 4}},
     # the residual slope is fitted over |xi| >= 10 and needs two such nodes
@@ -168,17 +207,6 @@ def test_python_m_runs_the_cli():
 
 
 class TestRun:
-    def test_flux_table_empty_grid(self, tmp_path):
-        path = write_cfg(tmp_path, grid={"rho_min": 1.0, "rho_max": 10.0,
-                                         "nodes": 0})
-        out = tmp_path / "out"
-        assert cli.main(["run", path, "--output-dir", str(out)]) == 0
-        csv = (out / "flux_table.csv").read_text()
-        assert csv == "xi,F,residual,K,d,alpha,s\n"
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["passed"] is True
-        assert os.path.exists(out / "manifest.json")
-
     def test_malformed_config_exit_2(self, tmp_path):
         path = write_cfg(tmp_path, alpha=1.5)
         assert cli.main(["run", path]) == 2
@@ -292,8 +320,8 @@ class TestRun:
         assert "selfsimilar" not in manifest["config"]
 
     def test_manifest_of_a_kernel_free_run_has_no_nu(self, tmp_path):
-        path = write_cfg(tmp_path, grid={"rho_min": 1.0, "rho_max": 10.0,
-                                         "nodes": 0})
+        path = write_cfg(tmp_path, grid={"rho_min": 1.0, "rho_max": 1.0,
+                                         "nodes": 1})
         out = tmp_path / "out"
         assert cli.main(["run", path, "--output-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -302,7 +330,7 @@ class TestRun:
     def test_output_dir_from_config(self, tmp_path):
         out = tmp_path / "from_cfg"
         path = write_cfg(tmp_path, output_dir=str(out),
-                         grid={"rho_min": 1.0, "rho_max": 10.0, "nodes": 0})
+                         grid={"rho_min": 1.0, "rho_max": 1.0, "nodes": 1})
         assert cli.main(["run", path]) == 0
         assert (out / "summary.json").exists()
 
