@@ -12,6 +12,7 @@ kernel.  The covariance defect D needs none: it is a Gamma quotient
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,13 +112,15 @@ def gamma_fn(z) -> complex:
     return cmath.exp(log_gamma(z))
 
 
+# the scalar Gegenbauer routines ask for B(1/2, (d+1)/2) at every point
+@functools.lru_cache(maxsize=64)
 def sin_power_integral(gamma_exp: float, eta_exp: float) -> float:
     """int_0^pi sin^gamma(t) cos^eta(t) dt for even integer eta:
 
         G((gamma+1)/2) G((eta+1)/2) / G((gamma+eta+2)/2)
 
     Odd cosine powers integrate to zero over [0, pi] and are rejected; the
-    library only ever needs eta in {0, 2}.
+    library only ever needs eta in {0, 2}.  Cached per exponent pair.
     """
     if gamma_exp <= -1.0 or eta_exp <= -1.0:
         raise DomainError("sin_power_integral requires exponents > -1")

@@ -57,8 +57,12 @@ def massive_ang_quad(rho_i, rho_j, d, alpha, rel_tol=1e-13):
     (1 + D^2)^-(d+2a)/2 dt by QUADPACK, with
     D^2 = (rho_> - rho_<)^2 + 4 rho_< rho_> sin^2(t/2); independent of the
     panel ladder and of the 2F1 series.  The integrand peaks at
-    t ~ (rho_> - rho_<) / sqrt(rho_< rho_>), which is declared with its
-    neighbours as break points."""
+    t ~ (rho_> - rho_<) / sqrt(rho_< rho_>); a quarter of that and every
+    4^k times it below pi are declared as break points.  Past the peak the
+    integrand differs from its limit by a relative peak^2/t^2, which one
+    Gauss-Kronrod panel from a few peaks to pi neither samples nor sees in
+    its error estimate: with break points at 1/4, 1 and 4 peaks only, d = 2
+    and (1, 1 + 1e-7) read 2.8e-8 low under an estimate of 4e-14."""
     lo, hi = min(rho_i, rho_j), max(rho_i, rho_j)
     beta = (d + 2.0 * alpha) / 2.0
     p = lo * hi
@@ -67,8 +71,10 @@ def massive_ang_quad(rho_i, rho_j, d, alpha, rel_tol=1e-13):
         D2 = (hi - lo) ** 2 + 4.0 * p * math.sin(0.5 * t) ** 2
         return math.sin(t) ** d * p * p / D2 * (1.0 + D2) ** -beta
 
-    peak = (hi - lo) / math.sqrt(p)
-    points = [c * peak for c in (0.25, 1.0, 4.0) if c * peak < math.pi]
+    points, c = [], 0.25 * (hi - lo) / math.sqrt(p)
+    while 0.0 < c < math.pi:
+        points.append(c)
+        c *= 4.0
     return quadpack(g, 0.0, math.pi, points, rel_tol=rel_tol, limit=500)[0]
 
 

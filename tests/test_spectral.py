@@ -13,7 +13,8 @@ from kraichnan_lab.errors import (DomainError, StabilityViolation,
                                   TruncationWarning)
 from kraichnan_lab.spectral import (_FAR_GAP, _SMALL_SUM, KernelMatrix,
                                     RadialGrid, SpectrumState,
-                                    _angular_integral,
+                                    _angular_integral, _binomial_series,
+                                    _panel_ladder,
                                     anomalous_dissipation_integral,
                                     balance_check, build_kernel, default_dt,
                                     evolve, propagate, sobolev_norm, step)
@@ -352,6 +353,48 @@ class TestMassiveKernel:
 
     def test_exchange_symmetry_bitwise(self):
         _check_exchange_symmetry(1.0)
+
+    @pytest.mark.parametrize("d,alpha", [(2, 0.25), (2, 0.75), (3, 0.25),
+                                         (3, 0.75)])
+    @pytest.mark.parametrize("far", [True, False], ids=["far", "small"])
+    def test_ladder_vs_series(self, d, alpha, far):
+        # the ladder just outside its region, where either series converges
+        # fast: rho_> - rho_< in [2, 2.5] or rho_< + rho_> in [0.4, 0.5]; far
+        # pairs keep rho_< <= 30, so x = rho_< / rho_> <= 0.94, short of
+        # where the series' 2F1 of x^2 loses digits
+        rng = np.random.default_rng(19)
+        if far:
+            lo = np.exp(rng.uniform(math.log(1e-3), math.log(30.0), 200))
+            hi = lo + rng.uniform(2.0, 2.5, lo.size)
+        else:
+            x = rng.uniform(0.01, 1.0, 200)
+            hi = rng.uniform(0.4, 0.5, x.size) / (1.0 + x)
+            lo = x * hi
+        got = _panel_ladder(lo, hi, d, alpha)
+        ref = _binomial_series(lo, hi, d, (d + 2.0 * alpha) / 2.0, 1.0, far)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+    @pytest.mark.parametrize("d,alpha", [(2, 0.25), (3, 0.75)])
+    def test_ladder_at_clip(self, d, alpha):
+        # t_w/8 = 1.25e-10 is clipped to a first panel [0, 1e-9]
+        got = _panel_ladder(np.array([1.0]), np.array([1.0 + 1e-9]), d, alpha)
+        ref = massive_ang_quad(1.0, 1.0 + 1e-9, d, alpha)
+        assert abs(got[0] - ref) <= 1e-12 * ref
+
+    # [0, t0], then panels doubling to pi: 1 + ceil(log2(pi/t0)) panels of
+    # 12 points; t0 = pi/4 (clipped) takes 3, t0 = 9.96e-4 takes 13
+    @pytest.mark.parametrize("lo,hi,panels", [(0.01, 1.5, 3), (1.0, 1.008, 13)])
+    def test_ladder_panels_double(self, monkeypatch, lo, hi, panels):
+        gauss_panels, evaluated = spectral._gauss_panels, []
+
+        def counting(a, b, rule):
+            t, wt = gauss_panels(a, b, rule)
+            evaluated.append(t.size)
+            return t, wt
+
+        monkeypatch.setattr(spectral, "_gauss_panels", counting)
+        _panel_ladder(np.array([lo]), np.array([hi]), 2, 0.5)
+        assert sum(evaluated) == 12 * panels
 
 
 class TestRadialSums:
