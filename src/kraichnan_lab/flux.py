@@ -28,7 +28,7 @@ __all__ = [
 # residue expansion takes over once its remainder estimate clears tolerance.
 MELLIN_SWITCH = 20.0
 
-# bound of the residue-expansion cache, one entry per parameter triple
+# bound of the residue-expansion cache, one entry per ModelParams
 _PARAM_CACHE = 64
 
 
@@ -45,18 +45,17 @@ def G_term(xi_abs: float, params: ModelParams) -> float:
 
 
 @functools.lru_cache(maxsize=_PARAM_CACHE)
-def _deep_terms(d: int, a: float, s: float):
+def _deep_terms(params: ModelParams):
     """Residue expansion of J past the exponents used in the two-term
     asymptotics; needed to hit 1e-5 two-path agreement already at |xi|=20."""
-    params = ModelParams(d=d, alpha=a, s=s)
-    return tuple(mellin.expansion_terms(params, d + a + 7.0))
+    return tuple(mellin.expansion_terms(params, params.d + params.alpha + 7.0))
 
 
-def _flux_mellin(d: int, a: float, s: float,
-                 xi_abs: float) -> Tuple[float, float]:
+def _flux_mellin(params: ModelParams, xi_abs: float) -> Tuple[float, float]:
     """F(|xi|) by the residue expansion, and the size of its last term, the
     estimate of the expansion's remainder."""
-    terms = _deep_terms(d, a, s)
+    d, s = params.d, params.s
+    terms = _deep_terms(params)
     pref = (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
     total = 0.0
     for t in terms:
@@ -68,9 +67,8 @@ def _flux_mellin(d: int, a: float, s: float,
     return pref * total, pref * tail
 
 
-def _flux_quadrature(d: int, a: float, s: float, xi_abs: float,
-                     rel_tol: float) -> float:
-    params = ModelParams(d=d, alpha=a, s=s)
+def _flux_quadrature(params: ModelParams, xi_abs: float, rel_tol: float) -> float:
+    d, s = params.d, params.s
     J = quad.J_direct(xi_abs, params, rel_tol=rel_tol)
     I = sphere_surface(d - 2) * xi_abs ** (d + 2.0 - 2.0 * s) * J
     return (2.0 * math.pi) ** (-d / 2.0) * (I - G_term(xi_abs, params))
@@ -86,18 +84,17 @@ def flux_F(xi_abs: float, params: ModelParams, method: str = "auto",
     """
     if xi_abs <= 0:
         raise DomainError("flux_F requires |xi| > 0")
-    d, a, s = params.d, params.alpha, params.s
     if method == "quadrature":
-        return _flux_quadrature(d, a, s, xi_abs, rel_tol)
+        return _flux_quadrature(params, xi_abs, rel_tol)
     if method == "mellin":
-        return _flux_mellin(d, a, s, xi_abs)[0]
+        return _flux_mellin(params, xi_abs)[0]
     if method != "auto":
         raise DomainError(f"unknown flux_F method {method!r}")
     if xi_abs > MELLIN_SWITCH:
-        total, tail = _flux_mellin(d, a, s, xi_abs)
+        total, tail = _flux_mellin(params, xi_abs)
         if tail <= 1e-7 * abs(total):
             return total
-    return _flux_quadrature(d, a, s, xi_abs, rel_tol)
+    return _flux_quadrature(params, xi_abs, rel_tol)
 
 
 def flux_F_m(xi_abs: float, params: ModelParams, m: float,

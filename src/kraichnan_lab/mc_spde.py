@@ -114,13 +114,15 @@ class FieldSample:
     kx < 0 half is implicit, rho(-k) = conj rho(k), and the kx = 0 column is
     exactly Hermitian in ky."""
     spec: np.ndarray   # (2n+1, n+1) complex
-    n_max: int
+
+    @property
+    def n_max(self) -> int:
+        return self.spec.shape[1] - 1
 
     @staticmethod
     def zeros(noise: NoiseModes) -> "FieldSample":
         n = noise.cfg.n_max
-        return FieldSample(spec=np.zeros((2 * n + 1, n + 1), dtype=complex),
-                           n_max=n)
+        return FieldSample(spec=np.zeros((2 * n + 1, n + 1), dtype=complex))
 
     @staticmethod
     def from_modes(noise: NoiseModes, modes: Dict[Tuple[int, int], complex]) -> "FieldSample":
@@ -317,7 +319,7 @@ def run_ensemble(cfg: LatticeConfig, initial: FieldSample, t_final: float,
     if any(t < 0 or t > t_final + 1e-12 for t in record_times):
         raise DomainError("record times must lie in [0, t_final]")
     n = cfg.n_max
-    if initial.n_max != n or initial.spec.shape != (2 * n + 1, n + 1):
+    if initial.spec.shape != (2 * n + 1, n + 1):
         raise DomainError("initial sample does not match the lattice config")
     noise = build_noise_modes(cfg)
     n_steps = int(round(t_final / cfg.dt))

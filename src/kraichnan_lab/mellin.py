@@ -170,19 +170,14 @@ def residue_at(expr: GammaProduct, pole: float) -> AsymptoticTerm:
 def expansion_terms(params: ModelParams, r_prime: float):
     """Residue terms of J(lambda) for all poles between the fundamental strip
     and Re z = r_prime, sorted by increasing exponent.  r_prime must not sit
-    on a pole of either Mellin factor."""
+    on a pole of either Mellin factor; a pole of higher order raises
+    HigherOrderPole from residue_at."""
     d, s = params.d, params.s
     prod = jl_product(params)
     base = d - s  # mid-strip
     if prod.pole_order(r_prime) > 0:
         raise DomainError(f"r_prime = {r_prime} sits on a pole")
-    poles = poles_in_strip(prod, base, r_prime)
-    terms = []
-    for x, order in poles:
-        if order > 1:
-            raise HigherOrderPole(f"pole of order {order} at z = {x}")
-        terms.append(residue_at(prod, x))
-    return terms
+    return [residue_at(prod, x) for x, _ in poles_in_strip(prod, base, r_prime)]
 
 
 def k_constant_gamma(params: ModelParams) -> float:

@@ -499,9 +499,9 @@ def evolve(initial: SpectrumState, kernel: KernelMatrix, t_final: float,
     are computed in blocks of bounded memory.  Raises DomainError for
     dt <= 0 or t_final < t0.
 
-    Stops with a TruncationWarning at the first record where the outer 5%
-    of nodes on either end hold more than 1% of the mass; that record is
-    the last one.
+    Stops with a TruncationWarning at the first record, t0 included, where
+    the outer 5% of nodes on either end hold more than 1% of the mass; that
+    record is the last one.
     """
     if dt is None:
         dt = default_dt(kernel)
@@ -518,9 +518,9 @@ def evolve(initial: SpectrumState, kernel: KernelMatrix, t_final: float,
     sums = [probes @ initial.values[:, None]]
     bfrac = [_boundary_fraction(grid, initial.values)]
     last = initial.values
-    t_trunc = None
+    t_trunc = t0 if bfrac[0][0] > 0.01 else None
     block = max(1, _RECORD_BLOCK_BYTES // (8 * grid.n))
-    for b0 in range(0, n_steps, block):
+    for b0 in range(0, n_steps if t_trunc is None else 0, block):
         vals = _mode_values(kernel, initial.values, taus[b0:b0 + block])
         bf = _boundary_fraction(grid, vals)
         first = next(iter(np.flatnonzero(bf > 0.01)), None)
@@ -532,11 +532,12 @@ def evolve(initial: SpectrumState, kernel: KernelMatrix, t_final: float,
         last = vals[:, -1]
         if first is not None:
             t_trunc = t0 + float(taus[b0 + first])
-            warnings.warn(
-                f"boundary cells hold {bf[first]:.1%} of the mass at t = {t_trunc:.4g};"
-                " full-space comparisons are invalid beyond this time",
-                TruncationWarning)
             break
+    if t_trunc is not None:
+        warnings.warn(
+            f"boundary cells hold {bfrac[-1][-1]:.1%} of the mass at t = {t_trunc:.4g};"
+            " full-space comparisons are invalid beyond this time",
+            TruncationWarning)
     sums = np.concatenate(sums, axis=1)
     times = np.concatenate(([t0], t0 + taus[:sums.shape[1] - 1]))
     final = SpectrumState(grid=grid, values=last.copy(), time=float(times[-1]),

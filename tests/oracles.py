@@ -349,7 +349,7 @@ def em_step(sample, noise, dt, rng=None, dbeta=None):
         dbeta = math.sqrt(dt / 2.0) * (z[:, 0] + 1j * z[:, 1])
     spec = sample.spec.copy()
     _BandStepper(noise).step(spec[:, None, :], dt, np.asarray(dbeta)[None, :])
-    return FieldSample(spec=spec, n_max=sample.n_max)
+    return FieldSample(spec=spec)
 
 
 def em_second_moments(noise, spectrum, dt, n_steps):
@@ -360,8 +360,8 @@ def em_second_moments(noise, spectrum, dt, n_steps):
         a_k <- a_k + dt R_k(a) + (c_k dt / 2)^2 a_k
 
     with R = lattice_master_rate and c = corrector_grid.  `spectrum` maps
-    every band mode to E|rho(k)|^2 (reality-symmetric); returns the half-band
-    maps after steps 1..n_steps."""
+    every band mode to E|rho(k)|^2 (reality-symmetric); returns maps of the
+    same form after steps 1..n_steps."""
     n = noise.cfg.n_max
     a = dict(spectrum)
     out = []
@@ -371,7 +371,7 @@ def em_second_moments(noise, spectrum, dt, n_steps):
             c = noise.corrector_grid[ky + n, kx]
             half[(kx, ky)] = a[(kx, ky)] + dt * rate + (0.5 * c * dt) ** 2 * a[(kx, ky)]
         a = {**half, **{(-kx, -ky): v for (kx, ky), v in half.items() if kx > 0}}
-        out.append(half)
+        out.append(a)
     return out
 
 

@@ -11,7 +11,8 @@ import pytest
 
 from kraichnan_lab import flux, mc_spde, mellin, quad, spectral
 from kraichnan_lab.specfun import ModelParams, gamma_fn
-from oracles import continuum_rhs, f_inner_quad, parseval_contour
+from oracles import (continuum_rhs, em_second_moments, f_inner_quad, mode_dict,
+                     parseval_contour)
 
 K_GRID = [(d, a, f * d / 2.0) for d in (2, 3) for a in (0.25, 0.5, 0.75)
           for f in (0.2, 0.5, 0.8)]
@@ -213,50 +214,51 @@ def test_c09_monte_carlo_lattice_master_equation():
     T = n_steps * dt
     records = [k * stride * dt for k in range(n_steps // stride + 1)]
 
-    def run(dt_run):
-        cfg = mc_spde.LatticeConfig(n_max=16, alpha=0.5, dt=dt_run,
-                                    n_samples=2000, seed=99)
-        noise = mc_spde.build_noise_modes(cfg)
-        modes = {}
-        for kx in range(-2, 3):
-            for ky in range(-2, 3):
-                if (kx, ky) != (0, 0):
-                    modes[(kx, ky)] = 1.0 / (1.0 + kx * kx + ky * ky)
-        initial = mc_spde.FieldSample.from_modes(noise, modes)
-        stats = mc_spde.run_ensemble(cfg, initial, T, record_times=records)
-        return noise, stats
+    cfg = mc_spde.LatticeConfig(n_max=16, alpha=0.5, dt=dt, n_samples=2000,
+                                seed=99)
+    noise = mc_spde.build_noise_modes(cfg)
+    modes = {(kx, ky): 1.0 / (1.0 + kx * kx + ky * ky)
+             for kx in range(-2, 3) for ky in range(-2, 3) if (kx, ky) != (0, 0)}
+    initial = mc_spde.FieldSample.from_modes(noise, modes)
+    stats = mc_spde.run_ensemble(cfg, initial, T, record_times=records)
 
-    noise, stats = run(dt)
+    # (a) the measured per-mode rates over the last record interval
     frac = mc_spde.rate_agreement(noise, stats)
 
-    # L2 conservation: the truncated lattice model itself loses L2 through
-    # the absorbing spectral boundary; the deviation of the measured drift
-    # from the master-equation prediction is the Euler-Maruyama weak bias,
-    # O(dt), and must halve when dt is halved
-    def l2_residual(noise_, stats_):
-        l2 = [st.l2_mean for st in stats_]
-        se = stats_[-1].l2_std_err
-        drifts = []
-        for st in stats_:
-            rates = mc_spde.lattice_master_rate(noise_, st.spectrum_map())
-            drifts.append(sum((1.0 if kx == 0 else 2.0) * r
-                              for (kx, ky), r in rates.items()))
-        times = np.array([st.time for st in stats_])
-        pred = np.trapezoid(np.array(drifts), times)
-        return (l2[-1] - l2[0]) - pred, se
+    # (b) the measured L2 at T against the scheme's exact mean: the
+    # Euler-Maruyama mean power spectrum closes on itself, weak bias included
+    a0 = {k: abs(v) ** 2 for k, v in mode_dict(initial).items()}
 
-    r1, se1 = l2_residual(noise, stats)
-    noise_h, stats_h = run(dt / 2.0)
-    r2, se2 = l2_residual(noise_h, stats_h)
-    se_comb = math.sqrt(se1 ** 2 + 4.0 * se2 ** 2)
-    halving_ok = abs(r1 - 2.0 * r2) <= 3.0 * se_comb
-    bias_hat = abs(2.0 * (r1 - r2))
-    size_ok = abs(r1) <= bias_hat + 3.0 * se1
-    ok = frac >= 0.95 and halving_ok and size_ok
+    def l2(spectrum):
+        # a kx > 0 mode stands for its reality partner as well
+        return sum((1.0 if kx == 0 else 2.0) * v
+                   for (kx, _), v in spectrum.items() if kx >= 0)
+
+    def em_records(dt_run):
+        # the scheme's exact mean spectra at the record times
+        per_record = round(stride * dt / dt_run)
+        steps = em_second_moments(noise, a0, dt_run, n_steps * per_record // stride)
+        return [a0] + steps[per_record - 1::per_record]
+
+    exact = em_records(dt)
+    z = (stats[-1].l2_mean - l2(exact[-1])) / stats[-1].l2_std_err
+
+    # (c) the truncated model loses L2 through the absorbing band edge at the
+    # master-equation rate; what the scheme loses beyond that rate,
+    # integrated over the records, is its weak bias, which is O(dt) and so
+    # halves with dt.  Taken on the exact means, the ratio has no sampling
+    # error.
+    def l2_residual(spectra):
+        drifts = [l2(mc_spde.lattice_master_rate(noise, a)) for a in spectra]
+        return l2(spectra[-1]) - l2(spectra[0]) - np.trapezoid(drifts, records)
+
+    r1, r2 = l2_residual(exact), l2_residual(em_records(dt / 2.0))
+    ok = frac >= 0.95 and abs(z) <= 3.0 and 1.9 <= r1 / r2 <= 2.1
     report(9, ok, f"master-equation rate match {frac:.1%} of modes within "
-                  f"3 sigma (>= 95%); L2 residual {r1:.2e} vs halved-dt "
-                  f"{r2:.2e}, |r1 - 2 r2| = {abs(r1 - 2 * r2):.2e} "
-                  f"<= 3 sigma = {3 * se_comb:.2e}")
+                  f"3 sigma (>= 95%); L2(T) {stats[-1].l2_mean:.6f} vs exact "
+                  f"EM mean {l2(exact[-1]):.6f}, z = {z:+.2f} (|z| <= 3); "
+                  f"L2 residual {r1:.3e} at dt, {r2:.3e} at dt/2, ratio "
+                  f"{r1 / r2:.3f} (in [1.9, 2.1])")
 
 
 def test_c10_special_function_identity_suite():

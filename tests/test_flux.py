@@ -73,7 +73,7 @@ class TestFluxF:
                 assert abs(lhs - G_term(xi, p)) <= 1e-10 * G_term(xi, p)
 
     def test_caches_bounded(self):
-        # the float-keyed residue-expansion cache stays bounded in
+        # the residue-expansion cache, keyed on ModelParams, stays bounded in
         # parameter sweeps
         assert flux._deep_terms.cache_info().maxsize is not None
 

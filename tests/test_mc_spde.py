@@ -177,7 +177,7 @@ class TestEmStep:
         outputs = [(16, 0), (16, -16), (16, 16), (0, 16), (-16, 5), (3, -16),
                    (15, 15), (0, 1), (1, 0), (-7, 9)]
         for i, fs in enumerate(samples):
-            out = FieldSample(spec=band[:, i, :], n_max=n)
+            out = FieldSample(spec=band[:, i, :])
             amps = mode_dict(fs)
             for xi in outputs:
                 expect = _direct_step(noise, amps, dbeta[i], cfg.dt, xi)

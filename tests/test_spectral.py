@@ -561,6 +561,21 @@ class TestEvolve:
             traj = evolve(st, small_kernel, 0.05)
         assert traj.truncated and traj.truncation_time is not None
 
+    @pytest.mark.parametrize("duration", [0.5, 0.05, 0.0])
+    def test_truncated_at_t0_records_t0_alone(self, small_kernel, small_grid,
+                                              duration):
+        # a bump in the outer nodes is truncated before any step: t0 is the
+        # first record over the threshold, so it is the last one
+        st = SpectrumState(small_grid, bump_state(small_grid, center=45.0,
+                                                  width=0.1).values, 0.5, P)
+        with pytest.warns(TruncationWarning, match=r"at t = 0\.5;"):
+            traj = evolve(st, small_kernel, st.time + duration)
+        assert traj.times.tolist() == [st.time]
+        assert traj.truncated and traj.truncation_time == st.time
+        assert traj.boundary_fraction.size == 1
+        assert traj.boundary_fraction[0] > 0.01
+        assert np.array_equal(traj.final_state.values, st.values)
+
     def test_last_record_at_t_final(self, small_kernel, small_grid):
         # 2.5 steps record at 0, dt, 2 dt and t_final, none past it; 0.07 /
         # 0.01 rounds a hair above 7, which adds no eighth record
