@@ -1,17 +1,27 @@
 """Experiment runner: validated JSON configs in, reproducible CSV tables and
-a machine-readable summary out.
+a machine-readable summary out.  Run it as `kraichnan-lab` or
+`python -m kraichnan_lab`.
 
-The schema checks shape, types and the ranges no constructor checks.
-Configs are checked by one validator, built at import; the schema itself
-is checked against its metaschema by the test suite, not on every run.
-`_setup` then builds the experiment's inputs (ModelParams, grid, |xi| list,
-lattice config, sample times), whose constructors check the rest.
-`validate` runs both and computes nothing else, so it refuses exactly the
-configs `run` refuses.
+Every config sets experiment, d, alpha and s, and may set output_dir.  An
+experiment accepts only the other fields it reads, with these defaults
+(EXPERIMENTS); grid is 512 nodes on [1e-2, 1e3] unless given here:
 
-The library returns numbers; every table is written here, by `_csv`
-alone, so one rule decides how a number is printed.  Run it as
-`kraichnan-lab` or `python -m kraichnan_lab`.
+    k-constants           none
+    flux-table            grid
+    asymptotics           grid: 40 nodes on [1, 1e3]
+    spectral-evolve       grid, time: t_final 1, trackers: [s],
+                          selfsimilar: false, nu: 0
+    selfsimilar-balance   grid, time, selfsimilar: true, nu: 0
+    dissipation-integral  as selfsimilar-balance; it reads no time, but the
+                          benchmark's radial-decay configs send one
+    mc-ensemble           time, seed: 0,
+                          lattice: n_max 16, n_samples 2000, dt 1e-3
+
+The schema (one validator, built at import) checks shape, types and the
+ranges no constructor checks; `_setup` then builds the inputs, whose
+constructors check the rest.  `validate` runs both and computes nothing
+else, so it refuses exactly the configs `run` refuses.  `_csv` alone
+writes every table.
 
 Exit codes: 0 all asserted checks passed, 1 a check failed, 2 config error,
 3 compute error.
@@ -20,6 +30,7 @@ Exit codes: 0 all asserted checks passed, 1 a check failed, 2 config error,
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
@@ -41,152 +52,8 @@ from .errors import (ConfigError, DomainError, KraichnanLabError,
                      TruncationWarning)
 from .specfun import ModelParams
 
-EXPERIMENTS = (
-    "k-constants", "flux-table", "asymptotics", "spectral-evolve",
-    "selfsimilar-balance", "dissipation-integral", "mc-ensemble",
-)
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["experiment", "d", "alpha", "s"],
-    "properties": {
-        "experiment": {"enum": list(EXPERIMENTS)},
-        "d": {"type": "integer"},
-        "alpha": {"type": "number"},
-        "s": {"type": "number"},
-        "nu": {"type": "number"},
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["rho_min", "rho_max", "nodes"],
-            "properties": {
-                "rho_min": {"type": "number", "exclusiveMinimum": 0},
-                "rho_max": {"type": "number", "exclusiveMinimum": 0},
-                "nodes": {"type": "integer", "minimum": 0},
-            },
-        },
-        "time": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["t_final"],
-            "properties": {
-                "t_final": {"type": "number", "exclusiveMinimum": 0},
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "trackers": {"type": "array", "items": {"type": "number"}},
-        "lattice": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["n_max", "n_samples", "dt"],
-            "properties": {
-                "n_max": {"type": "integer"},
-                "n_samples": {"type": "integer"},
-                "dt": {"type": "number"},
-            },
-        },
-        "seed": {"type": "integer"},
-        "selfsimilar": {"type": "boolean"},
-        "output_dir": {"type": "string"},
-    },
-}
-
-# `$schema` picks the draft; check_schema runs in the tests, not per config
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-
-_DEFAULTS = {
-    "seed": 0,
-    "grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 512},
-    "time": {"t_final": 1.0},
-    "lattice": {"n_max": 16, "n_samples": 2000, "dt": 1e-3},
-}
-
 # the residual slope of `asymptotics` is fitted over |xi| >= this
 _SLOPE_XI_MIN = 10.0
-# experiments that compare with the inviscid K on the scale-free kernel;
-# "selfsimilar" resolves to true for them and to false for spectral-evolve,
-# "nu" to 0 for all three, and the experiments that build no radial kernel
-# refuse both
-_SCALE_FREE = ("selfsimilar-balance", "dissipation-integral")
-_KERNEL = ("spectral-evolve", *_SCALE_FREE)
-
-
-def _setup(cfg: dict) -> dict:
-    """The runner's inputs besides cfg, by keyword, built before anything is
-    computed; raises DomainError for a config the experiment cannot run."""
-    exp, g, t_final = cfg["experiment"], cfg["grid"], cfg["time"]["t_final"]
-    params = ModelParams(d=cfg["d"], alpha=cfg["alpha"], s=cfg["s"],
-                         nu=cfg.get("nu", 0.0))
-    setup = {"params": params}
-    for key in ("selfsimilar", "nu"):
-        if key in cfg and exp not in _KERNEL:
-            raise DomainError(f"{exp} builds no radial kernel: "
-                              f"{key} does not apply")
-    if exp in _SCALE_FREE and not (cfg["selfsimilar"] and params.nu == 0.0):
-        raise DomainError(f"{exp} compares with the inviscid K on the scale-free "
-                          "kernel only: selfsimilar must be true and nu 0")
-    if exp in _KERNEL:
-        setup["grid"] = _spectral.RadialGrid.log_spaced(
-            g["rho_min"], g["rho_max"], g["nodes"], params.d)
-    if exp == "selfsimilar-balance":
-        # propagate is exact, so the samples need no time step
-        setup["times"] = [t_final * (i + 1) / 11.0 for i in range(10)]
-    elif exp in ("flux-table", "asymptotics"):
-        if exp == "flux-table" and g["nodes"] == 0:
-            raise DomainError("a flux table needs at least one node")
-        if g["nodes"] > 1 and not g["rho_min"] < g["rho_max"]:
-            raise DomainError("a flux grid of more than one node needs "
-                              "rho_min < rho_max")
-        xi = np.geomspace(g["rho_min"], g["rho_max"], g["nodes"]).tolist()
-        if exp == "asymptotics":
-            xi = xi or np.geomspace(1.0, 1e3, 40).tolist()
-            if sum(x >= _SLOPE_XI_MIN for x in xi) < 2:
-                raise DomainError("the residual slope needs at least two "
-                                  f"|xi| >= {_SLOPE_XI_MIN:g}")
-        setup["xi"] = xi
-    elif exp == "mc-ensemble":
-        lat = cfg["lattice"]
-        if params.d != _mc.LATTICE_D:
-            raise DomainError("Monte Carlo lattice runs are 2-d only")
-        setup["lattice"] = _mc.LatticeConfig(
-            n_max=lat["n_max"], alpha=cfg["alpha"], dt=lat["dt"],
-            n_samples=lat["n_samples"], seed=cfg["seed"])
-        n_steps = int(round(t_final / lat["dt"]))
-        if n_steps < 1:
-            raise DomainError("t_final is shorter than half a lattice step: "
-                              "the rate check needs at least one step")
-        stride = _mc.MC_RECORD_STRIDE
-        setup["times"] = [min(k * stride * lat["dt"], t_final)
-                          for k in range(n_steps // stride + 1)] + [t_final]
-    return setup
-
-
-def load_config(path: str):
-    """(resolved config, set-up); raises ConfigError for a config that is
-    unreadable, breaks the schema or cannot be set up."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    # best_match picks the error jsonschema.validate would raise
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}") from error
-    resolved = dict(raw)
-    for key, val in _DEFAULTS.items():
-        if key not in resolved:
-            resolved[key] = json.loads(json.dumps(val))
-    if resolved["experiment"] in _KERNEL:
-        resolved.setdefault("selfsimilar", resolved["experiment"] in _SCALE_FREE)
-        resolved.setdefault("nu", 0.0)
-    resolved.setdefault("trackers", [resolved["s"]])
-    try:
-        return resolved, _setup(resolved)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _check(check_id: str, passed: bool, value, target: str) -> dict:
@@ -208,9 +75,6 @@ def _csv(header, rows) -> str:
     """The one table writer: a header line, then one line per row."""
     return "".join(",".join(map(_cell, line)) + "\n" for line in [header, *rows])
 
-
-# --------------------------------------------------------------------------
-# experiment bodies: (cfg, **_setup(cfg)) -> (artifacts: name->text, checks)
 
 def _exp_k_constants(cfg, params):
     k = {"gamma": _mellin.k_constant_gamma(params),
@@ -335,7 +199,10 @@ def _exp_selfsimilar_balance(cfg, params, grid, times):
 def _exp_dissipation_integral(cfg, params, grid):
     kernel = _spectral.build_kernel(grid, params, selfsimilar=True)
     state = _initial_log_bump(grid, params, center=4.0)
-    integral, reference = _spectral.anomalous_dissipation_integral(state, kernel)
+    integral = _spectral.anomalous_dissipation_integral(state, kernel)
+    a = params.alpha
+    k_ref = _mellin.k_constant_gamma(ModelParams(d=params.d, alpha=a, s=1.0 - a))
+    reference = _spectral.sobolev_norm(state, 1.0 - a) / k_ref
     ratio = integral / reference if reference else float("nan")
     checks = [_check("dissipation.integral_vs_reference",
                      0.9 <= ratio <= 1.1, ratio, "in [0.9, 1.1]")]
@@ -360,17 +227,148 @@ def _exp_mc_ensemble(cfg, params, lattice, times):
     return artifacts, checks
 
 
-# each runner returns (artifacts, checks), or (artifacts, checks, diagnostics)
-# for what summary.json reports without checking it
-_RUNNERS = {
-    "k-constants": _exp_k_constants,
-    "flux-table": _exp_flux_table,
-    "asymptotics": _exp_asymptotics,
-    "spectral-evolve": _exp_spectral_evolve,
-    "selfsimilar-balance": _exp_selfsimilar_balance,
-    "dissipation-integral": _exp_dissipation_integral,
-    "mc-ensemble": _exp_mc_ensemble,
+_GRID = {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 512}
+_TIME = {"t_final": 1.0}
+
+# experiment -> (runner, {optional field it reads: default or function of
+# the config}); runner(cfg, **_setup(cfg)) -> (artifacts, checks[, diagnostics])
+EXPERIMENTS = {
+    "k-constants": (_exp_k_constants, {}),
+    "flux-table": (_exp_flux_table, {"grid": _GRID}),
+    "asymptotics": (_exp_asymptotics,
+                    {"grid": {"rho_min": 1.0, "rho_max": 1e3, "nodes": 40}}),
+    "spectral-evolve": (_exp_spectral_evolve, {
+        "grid": _GRID, "time": _TIME, "trackers": lambda cfg: [cfg["s"]],
+        "selfsimilar": False, "nu": 0.0}),
+    "selfsimilar-balance": (_exp_selfsimilar_balance, {
+        "grid": _GRID, "time": _TIME, "selfsimilar": True, "nu": 0.0}),
+    # reads no time, but the benchmark's radial-decay configs send one
+    "dissipation-integral": (_exp_dissipation_integral, {
+        "grid": _GRID, "time": _TIME, "selfsimilar": True, "nu": 0.0}),
+    "mc-ensemble": (_exp_mc_ensemble, {
+        "time": _TIME, "lattice": {"n_max": 16, "n_samples": 2000, "dt": 1e-3},
+        "seed": 0}),
 }
+
+CONFIG_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["experiment", "d", "alpha", "s"],
+    "properties": {
+        "experiment": {"enum": list(EXPERIMENTS)},
+        "d": {"type": "integer"},
+        "alpha": {"type": "number"},
+        "s": {"type": "number"},
+        "nu": {"type": "number"},
+        "grid": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["rho_min", "rho_max", "nodes"],
+            "properties": {
+                "rho_min": {"type": "number", "exclusiveMinimum": 0},
+                "rho_max": {"type": "number", "exclusiveMinimum": 0},
+                "nodes": {"type": "integer", "minimum": 0},
+            },
+        },
+        "time": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["t_final"],
+            "properties": {
+                "t_final": {"type": "number", "exclusiveMinimum": 0},
+                "dt": {"type": "number", "exclusiveMinimum": 0},
+            },
+        },
+        "trackers": {"type": "array", "items": {"type": "number"}},
+        "lattice": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["n_max", "n_samples", "dt"],
+            "properties": {
+                "n_max": {"type": "integer"},
+                "n_samples": {"type": "integer"},
+                "dt": {"type": "number"},
+            },
+        },
+        "seed": {"type": "integer"},
+        "selfsimilar": {"type": "boolean"},
+        "output_dir": {"type": "string"},
+    },
+}
+
+# `$schema` picks the draft; check_schema runs in the tests, not per config
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+_COMMON = frozenset(CONFIG_SCHEMA["required"]) | {"output_dir"}
+
+
+def _setup(cfg: dict) -> dict:
+    """The runner's inputs besides cfg, by keyword, built before anything is
+    computed; raises DomainError for a config the experiment cannot run."""
+    exp, g = cfg["experiment"], cfg.get("grid")
+    params = ModelParams(d=cfg["d"], alpha=cfg["alpha"], s=cfg["s"],
+                         nu=cfg.get("nu", 0.0))
+    setup = {"params": params}
+    if "selfsimilar" in cfg:  # the experiments that build a radial kernel
+        if exp != "spectral-evolve" and not (cfg["selfsimilar"] and params.nu == 0.0):
+            raise DomainError(f"{exp} compares with the inviscid K on the scale-free "
+                              "kernel only: selfsimilar must be true and nu 0")
+        setup["grid"] = _spectral.RadialGrid.log_spaced(
+            g["rho_min"], g["rho_max"], g["nodes"], params.d)
+    if exp == "selfsimilar-balance":
+        # propagate is exact, so the samples need no time step
+        setup["times"] = [cfg["time"]["t_final"] * (i + 1) / 11.0 for i in range(10)]
+    elif exp in ("flux-table", "asymptotics"):
+        if exp == "flux-table" and g["nodes"] == 0:
+            raise DomainError("a flux table needs at least one node")
+        if g["nodes"] > 1 and not g["rho_min"] < g["rho_max"]:
+            raise DomainError("a flux grid of more than one node needs "
+                              "rho_min < rho_max")
+        xi = np.geomspace(g["rho_min"], g["rho_max"], g["nodes"]).tolist()
+        if exp == "asymptotics" and sum(x >= _SLOPE_XI_MIN for x in xi) < 2:
+            raise DomainError("the residual slope needs at least two "
+                              f"|xi| >= {_SLOPE_XI_MIN:g}")
+        setup["xi"] = xi
+    elif exp == "mc-ensemble":
+        lat, t_final = cfg["lattice"], cfg["time"]["t_final"]
+        if params.d != _mc.LATTICE_D:
+            raise DomainError("Monte Carlo lattice runs are 2-d only")
+        setup["lattice"] = _mc.LatticeConfig(
+            n_max=lat["n_max"], alpha=cfg["alpha"], dt=lat["dt"],
+            n_samples=lat["n_samples"], seed=cfg["seed"])
+        n_steps = int(round(t_final / lat["dt"]))
+        if n_steps < 1:
+            raise DomainError("t_final is shorter than half a lattice step: "
+                              "the rate check needs at least one step")
+        stride = _mc.MC_RECORD_STRIDE
+        setup["times"] = [min(k * stride * lat["dt"], t_final)
+                          for k in range(n_steps // stride + 1)] + [t_final]
+    return setup
+
+
+def load_config(path: str):
+    """(resolved config, set-up); raises ConfigError for a config that is
+    unreadable, breaks the schema, sets an unread field or cannot be set up."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    # best_match picks the error jsonschema.validate would raise
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}") from error
+    _, fields = EXPERIMENTS[raw["experiment"]]
+    unread = ", ".join(sorted(raw.keys() - _COMMON - fields.keys()))
+    if unread:
+        raise ConfigError(f"{raw['experiment']} does not read {unread}")
+    resolved = {key: default(raw) if callable(default) else copy.deepcopy(default)
+                for key, default in fields.items()}
+    resolved.update(raw)
+    try:
+        return resolved, _setup(resolved)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _atomic_write(path: str, text: str):
@@ -396,7 +394,8 @@ def run(config_path: str, output_dir: Optional[str] = None) -> int:
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.monotonic()
     try:
-        artifacts, checks, *diagnostics = _RUNNERS[cfg["experiment"]](cfg, **setup)
+        runner, _ = EXPERIMENTS[cfg["experiment"]]
+        artifacts, checks, *diagnostics = runner(cfg, **setup)
     except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -196,8 +196,10 @@ def test_c07_selfsimilar_exact_balance(ref_grid, ss_kernel):
 
 def test_c08_anomalous_dissipation_integral(ref_grid, ss_kernel):
     state = log_bump(ref_grid, REF, center=4.0)
-    integral, reference = spectral.anomalous_dissipation_integral(state, ss_kernel)
-    ratio = integral / reference
+    integral = spectral.anomalous_dissipation_integral(state, ss_kernel)
+    a = REF.alpha
+    k_ref = mellin.k_constant_gamma(ModelParams(d=REF.d, alpha=a, s=1.0 - a))
+    ratio = integral / (spectral.sobolev_norm(state, 1.0 - a) / k_ref)
     ok = 0.9 <= ratio <= 1.1
     report(8, ok, f"time-integrated mass / (||a0||_(alpha-1) / K) = "
                   f"{ratio:.4f} (in [0.9, 1.1])")

@@ -35,7 +35,6 @@ class TestValidate:
         out = capsys.readouterr().out
         assert out.startswith("ok")
         resolved = json.loads(out.split("\n", 1)[1])
-        assert resolved["seed"] == 0
         assert "m" not in resolved
         assert resolved["grid"]["nodes"] == 512
 
@@ -145,14 +144,35 @@ UNRUNNABLE = {
     "dissipation-integral-viscous": {
         "experiment": "dissipation-integral", "nu": 0.01,
         "grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 32}},
-    # selfsimilar chooses a radial kernel, and k-constants builds none
+    "asymptotics-no-nodes": {
+        "experiment": "asymptotics",
+        "grid": {"rho_min": 1.0, "rho_max": 1e3, "nodes": 0}},
+    # an experiment refuses every optional field it does not read: selfsimilar
+    # and nu belong to the radial kernel, which k-constants does not build
     "k-constants-selfsimilar": {"experiment": "k-constants", "selfsimilar": True},
-    # nu is the radial kernel's viscous decay, which no other experiment has
     "k-constants-nu": {"experiment": "k-constants", "nu": 0.01},
+    "k-constants-lattice": {
+        "experiment": "k-constants",
+        "lattice": {"n_max": 4, "n_samples": 64, "dt": 1e-4}},
+    "k-constants-trackers": {"experiment": "k-constants", "trackers": [0.5]},
+    "k-constants-time": {"experiment": "k-constants", "time": {"t_final": 1.0}},
+    "k-constants-seed": {"experiment": "k-constants", "seed": 1},
     "flux-table-nu": {"nu": 0.0},
+    "flux-table-seed": {"seed": 1},
     "asymptotics-nu": {"experiment": "asymptotics", "nu": 0.01},
+    "selfsimilar-balance-trackers": {
+        "experiment": "selfsimilar-balance", "trackers": [0.75],
+        "grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 32}},
+    "dissipation-integral-trackers": {
+        "experiment": "dissipation-integral", "trackers": [0.75],
+        "grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 32}},
     "mc-ensemble-nu": {
         "experiment": "mc-ensemble", "s": 0.5, "nu": 0.01,
+        "time": {"t_final": 12e-4},
+        "lattice": {"n_max": 4, "n_samples": 64, "dt": 1e-4}},
+    "mc-ensemble-reversed-grid": {
+        "experiment": "mc-ensemble", "s": 0.5,
+        "grid": {"rho_min": 5.0, "rho_max": 1.0, "nodes": 8},
         "time": {"t_final": 12e-4},
         "lattice": {"n_max": 4, "n_samples": 64, "dt": 1e-4}},
 }
@@ -312,20 +332,38 @@ class TestRun:
         assert manifest["config"]["selfsimilar"] is selfsimilar
         assert manifest["config"]["nu"] == 0.0
 
-    def test_manifest_of_a_kernel_free_run_has_no_selfsimilar(self, tmp_path):
-        path = write_cfg(tmp_path, experiment="k-constants", alpha=0.25, s=0.5)
-        out = tmp_path / "out"
-        assert cli.main(["run", path, "--output-dir", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert "selfsimilar" not in manifest["config"]
+    # the optional fields each experiment reads, on small inputs
+    READS = {
+        "k-constants": ({}, set()),
+        "flux-table": ({"grid": {"rho_min": 1.0, "rho_max": 1.0, "nodes": 1}},
+                       {"grid"}),
+        "asymptotics": ({}, {"grid"}),
+        "spectral-evolve": (
+            {"grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 32},
+             "time": {"t_final": 0.1}},
+            {"grid", "time", "trackers", "selfsimilar", "nu"}),
+        "selfsimilar-balance": (
+            {"grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 32}},
+            {"grid", "time", "selfsimilar", "nu"}),
+        "dissipation-integral": (
+            {"grid": {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 32}},
+            {"grid", "time", "selfsimilar", "nu"}),
+        "mc-ensemble": (
+            {"s": 0.5, "time": {"t_final": 1.5e-3},
+             "lattice": {"n_max": 4, "n_samples": 64, "dt": 1e-4}},
+            {"time", "lattice", "seed"}),
+    }
 
-    def test_manifest_of_a_kernel_free_run_has_no_nu(self, tmp_path):
-        path = write_cfg(tmp_path, grid={"rho_min": 1.0, "rho_max": 1.0,
-                                         "nodes": 1})
+    @pytest.mark.parametrize("experiment", READS)
+    def test_manifest_records_what_the_experiment_reads(self, tmp_path,
+                                                        experiment):
+        overrides, reads = self.READS[experiment]
+        assert set(cli.EXPERIMENTS[experiment][1]) == reads
+        path = write_cfg(tmp_path, experiment=experiment, **overrides)
         out = tmp_path / "out"
         assert cli.main(["run", path, "--output-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert "nu" not in manifest["config"]
+        assert set(manifest["config"]) == {"experiment", "d", "alpha", "s"} | reads
 
     def test_output_dir_from_config(self, tmp_path):
         out = tmp_path / "from_cfg"
