@@ -5,8 +5,9 @@ pole and finiteness checks.  The Mellin transforms of the model's radial
 profiles live as Gamma products in the mellin module.  The angular
 integral of the model is a closed form here: the Gegenbauer
 generating-function integral (a 2F1) behind f, K, F and the scale-free
-kernel.  The covariance defect D needs none: it is a Gamma quotient
-(mellin.d_constant).
+kernel, and, integrated radially, two more 2F1s: the scale-free kernel's
+rates to the modes off a grid.  The covariance defect D needs none: it is
+a Gamma quotient (mellin.d_constant).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "sin_power_integral",
     "gegenbauer_integral",
     "gegenbauer_2f1",
+    "gegenbauer_tails",
     "gegenbauer_defect",
     "sphere_surface",
     "POLE_TOL",
@@ -135,11 +137,33 @@ def sin_power_integral(gamma_exp: float, eta_exp: float) -> float:
 def gegenbauer_2f1(d: float, s: float, x):
     """int_0^pi sin^d(t) |1 - 2 x cos t + x^2|^{-s} dt
     = B(1/2, (d+1)/2) 2F1(s, s - d/2; d/2 + 1; x^2) for 0 <= x <= 1 (DLMF
-    15.4, 18.12); elementwise on arrays, unchecked.  The one 2F1 identity of
-    the library: gegenbauer_integral reflects r > 1 onto it, and the
-    kernel's angular series calls it with x = rho_< / rho_>."""
+    15.4, 18.12); elementwise on arrays, unchecked.  The one angular 2F1
+    identity of the library: gegenbauer_integral reflects r > 1 onto it,
+    the kernel's angular series calls it with x = rho_< / rho_>, and
+    gegenbauer_tails integrates its series term by term."""
     return sin_power_integral(d, 0.0) * _scisp.hyp2f1(
         s, s - d / 2.0, d / 2.0 + 1.0, x * x)
+
+
+def gegenbauer_tails(d: float, alpha: float, x, y):
+    """The two radial integrals of the scale-free kernel off a grid, for
+    0 <= x, y < 1, with a = alpha, s' = (d + 2a + 2)/2, B = B(1/2, (d+1)/2)
+    and G(u) = gegenbauer_2f1(d, s', u):
+
+        int_0^x u^{d+1} G(u) du = B x^{d+2}/(d+2) 2F1(s', a+1; d/2+2; x^2)
+        int_0^y u^{2a-1} G(u) du = B y^{2a}/(2a) 2F1(s', a; d/2+1; y^2)
+
+    G's series integrated term by term.  Returns their sum, elementwise,
+    unchecked.  In both 2F1s the lower parameter minus the two upper ones
+    is -2a, so they grow like (1 - z)^{-2a} as z -> 1; at a = 1/2 that
+    difference is an integer, the logarithmic case of the connection
+    formula at z = 1 (DLMF 15.8(ii))."""
+    sig = (d + 2.0 * alpha + 2.0) / 2.0
+    below = x ** (d + 2.0) / (d + 2.0) * _scisp.hyp2f1(
+        sig, alpha + 1.0, d / 2.0 + 2.0, x * x)
+    above = y ** (2.0 * alpha) / (2.0 * alpha) * _scisp.hyp2f1(
+        sig, alpha, d / 2.0 + 1.0, y * y)
+    return sin_power_integral(d, 0.0) * (below + above)
 
 
 def gegenbauer_integral(d: float, s: float, r: float) -> float:

@@ -13,11 +13,15 @@ mass m = 1 for the massive kernel and m = 0 for the scale-free one: a
 binomial series of Gegenbauer 2F1s (specfun.gegenbauer_2f1), which at
 m = 0 is one 2F1 per pair, plus Gauss-Legendre panels doubling away from
 the peak for massive pairs near the unit scale, where no series converges.
-Every rate is one radial sum of it (_radial_sums): the far field at the
-nodes, the near band on 16 Gauss-Legendre points per cell and the absorbing
-boundary on log panels outside the grid, h/2 wide at each grid end and
-doubling outward, with the tail past the last panel as one more point
-(build_kernel's three rules).
+Each kernel entry is one radial sum of it (_radial_sums): the far field at
+the nodes and the near band on 16 Gauss-Legendre points per cell.  The
+massive kernel runs both rules on every pair, and its absorbing boundary
+is one more radial sum on log panels outside the grid, h/2 wide at each
+grid end and doubling outward, with the tail past the last panel as one
+more point.  The scale-free kernel is homogeneous, so on the log grid it
+is sigma = D T D with D diagonal and T Toeplitz: the two rules run on row
+0 alone, and its absorb rates are two closed-form 2F1s per node
+(specfun.gegenbauer_tails).  build_kernel holds the rules.
 
 The rate operator is L a = sigma a / w - loss a, with one loss diagonal:
 the row sums of sigma over w, the absorption to off-grid modes and the
@@ -43,8 +47,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import (ComputeError, DomainError, NegativityError,
                      StabilityViolation, TruncationWarning)
-from .specfun import (ModelParams, gegenbauer_2f1, sin_power_integral,
-                      sphere_surface)
+from .specfun import (ModelParams, gegenbauer_2f1, gegenbauer_tails,
+                      sin_power_integral, sphere_surface)
 
 __all__ = [
     "RadialGrid", "SpectrumState", "KernelMatrix", "BalanceReport",
@@ -301,34 +305,66 @@ def _log_panels(lo_log, hi_log, d: int):
     return r, wt * r ** d
 
 
+def _upper_entries(grid: RadialGrid, i, j, pref: float, alpha: float, mass: float):
+    """sigma_ij for the node pairs i < j, by build_kernel's far-field and
+    near-band rules."""
+    d, nodes, w = grid.d, grid.nodes, grid.weights
+    out = np.empty(i.size)
+    band = j - i <= _NEAR_BAND
+
+    fi, fj = i[~band], j[~band]
+    v = nodes[fj, None] ** d * grid.log_step
+    out[~band] = w[fi] * (pref * _radial_sums(nodes[fi], nodes[fj, None], v, d,
+                                              alpha, mass))
+
+    bi, bj = i[band], j[band]
+    edges = grid.log_edges()
+    cells = np.concatenate((bj, bi))
+    kappa = pref * _radial_sums(nodes[np.concatenate((bi, bj))],
+                                *_log_panels(edges[cells], edges[cells + 1], d),
+                                d, alpha, mass)
+    out[band] = 0.5 * (w[bi] * kappa[:bi.size] + w[bj] * kappa[bi.size:])
+    return out
+
+
 def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = False,
                  boundary: str = "absorbing") -> KernelMatrix:
     """Assemble the jump-kernel matrix on the grid.
 
     kappa_ij = (2 pi)^{-d/2} omega_{d-2} int_{cell j} ang(rho_i, r) r^d dlog r
-    and each absorb rate are _radial_sums of the angular integral, by three rules:
+    is a _radial_sums of the angular integral, by two rules:
 
     - far field, j - i > _NEAR_BAND: the node rho_j as its cell's single
       point, with weight v_j = rho_j^d h;
     - near band, 0 < j - i <= _NEAR_BAND, where the kernel peaks sharply:
       16 Gauss-Legendre points in log over cell j, and sigma_ij the mean of
-      w_i kappa_ij and w_j kappa_ji;
-    - absorb: 16-point Gauss-Legendre log panels outside the grid, h/2
-      wide at each grid end, where the edge node's kernel peaks, and
-      doubling in width outward: to _EFOLDS/(d+2) e-folds below rho_min,
-      past which the integrand ~ r^{d+2} in log r leaves less than 1e-16,
-      and to R* = rho_max e^{_EFOLDS/2} above.  Beyond R* the integrand is
-      B rho^2 r^{-1-2a} (B = int_0^pi sin^d t dt) up to a relative
-      (rho^2 + m^2) / R*^2, so the tail is one more point, R*, with weight
-      R*^d / (2a): that integral's leading term.  The panels are anchored
-      to the log grid ends, so on a lambda-scaled grid every point scales
-      by lambda.
+      w_i kappa_ij and w_j kappa_ji.
 
-    ang is _angular_integral at mass 0 for the scale-free kernel
-    (selfsimilar) and at mass 1 for the massive one.  Only the upper triangle
-    is computed and then mirrored, so sigma = w kappa is exactly symmetric
-    with a zero diagonal.  Raises DomainError for an unknown boundary and
-    for a grid whose dimension is not params.d.
+    ang is _angular_integral at mass 1 for the massive kernel, whose rules
+    run on every pair i < j, mirrored, so sigma = w kappa is exactly
+    symmetric with a zero diagonal.  The scale-free kernel (selfsimilar,
+    mass 0) is homogeneous of degree c = d + 2 - 2a in (rho_i, rho_j), and
+    the grid, the cells and the symmetrization are shift-invariant in log
+    index, so sigma = D T D with D = diag(rho^{c/2}) and T Toeplitz: the
+    rules run on row 0 alone and sigma_ij = sigma_{0,|i-j|}
+    (rho_min(i,j) / rho_0)^c, bitwise symmetric with a zero diagonal.  The
+    scale uses node ratios, not e^{c h i}: h is a rounded difference.
+
+    absorb, the rate to the modes outside an absorbing boundary, is for the
+    scale-free kernel (2 pi)^{-d/2} omega_{d-2} rho^{2-2a} times
+    specfun.gegenbauer_tails at x = rho_min/rho and y = rho/rho_max, the
+    radial integrals below and above the grid in closed form.  For the
+    massive kernel it is a _radial_sums on 16-point Gauss-Legendre log
+    panels outside the grid, h/2 wide at each grid end, where the edge
+    node's kernel peaks, and doubling in width outward: to _EFOLDS/(d+2)
+    e-folds below rho_min, past which the integrand ~ r^{d+2} in log r
+    leaves less than 1e-16, and to R* = rho_max e^{_EFOLDS/2} above.
+    Beyond R* the integrand is B rho^2 r^{-1-2a} (B = int_0^pi sin^d t dt)
+    up to a relative (rho^2 + m^2) / R*^2, so the tail is one more point,
+    R*, with weight R*^d / (2a): that integral's leading term.
+
+    Raises DomainError for an unknown boundary and for a grid whose
+    dimension is not params.d.
     """
     if boundary not in ("absorbing", "closed"):
         raise DomainError("boundary must be 'absorbing' or 'closed'")
@@ -339,31 +375,30 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
     nodes = grid.nodes
     n = grid.n
     pref = (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
-    mass = 0.0 if selfsimilar else 1.0
-    w = grid.weights
-    iu, ju = np.triu_indices(n, 1)
-    band = ju - iu <= _NEAR_BAND
-    sigma = np.zeros((n, n))
-
-    i, j = iu[~band], ju[~band]
-    v = nodes[j, None] ** d * grid.log_step
-    kappa = pref * _radial_sums(nodes[i], nodes[j, None], v, d, a, mass)
-    sigma[i, j] = w[i] * kappa
-
-    i, j = iu[band], ju[band]
-    edges = grid.log_edges()
-    cells = np.concatenate((j, i))
-    kappa = pref * _radial_sums(nodes[np.concatenate((i, j))],
-                                *_log_panels(edges[cells], edges[cells + 1], d),
-                                d, a, mass)
-    sigma[i, j] = 0.5 * (w[i] * kappa[:i.size] + w[j] * kappa[i.size:])
-    sigma += sigma.T
+    if selfsimilar:
+        j = np.arange(1, n)
+        row = np.r_[0.0, _upper_entries(grid, np.zeros_like(j), j, pref, a, 0.0)]
+        # toeplitz[i, j] = row[|i - j|], a view of one 2n - 1 array
+        toeplitz = np.lib.stride_tricks.sliding_window_view(
+            np.r_[row[:0:-1], row], n)[::-1]
+        # (rho_i / rho_0)^c rises with i, so its minimum over i, j is at min(i, j)
+        scale = (nodes / nodes[0]) ** (d + 2.0 - 2.0 * a)
+        sigma = toeplitz * np.minimum.outer(scale, scale)
+    else:
+        iu, ju = np.triu_indices(n, 1)
+        sigma = np.zeros((n, n))
+        sigma[iu, ju] = _upper_entries(grid, iu, ju, pref, a, 1.0)
+        sigma += sigma.T
 
     if np.any(sigma < 0.0):
         raise ComputeError("kernel entries must be nonnegative")
 
-    absorb = np.zeros(n)
-    if boundary == "absorbing":
+    if boundary == "closed":
+        absorb = np.zeros(n)
+    elif selfsimilar:
+        absorb = (pref * nodes ** (2.0 - 2.0 * a)
+                  * gegenbauer_tails(d, a, grid.rho_min / nodes, nodes / grid.rho_max))
+    else:
         h = grid.log_step
         ends = 0.5 * h * (2.0 ** np.arange(1 + math.ceil(math.log2(1 + _EFOLDS / h))) - 1)
         lower = math.log(grid.rho_min) - np.unique(np.minimum(ends, _EFOLDS / (d + 2)))
@@ -371,7 +406,7 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
         r, wr = _log_panels(np.r_[lower[1:], upper[:-1]], np.r_[lower[:-1], upper[1:]], d)
         r_star = math.exp(upper[-1])
         absorb = pref * _radial_sums(nodes, np.append(r, r_star),
-                                     np.append(wr, r_star ** d / (2.0 * a)), d, a, mass)
+                                     np.append(wr, r_star ** d / (2.0 * a)), d, a, 1.0)
 
     return KernelMatrix(sigma=sigma, absorb=absorb, grid=grid, params=params,
                         selfsimilar=selfsimilar)

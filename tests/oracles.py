@@ -3,9 +3,10 @@ test-only routes the package itself does not run.
 
 The defining angular integrals by QUADPACK, so the tests compare the 2F1
 forms and the massive kernel (and everything built on them) with a
-separate computation; the continuum integral over the modes outside a
-radial grid, by adaptive QUADPACK; the covariance defect D by radial
-quadrature of Poisson's Bessel integral, against the Gamma quotient
+separate computation; the scale-free kernel entry by entry and the
+absorb rates point by point on their log panels; the continuum integral
+over the modes outside a radial grid, by adaptive QUADPACK; the
+covariance defect D by radial quadrature of Poisson's Bessel integral, against the Gamma quotient
 mellin.d_constant; J on a vertical Mellin contour and its three-term
 residue expansion; the unsplit polar and the direct massive flux
 integrals, the scale-free flux -K |xi|^{2-2a-2s}, the continuum right
@@ -17,6 +18,7 @@ and the Sobolev estimate of an ensemble record."""
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy import special as _scisp
 
 from kraichnan_lab.errors import DomainError, ToleranceNotReached
@@ -25,6 +27,7 @@ from kraichnan_lab.mc_spde import FieldSample, _BandStepper, lattice_master_rate
 from kraichnan_lab.mellin import (expansion_terms, jl_product, k_constant_gamma,
                                   poles_in_strip)
 from kraichnan_lab.quad import quadpack, radial_quad
+from kraichnan_lab.spectral import _angular_integral
 from kraichnan_lab.specfun import (gegenbauer_defect, sin_power_integral,
                                    sphere_surface)
 
@@ -86,20 +89,92 @@ def off_grid_quad(ang, rho, rho_min, rho_max, d, alpha, rel_tol=1e-13):
     x = (r/rho_min)^{d+2} below the grid and x = (rho_max/r)^{2a} above it:
     the powers with which the integrand vanishes at r = 0 and decays at
     r = inf, so it tends to a constant at x = 0, and adaptive bisection
-    resolves the peak next to the grid end at x = 1.  Raises
+    resolves the peak next to the grid end at x = 1.  Above
+    R = 1e10 rho_max the integrand is its leading term B rho^2 r^{-1-2a}
+    (B = int_0^pi sin^d t dt) up to a relative (rho^2 + m^2)/R^2, below
+    1e-16 for mass m <= 1, rho <= rho_max and rho_max >= 1e-2, so that part
+    is B rho^2 R^{-2a}/(2a): at small alpha the tail reaches r far past
+    the double range, where the angular integral underflows.  Raises
     ToleranceNotReached when QUADPACK flags a side."""
-    def side(end, p):
+    def side(end, p, x0):
         def g(x):
             r = end * x ** (1.0 / p)
             return ang(rho, r) * r ** d / (abs(p) * x)
-        value, err, ok = quadpack(g, 0.0, 1.0, rel_tol=rel_tol, limit=1000)
+        value, err, ok = quadpack(g, x0, 1.0, rel_tol=rel_tol, limit=1000)
         if not ok:
             raise ToleranceNotReached("off-grid quadrature flagged",
                                       value=value, error_estimate=err)
         return value
 
-    total = side(rho_min, d + 2.0) + side(rho_max, -2.0 * alpha)
+    r_cut = 1e10 * rho_max
+    tail = (sin_power_integral(d, 0.0) * rho ** 2 * r_cut ** (-2.0 * alpha)
+            / (2.0 * alpha))
+    x_cut = (rho_max / r_cut) ** (2.0 * alpha)
+    total = side(rho_min, d + 2.0, 0.0) + side(rho_max, -2.0 * alpha, x_cut) + tail
     return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * total
+
+
+def absorb_panels(grid, params, ang, idx):
+    """Absorb rates of the nodes idx, one radial point at a time: GL16 log
+    panels h/2 wide at each grid end and doubling outward, to 37/(d+2)
+    e-folds below rho_min and to R* = rho_max e^18.5 above, the last panel
+    cut at that reach, and the tail beyond R* as the single point R* with
+    weight R*^d / (2 alpha).  ang(nodes, r, d, alpha) takes an array of
+    nodes and one radial point."""
+    d, a = grid.d, params.alpha
+    rho = grid.nodes[idx]
+    x16, w16 = leggauss(16)
+    total = np.zeros(len(rho))
+    for end, sign, reach in ((math.log(grid.rho_min), -1.0, 37.0 / (d + 2)),
+                             (math.log(grid.rho_max), 1.0, 18.5)):
+        near, width = 0.0, 0.5 * grid.log_step
+        while near < reach:
+            far = min(near + width, reach)
+            mid, half = end + sign * 0.5 * (near + far), 0.5 * (far - near)
+            for xk, wk in zip(x16, w16):
+                r = math.exp(mid + half * xk)
+                total += half * wk * ang(rho, r, d, a) * r ** d
+            near, width = far, 2.0 * width
+    r_star = grid.rho_max * math.exp(18.5)
+    total += ang(rho, r_star, d, a) * r_star ** d / (2.0 * a)
+    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * total
+
+
+def scale_free_kernel_pairwise(grid, params, boundary="absorbing"):
+    """(sigma, absorb) of the scale-free kernel by its three rules run on
+    every entry, with the package's angular integral at mass 0: each pair
+    i < j more than 4 cells apart by the node rho_j with weight rho_j^d h,
+    each nearer pair by 16 Gauss-Legendre points in log over cell j and
+    over cell i, sigma_ij the mean of w_i kappa_ij and w_j kappa_ji,
+    mirrored; absorb by absorb_panels."""
+    d, a, n = grid.d, params.alpha, grid.n
+    rho, w, h = grid.nodes, grid.weights, grid.log_step
+    pref = (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
+    x16, w16 = leggauss(16)
+    edges = grid.log_edges()
+
+    def ang(x, r, d, a):
+        return _angular_integral(x, r, d, a, 0.0)
+
+    def kappa(i, cell):
+        # pref int_{cell} ang(rho_i, r) r^d dlog r, on 16 points
+        r = np.exp(0.5 * (edges[cell] + edges[cell + 1])[:, None] + 0.5 * h * x16)
+        return pref * 0.5 * h * (ang(rho[i][:, None], r, d, a) * r ** d * w16).sum(1)
+
+    i, j = np.triu_indices(n, 1)
+    far = j - i > 4
+    fi, fj, bi, bj = i[far], j[far], i[~far], j[~far]
+    sigma = np.zeros((n, n))
+    block = 1 << 16    # pairs per angular call: bounded memory at n = 2048
+    for k in range(0, fi.size, block):
+        p, q = fi[k:k + block], fj[k:k + block]
+        sigma[p, q] = w[p] * pref * ang(rho[p], rho[q], d, a) * rho[q] ** d * h
+    sigma[bi, bj] = 0.5 * (w[bi] * kappa(bi, bj) + w[bj] * kappa(bj, bi))
+    sigma += sigma.T
+    absorb = np.zeros(n)
+    if boundary == "absorbing":
+        absorb = absorb_panels(grid, params, ang, np.arange(n))
+    return sigma, absorb
 
 
 def f_inner_quad(r, params, rel_tol=1e-12):

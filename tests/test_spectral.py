@@ -19,8 +19,8 @@ from kraichnan_lab.spectral import (_FAR_GAP, _SMALL_SUM, KernelMatrix,
                                     balance_check, build_kernel, default_dt,
                                     evolve, propagate, sobolev_norm, step)
 from kraichnan_lab.specfun import ModelParams, gegenbauer_2f1, sphere_surface
-from oracles import (continuum_rhs, gegenbauer_quad, grid_flux, massive_ang_quad,
-                     off_grid_quad)
+from oracles import (absorb_panels, continuum_rhs, gegenbauer_quad, grid_flux,
+                     massive_ang_quad, off_grid_quad, scale_free_kernel_pairwise)
 
 P = ModelParams(d=2, alpha=0.5, s=0.75)
 P_NU = ModelParams(d=2, alpha=0.5, s=0.75, nu=0.05)
@@ -129,35 +129,10 @@ class TestKernel:
         # panel ladder, by region) as a loop over the points one at a time,
         # summed in another order
         idx = np.array([0, 40, 127])
-        ref = _absorb_reference(small_kernel.grid, P,
-                                functools.partial(_angular_integral, mass=1.0), idx)
+        ref = absorb_panels(small_kernel.grid, P,
+                            functools.partial(_angular_integral, mass=1.0), idx)
         got = small_kernel.absorb[idx]
         assert np.max(np.abs(got - ref) / ref) <= 1e-14
-
-
-def _absorb_reference(grid, params, ang, idx):
-    """Absorb rates of the nodes idx, one radial point at a time: GL16 log
-    panels h/2 wide at each grid end and doubling outward, to 37/(d+2)
-    e-folds below rho_min and to R* = rho_max e^18.5 above, the last panel
-    cut at that reach, and the tail beyond R* as the single point R* with
-    weight R*^d / (2 alpha)."""
-    d, a = grid.d, params.alpha
-    rho = grid.nodes[idx]
-    x16, w16 = leggauss(16)
-    total = np.zeros(len(rho))
-    for end, sign, reach in ((math.log(grid.rho_min), -1.0, 37.0 / (d + 2)),
-                             (math.log(grid.rho_max), 1.0, 18.5)):
-        near, width = 0.0, 0.5 * grid.log_step
-        while near < reach:
-            far = min(near + width, reach)
-            mid, half = end + sign * 0.5 * (near + far), 0.5 * (far - near)
-            for xk, wk in zip(x16, w16):
-                r = math.exp(mid + half * xk)
-                total += half * wk * ang(rho, r, d, a) * r ** d
-            near, width = far, 2.0 * width
-    r_star = grid.rho_max * math.exp(18.5)
-    total += ang(rho, r_star, d, a) * r_star ** d / (2.0 * a)
-    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * total
 
 
 def _scale_free_ang_quad(rho_i, r, d, alpha):
@@ -169,7 +144,7 @@ def _scale_free_ang_quad(rho_i, r, d, alpha):
 
 
 def _pointwise(ang):
-    """A scalar angular oracle as the (nodes, r) form _absorb_reference
+    """A scalar angular oracle as the (nodes, r) form absorb_panels
     takes: one call per node."""
     def vec(rho, r, d, a):
         return np.array([ang(x, r, d, a) for x in rho])
@@ -288,9 +263,11 @@ class TestScaleFreeKernel:
         assert abs(ss.sigma[i, j] - ref) <= 1e-12 * ref
 
     def test_absorb_vs_quadrature(self, ss):
+        # the closed-form rates against the log-panel rule on the angular
+        # integral by QUADPACK; the panels hold the continuum to 1e-12
         idx = np.array([0, 24, self.N - 1])
-        ref = _absorb_reference(ss.grid, ss.params,
-                                _pointwise(_scale_free_ang_quad), idx)
+        ref = absorb_panels(ss.grid, ss.params, _pointwise(_scale_free_ang_quad),
+                            idx)
         assert np.max(np.abs(ss.absorb[idx] - ref) / ref) <= 1e-12
 
     def test_lambda_scaled_grid(self, ss):
@@ -307,6 +284,62 @@ class TestScaleFreeKernel:
         assert np.max(np.abs(entries(kern)[off] - ref) / ref) <= 1e-12
         ref = factor * ss.absorb
         assert np.max(np.abs(kern.absorb - ref) / ref) <= 1e-12
+
+
+class TestShiftStructure:
+    """The scale-free kernel from one row, sigma = D T D on the log grid,
+    against its three rules run on every entry
+    (oracles.scale_free_kernel_pairwise), and its grid symbol."""
+
+    @staticmethod
+    def _check_vs_pairwise(grid, params):
+        sigma, absorb = scale_free_kernel_pairwise(grid, params)
+        off = ~np.eye(grid.n, dtype=bool)
+        for boundary in ("absorbing", "closed"):
+            kern = build_kernel(grid, params, selfsimilar=True, boundary=boundary)
+            assert np.array_equal(kern.sigma, kern.sigma.T)
+            assert not np.diag(kern.sigma).any()
+            assert np.max(np.abs(kern.sigma - sigma)[off] / sigma[off]) <= 1e-12
+            if boundary == "closed":
+                assert not kern.absorb.any()
+            else:
+                assert np.max(np.abs(kern.absorb - absorb) / absorb) <= 1e-12
+
+    @pytest.mark.parametrize("extent", [(0.05, 50.0, 48), (1e-2, 1e3, 64),
+                                        (1e-2, 1e3, 512)])
+    @pytest.mark.parametrize("d,alpha", [(2, 0.25), (2, 0.75), (3, 0.25),
+                                         (3, 0.75)])
+    def test_row_build_vs_pairwise(self, d, alpha, extent):
+        lo, hi, n = extent
+        self._check_vs_pairwise(RadialGrid.log_spaced(lo, hi, n, d),
+                                ModelParams(d=d, alpha=alpha, s=0.6))
+
+    # n = 2 and 5: the band holds the whole row; n = 2048: the rounding of
+    # the log nodes, ~1e-15 against a gap h = 5.6e-3, moves the dense
+    # build's near-band entries by up to 8e-13 from the exact shift
+    @pytest.mark.parametrize("n", [2, 5, 2048])
+    def test_row_build_vs_pairwise_sizes(self, n):
+        self._check_vs_pairwise(RadialGrid.log_spaced(1e-2, 1e3, n, 2),
+                                ModelParams(d=2, alpha=0.75, s=0.6))
+
+    @pytest.mark.parametrize("d,alpha,s", [(2, 0.5, 0.75), (3, 0.25, 0.6)])
+    def test_grid_symbol(self, d, alpha, s):
+        # rate(rho^-2s)_i = rho_i^{2-2a-2s} (omega_{d-1} h)^-1
+        # sum_m T_m e^{cmh/2} (e^{-2smh} - 1) at every node, the sum over
+        # the nodes that exist, with T_m = sigma_{0,m} (rho_0 rho_m)^{-c/2}
+        grid = RadialGrid.log_spaced(1e-3, 1e4, 700, d)
+        params = ModelParams(d=d, alpha=alpha, s=s)
+        kern = build_kernel(grid, params, selfsimilar=True, boundary="closed")
+        sigma, _ = scale_free_kernel_pairwise(grid, params, boundary="closed")
+        rho, h, c = grid.nodes, grid.log_step, d + 2.0 - 2.0 * alpha
+        t_row = sigma[0] / (rho[0] * rho) ** (c / 2.0)
+        i = grid.n // 2
+        m = np.arange(-i, grid.n - i)
+        symbol = (np.sum(t_row[np.abs(m)] * np.exp(c * m * h / 2.0)
+                         * np.expm1(-2.0 * s * m * h))
+                  / (sphere_surface(d - 1) * h))
+        got = kern.rate(rho ** (-2.0 * s))[i] / rho[i] ** (2.0 - 2.0 * alpha - 2.0 * s)
+        assert abs(got - symbol) <= 1e-12 * abs(symbol)
 
 
 class TestMassiveKernel:
@@ -343,8 +376,8 @@ class TestMassiveKernel:
 
     def test_absorb_vs_quadrature(self, mk):
         idx = np.array([0, 24, self.N - 1])
-        ref = _absorb_reference(mk.grid, mk.params, _pointwise(massive_ang_quad),
-                                idx)
+        ref = absorb_panels(mk.grid, mk.params, _pointwise(massive_ang_quad),
+                            idx)
         assert np.max(np.abs(mk.absorb[idx] - ref) / ref) <= 1e-12
 
     @pytest.mark.parametrize("d,alpha", ANGULAR_PARAMS)
@@ -422,11 +455,7 @@ class TestOffGridIntegral:
 
     N = 512
 
-    @pytest.mark.parametrize("alpha", [0.25, 0.75])
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("mass", [0.0, 1.0], ids=["scale-free", "massive"])
-    @pytest.mark.parametrize("rho_max", [1e3, 30.0])
-    def test_nodes_vs_quadpack(self, rho_max, mass, d, alpha):
+    def _check_nodes(self, rho_max, mass, d, alpha):
         grid = RadialGrid.log_spaced(1e-2, rho_max, self.N, d)
         kern = build_kernel(grid, ModelParams(d=d, alpha=alpha, s=0.5),
                             selfsimilar=not mass)
@@ -439,6 +468,23 @@ class TestOffGridIntegral:
             ref = off_grid_quad(ang, grid.nodes[i], grid.rho_min, grid.rho_max,
                                 d, alpha)
             assert abs(kern.absorb[i] - ref) <= 1e-12 * ref, i
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.75])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("mass", [0.0, 1.0], ids=["scale-free", "massive"])
+    @pytest.mark.parametrize("rho_max", [1e3, 30.0])
+    def test_nodes_vs_quadpack(self, rho_max, mass, d, alpha):
+        self._check_nodes(rho_max, mass, d, alpha)
+
+    # the scale-free rates are two 2F1s per node with c - a - b = -2 alpha,
+    # at z up to e^-h next to each grid end: alpha = 0.5 is the integer
+    # case of the connection formula at z = 1, and alpha -> 0 and 1 the
+    # slowest and fastest growth there
+    @pytest.mark.parametrize("alpha", [0.02, 0.5, 0.98])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("rho_max", [1e3, 30.0])
+    def test_scale_free_closed_form_vs_quadpack(self, rho_max, d, alpha):
+        self._check_nodes(rho_max, 0.0, d, alpha)
 
 
 class TestStep:
