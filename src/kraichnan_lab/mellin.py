@@ -216,8 +216,9 @@ def k_constant_integral(params: ModelParams) -> float:
     def body(r):
         return r ** (-1.0 - 2.0 * a) * gegenbauer_defect(d, s, r)
 
-    # r = 1 is the kink left by the angular near-singularity at (r, t) = (1, 0)
-    v, _, _ = radial_quad(body, 1.0, 1e-10, 400)
+    # r = 1 is the kink left by the angular near-singularity at (r, t) = (1, 0);
+    # the defect tends to B(1/2, (d+1)/2), so body decays like r^{-1-2a}
+    v, _, _ = radial_quad(body, 1.0, 1e-10, 400, 2.0 * a)
     return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * v
 
 

@@ -2,12 +2,16 @@
 
 The panel engine is QUADPACK (scipy.integrate.quad) behind one entry point,
 `quadpack`: QAGP on finite intervals with declared singular points, and the
-same after the variable change t = lo + u/(1-u) for semi-infinite tails, so
-algebraic tail decay turns into an integrable endpoint singularity at u = 1.
-The contract is the error bound, not the rule.  Angular integrals are closed
-forms (specfun), so no integrand here calls QUADPACK again, and radial_quad
-is the only caller of quadpack in the package: every production quadrature
-is certified or raises ToleranceNotReached.
+same after a variable change onto [0, 1] for semi-infinite tails.  The
+default map t = lo + u/(1-u) turns algebraic tail decay into an integrable
+endpoint singularity at u = 1, which QUADPACK fails to resolve when the
+decay t^{-1-p} is slow (p near 0).  A caller that knows p passes it as
+`decay`, and the tail is mapped by t = lo u^{-1/p} instead, under which the
+leading t^{-1-p} term is constant in u.  The contract is the error bound,
+not the rule.  Angular integrals are closed forms (specfun), so no
+integrand here calls QUADPACK again, and radial_quad is the only caller of
+quadpack in the package: every production quadrature is certified or
+raises ToleranceNotReached.
 """
 
 from __future__ import annotations
@@ -22,27 +26,38 @@ from .specfun import ModelParams, gegenbauer_integral
 __all__ = ["quadpack", "radial_quad", "f_inner", "J_direct"]
 
 
-def quadpack(fn, lo, hi, points=None, abs_tol=0.0, rel_tol=1e-10, limit=500):
+def quadpack(fn, lo, hi, points=None, abs_tol=0.0, rel_tol=1e-10, limit=500,
+             decay=None):
     """int_lo^hi fn by scipy QUADPACK, with diagnostics returned instead of
     warnings: (value, error_estimate, converged).
 
     hi may be math.inf: the tail is mapped onto [0, 1) by t = lo + u/(1-u),
-    and declared points inside (lo, hi) move with the map.  Raises
-    NonFiniteIntegrand when the value is not finite.
+    or, given decay = p > 0 for an integrand that falls like t^{-1-p} (and
+    lo > 0), onto (0, 1] by t = lo u^{-1/p}, dt = t/(p u) du.  Declared
+    points inside (lo, hi) move with the map.  Raises NonFiniteIntegrand
+    when the value is not finite or the integrand overflows.
     """
     points = [p for p in points or () if lo < p < hi]
     if math.isinf(hi):
-        # the map binds origin, not lo, which is reset to 0 below
+        # the maps bind origin, not lo, which is reset to 0 below
         origin, integrand = lo, fn
-
-        def fn(u):
-            return integrand(origin + u / (1.0 - u)) / (1.0 - u) ** 2
-        points = [(p - origin) / (1.0 + (p - origin)) for p in points]
+        if decay is None:
+            def fn(u):
+                return integrand(origin + u / (1.0 - u)) / (1.0 - u) ** 2
+            points = [(p - origin) / (1.0 + (p - origin)) for p in points]
+        else:
+            def fn(u):
+                t = origin * u ** (-1.0 / decay)
+                return integrand(t) * t / (decay * u)
+            points = [(p / origin) ** -decay for p in points]
         lo, hi = 0.0, 1.0
     kwargs = dict(epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=True)
     if points:
         kwargs["points"] = sorted(points)
-    out = _sciint.quad(fn, lo, hi, **kwargs)
+    try:
+        out = _sciint.quad(fn, lo, hi, **kwargs)
+    except OverflowError as exc:  # a Python float power past the float range
+        raise NonFiniteIntegrand(f"integrand overflowed: {exc}") from exc
     value, err = out[0], out[1]
     if not math.isfinite(value):
         raise NonFiniteIntegrand(f"quadrature returned {value!r}")
@@ -50,16 +65,19 @@ def quadpack(fn, lo, hi, points=None, abs_tol=0.0, rel_tol=1e-10, limit=500):
     return value, err, ok
 
 
-def radial_quad(body, kink: float, rel_tol: float, limit: int):
+def radial_quad(body, kink: float, rel_tol: float, limit: int, decay=None):
     """int_0^inf body(r) dr for a radial integrand with a kink at r = kink
     and algebraic decay beyond it: [0, 4 kink] with the kink declared, then
-    the mapped tail to the absolute tolerance rel_tol |head|.  Returns
-    (value, error_estimate, converged); raises ToleranceNotReached when
-    QUADPACK flags a piece and the error estimate exceeds 10 rel_tol |value|."""
+    the mapped tail to the absolute tolerance rel_tol |head|, by the power
+    map when the caller gives the decay r^{-1-decay} of body (see
+    quadpack).  Returns (value, error_estimate, converged); raises
+    ToleranceNotReached when QUADPACK flags a piece and the error estimate
+    exceeds 10 rel_tol |value|."""
     split = 4.0 * kink
     v1, e1, ok1 = quadpack(body, 0.0, split, [kink], 0.0, rel_tol, limit)
     v2, e2, ok2 = quadpack(body, split, math.inf, None,
-                           max(1e-300, rel_tol * abs(v1)), rel_tol, limit)
+                           max(1e-300, rel_tol * abs(v1)), rel_tol, limit,
+                           decay)
     value, err, ok = v1 + v2, e1 + e2, ok1 and ok2
     if not ok and err > rel_tol * abs(value) * 10.0:
         raise ToleranceNotReached("radial quadrature tolerance not reached",
@@ -85,4 +103,4 @@ def J_direct(lam: float, params: ModelParams, rel_tol: float = 1e-9) -> float:
 
     # r = 1 is a kink of f (angular near-singularity); beyond r ~ 4 the
     # integrand is smooth with algebraic decay r^{-1-2a-2s}
-    return radial_quad(body, 1.0, rel_tol, 500)[0]
+    return radial_quad(body, 1.0, rel_tol, 500, 2.0 * (a + params.s))[0]

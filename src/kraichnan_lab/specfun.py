@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _scisp
+from scipy.special import cython_special as _cysp
 
 from .errors import DomainError, PoleError
 
@@ -137,11 +138,15 @@ def sin_power_integral(gamma_exp: float, eta_exp: float) -> float:
 def gegenbauer_2f1(d: float, s: float, x):
     """int_0^pi sin^d(t) |1 - 2 x cos t + x^2|^{-s} dt
     = B(1/2, (d+1)/2) 2F1(s, s - d/2; d/2 + 1; x^2) for 0 <= x <= 1 (DLMF
-    15.4, 18.12); elementwise on arrays, unchecked.  The one angular 2F1
-    identity of the library: gegenbauer_integral reflects r > 1 onto it,
-    the kernel's angular series calls it with x = rho_< / rho_>, and
-    gegenbauer_tails integrates its series term by term."""
-    return sin_power_integral(d, 0.0) * _scisp.hyp2f1(
+    15.4, 18.12); elementwise on arrays, unchecked.  A float x goes to
+    scipy's compiled scalar hyp2f1 (cython_special), the same routine as the
+    ufunc without its per-call overhead, so both paths agree bitwise.  The
+    one angular 2F1 identity of the library: gegenbauer_integral reflects
+    r > 1 onto it, the kernel's angular series calls it with
+    x = rho_< / rho_>, and gegenbauer_tails integrates its series term by
+    term."""
+    hyp2f1 = _cysp.hyp2f1 if isinstance(x, float) else _scisp.hyp2f1
+    return sin_power_integral(d, 0.0) * hyp2f1(
         s, s - d / 2.0, d / 2.0 + 1.0, x * x)
 
 
@@ -178,11 +183,16 @@ def gegenbauer_integral(d: float, s: float, r: float) -> float:
 
 def gegenbauer_defect(d: float, s: float, r: float) -> float:
     """int_0^pi sin^d(t) (1 - |1 - 2 r cos t + r^2|^{-s}) dt.  Below r = 0.3,
-    where 1 - 2F1 cancels, it is -B(1/2, (d+1)/2) times 30 terms of the
-    power series of 2F1 - 1 (term ratios tend to r^2 <= 0.09)."""
+    where 1 - 2F1 cancels, it is -B(1/2, (d+1)/2) times the power series of
+    2F1 - 1, summed until a term is below 1e-17 of the sum, at most 30
+    terms (term ratios tend to r^2 <= 0.09)."""
     if 0.0 <= r < 0.3:
-        n = np.arange(1.0, 31.0)
-        terms = np.cumprod((s + n - 1.0) * (s - d / 2.0 + n - 1.0)
-                           / ((d / 2.0 + n) * n) * (r * r))
-        return -sin_power_integral(d, 0.0) * float(terms.sum())
+        a, b, c, z = s, s - d / 2.0, d / 2.0 + 1.0, r * r
+        term = total = a * b / c * z
+        for n in range(1, 30):
+            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+            total += term
+            if abs(term) <= 1e-17 * abs(total):
+                break
+        return -sin_power_integral(d, 0.0) * total
     return sin_power_integral(d, 0.0) - gegenbauer_integral(d, s, r)

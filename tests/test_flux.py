@@ -60,6 +60,18 @@ class TestFluxF:
             fm = flux_F(xi, P, method="mellin")
             assert abs(fq - fm) <= 1e-5 * abs(fq)
 
+    @pytest.mark.parametrize("d,a,s", [(2, 0.02, 0.02), (3, 0.02, 0.03)])
+    def test_quadrature_certified_at_slow_decay(self, d, a, s):
+        # J's body decays like r^{-1-2a-2s}; at small alpha and s the
+        # quadrature route is certified (it raises ToleranceNotReached
+        # otherwise) from small to large |xi|, and meets the expansion
+        p = ModelParams(d=d, alpha=a, s=s)
+        for xi in (0.1, 2.0, 30.0):
+            fq = flux_F(xi, p, method="quadrature", rel_tol=1e-11)
+            assert math.isfinite(fq)
+        fm = flux_F(30.0, p, method="mellin")
+        assert abs(fq - fm) <= 1e-5 * abs(fq)
+
     def test_ig_cancellation_closed_form(self):
         # the exponent-d term of the expansion times omega_{d-2}|xi|^{d+2-2s}
         # reproduces G_term exactly

@@ -196,6 +196,17 @@ class TestKConstants:
         kg = k_constant_gamma(p)
         assert abs(k_constant_integral(p) - kg) <= 1e-10 * kg
 
+    @pytest.mark.parametrize("d,a,s", [
+        (2, 0.02, 0.02), (2, 0.02, 0.5), (2, 0.1, 0.02), (3, 0.02, 0.03),
+        (3, 0.1, 0.03), (4, 0.02, 0.04), (4, 0.1, 0.04), (5, 0.02, 0.05),
+        (5, 0.02, 1.25), (5, 0.1, 0.05)])
+    def test_integral_certified_at_slow_decay(self, d, a, s):
+        # small alpha: the body decays like r^{-1-2a}, a tail the rational
+        # map does not certify; the radial quadrature declares the decay
+        p = ModelParams(d=d, alpha=a, s=s)
+        kg = k_constant_gamma(p)
+        assert abs(k_constant_integral(p) - kg) <= 1e-10 * kg
+
     def test_integral_uncertified_raises(self, monkeypatch):
         monkeypatch.setattr(quad, "quadpack", lambda *a, **k: (1.0, 1.0, False))
         with pytest.raises(ToleranceNotReached):

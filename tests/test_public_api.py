@@ -4,8 +4,9 @@ module takes from a sibling is public there, and every function the
 benchmark's tracer wraps resolves (perfbench/tracing.py looks them up by
 name, so deleting or renaming one would break traced runs without failing a
 test).  Also the one quadrature layer: only quad.py reaches scipy.integrate,
-the tail map t = lo + u/(1-u) is written once, inside quad.quadpack, and the
-package calls quadpack only from quad.radial_quad, which certifies it.
+each tail map (the rational t = lo + u/(1-u) and the power t = lo u^{-1/p})
+is written once, inside quad.quadpack, and the package calls quadpack only
+from quad.radial_quad, which certifies it.
 And the one table writer: no module defines a to_csv or reaches io or
 csv, so every artifact is formatted by cli._csv; and the one radial rule:
 in spectral.py only _radial_sums calls the angular integral."""
@@ -158,16 +159,29 @@ def _tail_maps(tree):
             and node.right.right.id == node.left.id]
 
 
+def _power_maps(tree):
+    """Line numbers of every expression v ** (-1 / p), in any v and p."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.BinOp)
+            and isinstance(node.right.op, ast.Div)
+            and isinstance(node.right.left, ast.UnaryOp)
+            and isinstance(node.right.left.op, ast.USub)
+            and isinstance(node.right.left.operand, ast.Constant)
+            and node.right.left.operand.value == 1]
+
+
 def test_tail_map_only_inside_quadpack():
     for path in SOURCES:
         tree = _parse(path)
-        allowed = set()
-        if path == QUAD:
-            qp = _function(tree, "quadpack")
-            allowed = set(range(qp.lineno, qp.end_lineno + 1))
-            assert len(_tail_maps(qp)) == 1
-        stray = [n for n in _tail_maps(tree) if n not in allowed]
-        assert not stray, f"{path}: tail map on lines {stray}"
+        for maps in (_tail_maps, _power_maps):
+            allowed = set()
+            if path == QUAD:
+                qp = _function(tree, "quadpack")
+                allowed = set(range(qp.lineno, qp.end_lineno + 1))
+                assert len(maps(qp)) == 1, maps.__name__
+            stray = [n for n in maps(tree) if n not in allowed]
+            assert not stray, f"{path}: {maps.__name__} on lines {stray}"
 
 
 def _quadpack_calls(tree):

@@ -48,6 +48,39 @@ class TestIntegrate1d:
         assert ok
         assert abs(value - ref) <= 1e-10 * abs(ref) + err
 
+    @pytest.mark.parametrize("y", [0.02, 0.3, 1.5])
+    def test_power_tail_map(self, y):
+        # the same Beta integral with its tail t^{-1-y} declared to the
+        # power map t = 2 u^{-1/y}
+        from scipy.special import beta
+        x = 0.7
+        fn = lambda t: t ** (x - 1.0) * (1.0 + t) ** (-x - y)
+        head, e1, _ = quadpack(fn, 0.0, 2.0, [0.0], 1e-13, 1e-11)
+        tail, e2, ok = quadpack(fn, 2.0, math.inf, None, 1e-13, 1e-11,
+                                decay=y)
+        ref = beta(x, y)
+        assert ok
+        assert abs(head + tail - ref) <= 1e-10 * abs(ref) + e1 + e2
+
+    def test_power_tail_map_moves_points(self):
+        # a singularity at t = 3, declared, lands at u = (3/2)^{-p} under
+        # the power map; the integral matches the one split there
+        p = 0.8
+        fn = lambda t: t ** -1.3 * abs(t - 3.0) ** -0.5
+        left = quadpack(fn, 2.0, 3.0, None, 0.0, 1e-11)
+        right = quadpack(fn, 3.0, math.inf, None, 0.0, 1e-11, decay=p)
+        value, err, ok = quadpack(fn, 2.0, math.inf, [3.0], 0.0, 1e-11,
+                                  decay=p)
+        assert ok
+        assert abs(value - left[0] - right[0]) <= 1e-10 * value
+
+    def test_overflowing_integrand(self):
+        # past the float range a Python power raises OverflowError; the
+        # quadrature reports it as a non-finite integrand
+        with pytest.raises(NonFiniteIntegrand):
+            quadpack(lambda t: t ** -1.0001, 1.0, math.inf, None, 0.0, 1e-10,
+                     decay=1e-4)
+
     def test_error_budget_invariant(self):
         value, err, _ = quadpack(lambda t: math.exp(-t), 0.0, math.inf, None,
                                  1e-12, 1e-10)
@@ -88,6 +121,20 @@ class TestRadialQuad:
         value, err, ok = radial_quad(lambda r: r ** (x - 1.0) * (k + r) ** (-x - y),
                                      k, 1e-11, 500)
         ref = k ** -y * beta(x, y)
+        assert ok
+        assert abs(value - ref) <= 1e-10 * abs(ref) + err
+
+    def test_slow_decay_needs_the_power_map(self):
+        # at y = 0.02 the rational tail map leaves a (1-u)^{y-1} endpoint
+        # singularity that QUADPACK does not certify; declaring the decay
+        # r^{-1-y} maps the tail to a smooth integrand
+        from scipy.special import beta
+        x, y, k = 0.7, 0.02, 2.0
+        body = lambda r: r ** (x - 1.0) * (k + r) ** (-x - y)
+        ref = k ** -y * beta(x, y)
+        with pytest.raises(ToleranceNotReached):
+            radial_quad(body, k, 1e-11, 500)
+        value, err, ok = radial_quad(body, k, 1e-11, 500, y)
         assert ok
         assert abs(value - ref) <= 1e-10 * abs(ref) + err
 
@@ -156,13 +203,13 @@ class TestJDirect:
 
     @pytest.mark.parametrize("d,a,s", [(2, 0.5, 0.75), (3, 0.4, 1.0)])
     def test_vs_nested_quadrature(self, d, a, s):
-        # the same radial quadrature over f with its angular integral by
-        # QUADPACK instead of the closed form
+        # the same radial quadrature (split, tail map and decay) over f with
+        # its angular integral by QUADPACK instead of the closed form
         p = ModelParams(d=d, alpha=a, s=s)
         for lam in (0.5, 1.0005, 5.0, 50.0):
             ref, _, _ = radial_quad(
                 lambda r: (1.0 + (lam * r) ** 2) ** (-(d / 2.0 + a))
-                * f_inner_quad(r, p), 1.0, 1e-9, 500)
+                * f_inner_quad(r, p), 1.0, 1e-9, 500, 2.0 * (a + s))
             assert abs(J_direct(lam, p) - ref) <= 1e-12 * abs(ref)
 
 

@@ -134,6 +134,15 @@ GEGENBAUER_R = [1e-3, G_SWITCH * (1.0 - 1e-4), G_SWITCH * (1.0 + 1e-4),
                 1.0 - 1e-5, 1.0 + 1e-5, 3.0, 1e3]
 
 
+def _defect_series_terms(d, s, r):
+    """The first 40 terms of 2F1(s, s - d/2; d/2 + 1; r^2) - 1, each from
+    its Pochhammer symbols."""
+    return [math.prod((s + k) * (s - d / 2.0 + k) / ((d / 2.0 + 1.0 + k)
+                                                      * (k + 1.0))
+                      for k in range(n)) * r ** (2 * n)
+            for n in range(1, 41)]
+
+
 class TestGegenbauerIntegral:
     """The 2F1 form and its defect against the angular integral by
     QUADPACK, on both sides of the series switch and of r = 1."""
@@ -162,6 +171,44 @@ class TestGegenbauerIntegral:
         below = gegenbauer_defect(d, s, math.nextafter(G_SWITCH, 0.0))
         above = gegenbauer_defect(d, s, G_SWITCH)
         assert abs(below - above) <= 1e-13 * abs(above)
+
+    @pytest.mark.parametrize("d,s", [(2, 0.2), (2, 0.95), (3, 0.5), (3, 1.4),
+                                     (5, 0.1), (5, 2.4)])
+    def test_series_meets_closed_form_at_switch(self, d, s):
+        # both branches evaluated on each side of the switch, to 1e-14 of
+        # B, the size of the two terms that cancel in the closed form
+        b = sin_power_integral(d, 0.0)
+        for r in (G_SWITCH - 1e-9, G_SWITCH + 1e-9):
+            series = -b * sum(_defect_series_terms(d, s, r))
+            closed = b - gegenbauer_integral(d, s, r)
+            assert abs(series - closed) <= 1e-14 * b
+            branch = series if r < G_SWITCH else closed
+            assert gegenbauer_defect(d, s, r) == pytest.approx(branch,
+                                                               rel=1e-15)
+
+    @pytest.mark.parametrize("d,s", [(2, 0.2), (2, 0.95), (3, 0.5), (3, 1.4),
+                                     (5, 0.1), (5, 2.4)])
+    def test_series_leading_term(self, d, s):
+        # defect = -B s(s-d/2)/(d/2+1) r^2 (1 + c1 r^2 + O(r^4)) with
+        # c1 = (s+1)(s-d/2+1)/(2(d/2+2)), the ratio of the first two terms;
+        # (3, 0.5) terminates after one term (c1 = 0)
+        r = 1e-3
+        lead = (-sin_power_integral(d, 0.0) * s * (s - d / 2.0)
+                / (d / 2.0 + 1.0) * r * r)
+        c1 = (s + 1.0) * (s - d / 2.0 + 1.0) / (2.0 * (d / 2.0 + 2.0))
+        got = gegenbauer_defect(d, s, r)
+        assert abs((got / lead - 1.0) / (r * r) - c1) <= 1e-6
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_float_path_is_the_array_path(self, d):
+        # a float x takes the compiled scalar 2F1, an array the ufunc;
+        # elementwise they agree bitwise
+        x = np.linspace(0.0, 1.0, 101)
+        for s in (0.01, 0.3, 0.5, 0.77, 1.0, 1.9, 2.3, 3.7, 5.6):
+            arr = gegenbauer_2f1(d, s, x)
+            scalar = [gegenbauer_2f1(d, s, float(v)) for v in x]
+            assert all(type(v) is float for v in scalar)
+            assert np.array_equal(arr, scalar, equal_nan=True)
 
     @pytest.mark.parametrize("d,s", [(2, 0.5), (2, 2.5), (3, 1.4), (3, 3.2)])
     def test_array_form_is_the_scalar_form(self, d, s):
