@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
-"""Drive every experiment config under scripts/configs/ and collect the
-summaries into one table on stdout."""
+"""Drive every experiment config under scripts/configs/: each run prints
+its checks, then one status line per config."""
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -35,14 +34,7 @@ def main():
         status = {0: "ok", 1: "CHECK FAILED", 2: "CONFIG ERROR",
                   3: "COMPUTE ERROR"}.get(code, f"exit {code}")
         print(f"{stem:28s} {status:14s} {elapsed:8.1f}s -> {out_dir}")
-        if code != 0:
-            failures += 1
-            continue
-        with open(os.path.join(out_dir, "summary.json")) as fh:
-            summary = json.load(fh)
-        for check in summary["checks"]:
-            mark = "pass" if check["passed"] else "FAIL"
-            print(f"    [{mark}] {check['id']}: {check['value']!r}")
+        failures += code != 0
     return 1 if failures else 0
 
 

@@ -192,7 +192,7 @@ def _exp_selfsimilar_balance(cfg, params, grid, times):
         worst = max(worst, abs(ratio - K) / K)
         rows.append((t, ratio, K))
     checks = [_check("selfsimilar.ratio_matches_K", worst <= 0.02, worst,
-                     "rel <= 2e-2 at 10 mid-trajectory times")]
+                     f"rel <= 2e-2 at {len(times)} mid-trajectory times")]
     return {"selfsimilar_balance.csv": _csv(("t", "ratio", "K"), rows)}, checks
 
 

@@ -18,16 +18,8 @@ class HigherOrderPole(KraichnanLabError):
 
 
 class ToleranceNotReached(KraichnanLabError):
-    """Quadrature finished without certifying the requested tolerance.
-
-    Carries the best value and the error estimate so callers can decide
-    whether to accept it anyway.
-    """
-
-    def __init__(self, message, value=None, error_estimate=None):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
+    """Quadrature finished without certifying the requested tolerance; the
+    message states the best value and its error estimate."""
 
 
 class NonFiniteIntegrand(KraichnanLabError):

@@ -80,8 +80,8 @@ def radial_quad(body, kink: float, rel_tol: float, limit: int, decay=None):
                            decay)
     value, err, ok = v1 + v2, e1 + e2, ok1 and ok2
     if not ok and err > rel_tol * abs(value) * 10.0:
-        raise ToleranceNotReached("radial quadrature tolerance not reached",
-                                  value=value, error_estimate=err)
+        raise ToleranceNotReached("radial quadrature tolerance not reached: "
+                                  f"value {value!r}, error estimate {err!r}")
     return value, err, ok
 
 

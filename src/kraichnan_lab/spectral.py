@@ -510,9 +510,12 @@ class Trajectory:
     mass: np.ndarray
     norms: Dict[float, np.ndarray]
     boundary_fraction: np.ndarray
-    truncated: bool
     truncation_time: Optional[float]
     final_state: SpectrumState
+
+    @property
+    def truncated(self) -> bool:
+        return self.truncation_time is not None
 
 
 def _boundary_fraction(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
@@ -579,8 +582,7 @@ def evolve(initial: SpectrumState, kernel: KernelMatrix, t_final: float,
     return Trajectory(times=times, mass=sums[0],
                       norms={float(s): sums[1 + i] for i, s in enumerate(trackers)},
                       boundary_fraction=np.concatenate(bfrac),
-                      truncated=t_trunc is not None, truncation_time=t_trunc,
-                      final_state=final)
+                      truncation_time=t_trunc, final_state=final)
 
 
 def anomalous_dissipation_integral(initial: SpectrumState, kernel: KernelMatrix):

@@ -102,8 +102,8 @@ def off_grid_quad(ang, rho, rho_min, rho_max, d, alpha, rel_tol=1e-13):
             return ang(rho, r) * r ** d / (abs(p) * x)
         value, err, ok = quadpack(g, x0, 1.0, rel_tol=rel_tol, limit=1000)
         if not ok:
-            raise ToleranceNotReached("off-grid quadrature flagged",
-                                      value=value, error_estimate=err)
+            raise ToleranceNotReached("off-grid quadrature flagged: "
+                                      f"value {value!r}, error estimate {err!r}")
         return value
 
     r_cut = 1e10 * rho_max
@@ -312,8 +312,8 @@ def parseval_contour(lam, params, line_re, rel_tol=1e-10):
             break
         if y1 >= nmax_y:
             raise ToleranceNotReached(
-                f"contour truncation height capped at {nmax_y} with tail bound {tail:.2e}",
-                value=total / math.pi, error_estimate=tail)
+                f"contour truncation height capped at {nmax_y}: value "
+                f"{total / math.pi!r}, tail bound {tail!r}")
         edges.append(min(nmax_y, 2.0 * y1))
     return total / math.pi
 

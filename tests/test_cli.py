@@ -18,6 +18,7 @@ from kraichnan_lab.errors import TruncationWarning
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(ROOT, "scripts", "configs")
+SHIPPED = sorted(glob.glob(os.path.join(CONFIGS, "*.json")))
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -191,8 +192,7 @@ class TestSetUp:
         assert capsys.readouterr() == refused
         assert not out.exists()
 
-    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIGS, "*.json"))),
-                             ids=os.path.basename)
+    @pytest.mark.parametrize("path", SHIPPED, ids=os.path.basename)
     def test_shipped_config_validates(self, path):
         assert cli.main(["validate", path]) == 0
 
@@ -364,6 +364,16 @@ class TestRun:
         assert cli.main(["run", path, "--output-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["config"]) == {"experiment", "d", "alpha", "s"} | reads
+
+    # mc_ensemble.json takes some 45 s; criterion 9 and TestSmallMcEnsemble
+    # run its code
+    @pytest.mark.parametrize(
+        "path", [p for p in SHIPPED if os.path.basename(p) != "mc_ensemble.json"],
+        ids=os.path.basename)
+    def test_shipped_config_passes(self, tmp_path, path):
+        out = tmp_path / "out"
+        assert cli.run(path, str(out)) == 0
+        assert json.loads((out / "summary.json").read_text())["passed"] is True
 
     def test_output_dir_from_config(self, tmp_path):
         out = tmp_path / "from_cfg"
