@@ -217,8 +217,9 @@ def _exp_mc_ensemble(cfg, params, lattice, times):
     initial = _mc.FieldSample.from_modes(noise, modes)
     stats = _mc.run_ensemble(lattice, initial, times[-1], record_times=times)
     frac = _mc.rate_agreement(noise, stats)
-    checks = [_check("mc.master_equation_rates", frac >= 0.95, frac,
-                     ">= 0.95 of modes within 3 sigma")]
+    gate = _mc.RATE_AGREEMENT_MIN
+    checks = [_check("mc.master_equation_rates", frac >= gate, frac,
+                     f">= {gate} of modes within 3 sigma")]
     artifacts = {f"ensemble_t{idx}.csv": _csv(
         ("t", "kx", "ky", "mean_sq", "std_err"),
         [(st.time, kx, ky, m, e)

@@ -30,7 +30,7 @@ from .errors import DomainError, InvalidSampleRate
 __all__ = [
     "LatticeConfig", "NoiseModes", "FieldSample", "EnsembleStats",
     "build_noise_modes", "run_ensemble", "lattice_master_rate",
-    "rate_agreement", "MC_RECORD_STRIDE", "LATTICE_D",
+    "rate_agreement", "RATE_AGREEMENT_MIN", "MC_RECORD_STRIDE", "LATTICE_D",
 ]
 
 # the lattice dimension: the runs are 2-d only
@@ -388,6 +388,10 @@ def lattice_master_rate(noise: NoiseModes, spectrum: Dict[Tuple[int, int], float
     rates = (kx * kx * gain[0] + kx * ky * gain[1] + ky * ky * gain[2]
              - noise.corrector_grid[ky + n, kx] * a[kx + n, ky + n])
     return {(int(x), int(y)): float(r) for x, y, r in zip(kx, ky, rates)}
+
+
+# the share of modes rate_agreement must find within 3 standard errors
+RATE_AGREEMENT_MIN = 0.95
 
 
 def rate_agreement(noise: NoiseModes, stats: Sequence[EnsembleStats]) -> float:

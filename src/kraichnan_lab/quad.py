@@ -12,10 +12,18 @@ not the rule.  Angular integrals are closed forms (specfun), so no
 integrand here calls QUADPACK again, and radial_quad is the only caller of
 quadpack in the package: every production quadrature is certified or
 raises ToleranceNotReached.
+
+QUADPACK's Gauss-Kronrod nodes depend only on the interval, and J_direct's
+intervals (the head [0, 4] split at 1, the power-mapped tail) do not depend
+on lambda, so a table of J over many lambda asks for the profile f(r) at
+the same r again and again.  f_inner therefore caches f per (r, d, s), up
+to _PROFILE_CACHE entries; the values are those of the uncached closed
+form, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from scipy import integrate as _sciint
@@ -24,6 +32,10 @@ from .errors import DomainError, NonFiniteIntegrand, ToleranceNotReached
 from .specfun import ModelParams, gegenbauer_integral
 
 __all__ = ["quadpack", "radial_quad", "f_inner", "J_direct"]
+
+# bound of the radial-profile cache, one entry per (r, d, s): a 20-point
+# flux table at one parameter triple visits about a thousand distinct r
+_PROFILE_CACHE = 4096
 
 
 def quadpack(fn, lo, hi, points=None, abs_tol=0.0, rel_tol=1e-10, limit=500,
@@ -85,10 +97,19 @@ def radial_quad(body, kink: float, rel_tol: float, limit: int, decay=None):
     return value, err, ok
 
 
+@functools.lru_cache(maxsize=_PROFILE_CACHE)
+def _profile(r: float, d: int, s: float) -> float:
+    return r ** (d - 1) * gegenbauer_integral(d, s, r)
+
+
 def f_inner(r: float, params: ModelParams) -> float:
     """Radial profile f(r) = r^{d-1} int_0^pi sin^d(t) |1-2r cos t + r^2|^{-s} dt,
-    the angular integral in closed form (specfun.gegenbauer_integral)."""
-    return r ** (params.d - 1) * gegenbauer_integral(params.d, params.s, r)
+    the angular integral in closed form (specfun.gegenbauer_integral).
+
+    Cached per (r, d, s): J_direct's quadrature nodes repeat from one lambda
+    to the next.  alpha is not in the key because f does not read it; the
+    covariance exponent enters J_direct's body outside f."""
+    return _profile(r, params.d, params.s)
 
 
 def J_direct(lam: float, params: ModelParams, rel_tol: float = 1e-9) -> float:

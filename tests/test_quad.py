@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kraichnan_lab import mellin, quad
+from kraichnan_lab import flux, mellin, quad
 from kraichnan_lab.errors import (DomainError, NonFiniteIntegrand,
                                   ToleranceNotReached)
 from kraichnan_lab.quad import J_direct, f_inner, quadpack, radial_quad
@@ -183,6 +183,50 @@ class TestFInner:
         r = 2e3
         got = f_inner(r, self.P2) / r ** (d - 1.0 - 2.0 * s)
         assert abs(got - target) <= 2e-3 * target
+
+
+@pytest.fixture
+def profile_nodes(monkeypatch):
+    """The r of every closed-form profile evaluation, from a cold cache."""
+    nodes = []
+    original = quad.gegenbauer_integral
+
+    def counting(d, s, r):
+        nodes.append(r)
+        return original(d, s, r)
+    monkeypatch.setattr(quad, "gegenbauer_integral", counting)
+    quad._profile.cache_clear()
+    yield nodes
+    quad._profile.cache_clear()
+
+
+class TestProfileCache:
+    """J_direct's quadrature nodes do not depend on lambda, so a flux table
+    evaluates the closed-form profile once per distinct node."""
+    P = ModelParams(d=2, alpha=0.5, s=0.75)
+    XI = [float(x) for x in np.linspace(1.0, 19.0, 8)]  # quadrature route
+
+    def test_one_evaluation_per_distinct_node(self, profile_nodes):
+        J_direct(self.XI[0], self.P, rel_tol=1e-10)
+        one = len(profile_nodes)
+        quad._profile.cache_clear()
+        profile_nodes.clear()
+        flux.asymptotic_residual_table(self.P, self.XI)
+        # uncached, the table makes about 8x the evaluations of one J
+        assert len(profile_nodes) == len(set(profile_nodes))
+        assert len(profile_nodes) < 2 * one
+
+    def test_alpha_not_in_key(self, profile_nodes):
+        d, s = self.P.d, self.P.s
+        for r in (1e-3, 0.5, 1.0, 3.0, 1e3):
+            ref = r ** (d - 1) * quad.gegenbauer_integral(d, s, r)
+            for a in (0.3, 0.7):
+                assert f_inner(r, ModelParams(d=d, alpha=a, s=s)) == ref
+
+    def test_cold_and_warm_tables_agree(self, profile_nodes):
+        cold = flux.asymptotic_residual_table(self.P, self.XI)
+        warm = flux.asymptotic_residual_table(self.P, self.XI)
+        assert cold == warm
 
 
 class TestJDirect:
