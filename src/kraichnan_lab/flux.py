@@ -1,4 +1,4 @@
-"""The spectral flux function F and its mass-regularized variant.
+"""The spectral flux function F.
 
 F(xi) is assembled from the split F = (2 pi)^{-d/2} [I - G]: G is a closed
 form, I = omega_{d-2} |xi|^{d+2-2s} J(|xi|) with J evaluated either by
@@ -18,10 +18,11 @@ from typing import List, Sequence, Tuple
 
 from . import mellin, quad
 from .errors import DomainError
-from .specfun import ModelParams, gamma_fn, sin_power_integral, sphere_surface
+from .specfun import (ModelParams, model_prefactor, sin_power_integral,
+                      sphere_surface)
 
 __all__ = [
-    "G_term", "flux_F", "flux_F_m", "asymptotic_residual_table",
+    "G_term", "flux_F", "asymptotic_residual_table",
 ]
 
 # below this |xi| the quadrature route is used unconditionally; above it the
@@ -34,14 +35,19 @@ _PARAM_CACHE = 64
 
 def G_term(xi_abs: float, params: ModelParams) -> float:
     """Closed form of the loss-side integral:
-    omega_{d-2} * [G(d/2) G(a) / (2 G(d/2+a))] * [sqrt(pi) G((d+1)/2)/G((d+2)/2)]
-    * |xi|^{2-2s}."""
+    omega_{d-2} * M[h](d) * B(1/2, (d+1)/2) * |xi|^{2-2s}, where
+    M[h](d) = G(d/2) G(a) / (2 G(d/2+a)) is mellin.h_product at z = d."""
     if xi_abs <= 0:
         raise DomainError("G_term requires |xi| > 0")
-    d, a, s = params.d, params.alpha, params.s
-    radial = gamma_fn(d / 2.0).real * gamma_fn(a).real / (2.0 * gamma_fn(d / 2.0 + a).real)
-    angular = sin_power_integral(d, 0.0)
-    return sphere_surface(d - 2) * radial * angular * xi_abs ** (2.0 - 2.0 * s)
+    return _g_coefficient(params) * xi_abs ** (2.0 - 2.0 * params.s)
+
+
+# G_term / |xi|^{2-2s}, once per ModelParams
+@functools.lru_cache(maxsize=_PARAM_CACHE)
+def _g_coefficient(params: ModelParams) -> float:
+    d = params.d
+    return (sphere_surface(d - 2) * mellin.h_product(params)(d).real
+            * sin_power_integral(d))
 
 
 @functools.lru_cache(maxsize=_PARAM_CACHE)
@@ -56,7 +62,7 @@ def _flux_mellin(params: ModelParams, xi_abs: float) -> Tuple[float, float]:
     estimate of the expansion's remainder."""
     d, s = params.d, params.s
     terms = _deep_terms(params)
-    pref = (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
+    pref = model_prefactor(d)
     total = 0.0
     for t in terms:
         if abs(t.exponent - d) < 1e-9:
@@ -95,18 +101,6 @@ def flux_F(xi_abs: float, params: ModelParams, method: str = "auto",
         if tail <= 1e-7 * abs(total):
             return total
     return _flux_quadrature(params, xi_abs, rel_tol)
-
-
-def flux_F_m(xi_abs: float, params: ModelParams, m: float,
-             method: str = "auto") -> float:
-    """Flux regularized by the covariance mass m, via the rescaling identity
-    F^m(xi) = m^{2-2s-2a} F(xi/m)."""
-    if m <= 0:
-        raise DomainError("flux_F_m requires m > 0")
-    if xi_abs <= 0:
-        raise DomainError("flux_F_m requires |xi| > 0")
-    a, s = params.alpha, params.s
-    return m ** (2.0 - 2.0 * s - 2.0 * a) * flux_F(xi_abs / m, params, method=method)
 
 
 def asymptotic_residual_table(params: ModelParams, xi_grid: Sequence[float]

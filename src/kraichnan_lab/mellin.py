@@ -1,12 +1,14 @@
 """Meromorphic Gamma-product engine: pole bookkeeping, residues,
 residue-shift asymptotics, and the three independent routes to the
-dissipation constant K: its Gamma quotient, one certified radial quadrature
-(quad.radial_quad) of the scale-free integral, and the real-space route
-through the covariance defect D, itself a Gamma quotient.
+dissipation constant K: its Gamma quotient (k_product, one GammaProduct in
+s), one certified radial quadrature (quad.radial_quad) of the scale-free
+integral, and the real-space route through the covariance defect D, itself
+a Gamma quotient.
 
 A GammaProduct stores prefactor * prod_i Gamma(coef_i z + offset_i)^{+-1},
 so pole locations and residues are exact affine data rather than output of
-numerical root finding.
+numerical root finding.  It evaluates through specfun.log_gamma, the one
+log-Gamma of the library.
 """
 
 from __future__ import annotations
@@ -15,18 +17,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _scisp
 
 from .errors import CaseOutOfRange, DomainError, HigherOrderPole, PoleError
 from .quad import radial_quad
 from .specfun import (ModelParams, gamma_fn, gamma_pole_index,
-                      gegenbauer_defect, sphere_surface)
+                      gegenbauer_defect, log_gamma, model_prefactor,
+                      sphere_surface)
 
 __all__ = [
     "GammaProduct", "AsymptoticTerm",
     "h_product", "f_product", "jl_product",
     "poles_in_strip", "residue_at", "expansion_terms",
-    "k_constant_gamma", "k_constant_integral", "k_constant_appendix",
+    "k_product", "k_constant_gamma", "k_constant_integral", "k_constant_appendix",
     "riesz_constant", "d_constant",
 ]
 
@@ -62,23 +64,19 @@ class GammaProduct:
     def __call__(self, z):
         """Evaluate at complex z (scalar or array) through log space."""
         zs = np.asarray(z, dtype=complex)
-        scalar = zs.ndim == 0
-        flat = np.atleast_1d(zs).ravel()
-        coefs = np.array([f[0] for f in self.factors])
-        offs = np.array([f[1] for f in self.factors])
-        pows = np.array([f[2] for f in self.factors])
-        args = coefs[:, None] * flat[None, :] + offs[:, None]
+        # one row per factor, broadcast against z
+        coefs, offs, pows = (np.reshape(c, (-1,) + (1,) * zs.ndim)
+                             for c in zip(*self.factors))
+        args = coefs * zs + offs
         # reject evaluation at poles of any retained factor; a reciprocal
         # factor at a pole of its Gamma is a zero of the product
         near = gamma_pole_index(args) >= 0
-        if np.any(near & (pows[:, None] == 1)):
+        if (near & (pows == 1)).any():
             raise PoleError("GammaProduct evaluated at a pole; use residue_at")
-        lg = _scisp.loggamma(np.where(near, 1.0, args))
-        tot = (pows[:, None] * lg).sum(axis=0)
-        if self.prefactor != 1.0:
-            tot = tot + np.log(complex(self.prefactor))
+        tot = ((pows * log_gamma(np.where(near, 1.0, args))).sum(axis=0)
+               + np.log(complex(self.prefactor)))
         out = np.where(near.any(axis=0), 0.0, np.exp(tot))
-        return complex(out[0]) if scalar else out.reshape(zs.shape)
+        return complex(out) if zs.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -180,22 +178,25 @@ def expansion_terms(params: ModelParams, r_prime: float):
     return [residue_at(prod, x) for x, _ in poles_in_strip(prod, base, r_prime)]
 
 
+def k_product(d: int, alpha: float) -> GammaProduct:
+    """The dissipation constant K(d, alpha, s) as a GammaProduct in s:
+
+        K = -(d-1) 2^{-d/2-1} G(-a) / G((d+2a+2)/2)
+            * G(s+a) G((d+2)/2 - s) / [ G(s) G((d+2-2a)/2 - s) ],
+
+    -(2 pi)^{-d/2} omega_{d-2} times the lambda^{-d-2a} coefficient of the J
+    expansion.  Its poles, s = -a - N0 and (d+2)/2 + N0, lie outside the
+    strip 0 < Re s < d/2; G(-a) < 0 makes it positive for real s there."""
+    a = alpha
+    pref = (-(d - 1.0) * 2.0 ** (-d / 2.0 - 1.0) * gamma_fn(-a).real
+            / gamma_fn((d + 2.0 * a + 2.0) / 2.0).real)
+    return GammaProduct(pref, ((1.0, a, +1), (-1.0, (d + 2.0) / 2.0, +1),
+                               (1.0, 0.0, -1), (-1.0, (d + 2.0 - 2.0 * a) / 2.0, -1)))
+
+
 def k_constant_gamma(params: ModelParams) -> float:
-    """Closed Gamma-quotient form of the dissipation constant:
-
-        K = -(d-1) 2^{-d/2-1} G(s+a) G(-a) G((d-2s+2)/2)
-            / [ G(s) G((d+2a+2)/2) G((d-2s+2-2a)/2) ]  > 0.
-
-    Equivalently -(2 pi)^{-d/2} omega_{d-2} times the lambda^{-d-2a}
-    coefficient of the J expansion (G(-a) < 0 makes the sign work out).
-    """
-    d, a, s = params.d, params.alpha, params.s
-    val = -(d - 1.0) * 2.0 ** (-d / 2.0 - 1.0) \
-        * gamma_fn(s + a).real * gamma_fn(-a).real \
-        * gamma_fn((d - 2.0 * s + 2.0) / 2.0).real \
-        / (gamma_fn(s).real
-           * gamma_fn((d + 2.0 * a + 2.0) / 2.0).real
-           * gamma_fn((d - 2.0 * s + 2.0 - 2.0 * a) / 2.0).real)
+    """K in closed form: k_product at the real s of params (> 0)."""
+    val = k_product(params.d, params.alpha)(params.s).real
     if not val > 0.0:
         raise DomainError(f"K came out non-positive ({val!r}) for {params!r}")
     return val
@@ -219,7 +220,7 @@ def k_constant_integral(params: ModelParams) -> float:
     # r = 1 is the kink left by the angular near-singularity at (r, t) = (1, 0);
     # the defect tends to B(1/2, (d+1)/2), so body decays like r^{-1-2a}
     v, _, _ = radial_quad(body, 1.0, 1e-10, 400, 2.0 * a)
-    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * v
+    return model_prefactor(d) * v
 
 
 def riesz_constant(d: int, sigma: float) -> float:

@@ -1,9 +1,10 @@
 """Complex special functions and the closed-form integrals used everywhere else.
 
-log-Gamma is scipy's principal-branch ``loggamma``; this module adds the
-pole and finiteness checks.  The Mellin transforms of the model's radial
-profiles live as Gamma products in the mellin module.  The angular
-integral of the model is a closed form here: the Gegenbauer
+log_gamma is the one log-Gamma of the library (scipy's principal-branch
+``loggamma`` with pole and finiteness checks); gamma_fn, the sphere measures,
+B(1/2, (d+1)/2) and mellin.GammaProduct read it.  The Mellin transforms of
+the model's radial profiles, and K, are Gamma products in the mellin module.
+The angular integral of the model is a closed form here: the Gegenbauer
 generating-function integral (a 2F1) behind f, K, F and the scale-free
 kernel, and, integrated radially, two more 2F1s: the scale-free kernel's
 rates to the modes off a grid.  The covariance defect D needs none: it is
@@ -33,6 +34,7 @@ __all__ = [
     "gegenbauer_tails",
     "gegenbauer_defect",
     "sphere_surface",
+    "model_prefactor",
     "POLE_TOL",
     "gamma_pole_index",
 ]
@@ -50,8 +52,7 @@ class ModelParams:
 
     d >= 2 integer dimension, alpha in (0,1) noise roughness, s in (0, d/2)
     negative-Sobolev index, nu >= 0 viscosity.  The covariance mass is 1
-    (the scale-free routes take its limit 0); flux.flux_F_m takes any other
-    mass as an argument.
+    (the scale-free routes take its limit 0).
     """
 
     d: int
@@ -71,68 +72,68 @@ class ModelParams:
             raise DomainError("nu must be >= 0")
 
 
+@functools.lru_cache(maxsize=64)
 def sphere_surface(n: int) -> float:
     """Total measure of the unit sphere S^n in R^{n+1}: 2 pi^{(n+1)/2} / G((n+1)/2).
 
-    sphere_surface(0) = 2 (two points), sphere_surface(1) = 2 pi, ...
+    sphere_surface(0) = 2 (two points), sphere_surface(1) = 2 pi, ...  Cached.
     """
     if n < 0:
         raise DomainError("sphere dimension must be >= 0")
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.exp(math.lgamma((n + 1) / 2.0))
+    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.exp(log_gamma((n + 1) / 2.0).real)
 
 
-def _check_finite(z, what="argument"):
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"non-finite {what}: {z!r}")
-    return z
+def model_prefactor(d: int) -> float:
+    """(2 pi)^{-d/2} omega_{d-2}: the Fourier normalization times the
+    transverse sphere, in front of K, F and the scale-free kernel."""
+    return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
 
 
 def gamma_pole_index(arg):
     """n >= 0 where arg lies within POLE_TOL of the pole -n of Gamma, and -1
     elsewhere (elementwise; the one pole test of the library)."""
     arg = np.asarray(arg, dtype=complex)
-    n = -np.round(arg.real)
-    return np.where((n >= 0) & (np.abs(arg + n) < POLE_TOL), n, -1).astype(int)
+    n = np.rint(-arg.real)
+    return np.where((n >= 0) & (abs(arg + n) < POLE_TOL), n, -1).astype(int)
 
 
-def log_gamma(z) -> complex:
-    """Principal-branch log Gamma(z).
-
-    Raises PoleError at the nonpositive integers (within POLE_TOL).
-    """
-    z = _check_finite(z)
-    if gamma_pole_index(z) >= 0:
-        raise PoleError(f"log_gamma pole at z = {z!r}")
-    out = complex(_scisp.loggamma(z))
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise DomainError(f"log_gamma produced a non-finite value at z = {z!r}")
+def log_gamma(z):
+    """Principal-branch log Gamma(z), elementwise.  A scalar goes to scipy's
+    compiled scalar loggamma (cython_special) and returns a complex, an array
+    to the ufunc: the same routine, so both paths agree bitwise.  Raises
+    PoleError within POLE_TOL of a nonpositive integer, and DomainError where
+    an argument or value is not finite."""
+    if np.ndim(z) == 0:
+        z = complex(z)
+        if gamma_pole_index(z) >= 0:
+            raise PoleError(f"log_gamma pole at z = {z!r}")
+        out = _cysp.loggamma(z)
+        if not cmath.isfinite(out):
+            raise DomainError(f"log_gamma is not finite at z = {z!r}")
+        return out
+    z = np.asarray(z, dtype=complex)
+    if (gamma_pole_index(z) >= 0).any():
+        raise PoleError("log_gamma pole in its argument array")
+    out = _scisp.loggamma(z)
+    if not np.isfinite(out).all():
+        raise DomainError("log_gamma is not finite in its argument array")
     return out
 
 
 def gamma_fn(z) -> complex:
-    """Gamma(z) by exponentiating log_gamma."""
+    """Gamma(z) at a scalar z by exponentiating log_gamma."""
     return cmath.exp(log_gamma(z))
 
 
 # the scalar Gegenbauer routines ask for B(1/2, (d+1)/2) at every point
 @functools.lru_cache(maxsize=64)
-def sin_power_integral(gamma_exp: float, eta_exp: float) -> float:
-    """int_0^pi sin^gamma(t) cos^eta(t) dt for even integer eta:
-
-        G((gamma+1)/2) G((eta+1)/2) / G((gamma+eta+2)/2)
-
-    Odd cosine powers integrate to zero over [0, pi] and are rejected; the
-    library only ever needs eta in {0, 2}.  Cached per exponent pair.
-    """
-    if gamma_exp <= -1.0 or eta_exp <= -1.0:
-        raise DomainError("sin_power_integral requires exponents > -1")
-    if abs(eta_exp - round(eta_exp)) > 1e-12 or round(eta_exp) % 2 != 0:
-        raise DomainError("eta_exp must be an even integer (got %r)" % eta_exp)
-    return math.exp(
-        math.lgamma((gamma_exp + 1.0) / 2.0)
-        + math.lgamma((eta_exp + 1.0) / 2.0)
-        - math.lgamma((gamma_exp + eta_exp + 2.0) / 2.0))
+def sin_power_integral(d: float) -> float:
+    """int_0^pi sin^d(t) dt = B(1/2, (d+1)/2)
+    = G((d+1)/2) G(1/2) / G((d+2)/2) for real d > -1.  Cached per d."""
+    if d <= -1.0:
+        raise DomainError("sin_power_integral requires d > -1")
+    return math.exp(log_gamma((d + 1.0) / 2.0).real + log_gamma(0.5).real
+                    - log_gamma((d + 2.0) / 2.0).real)
 
 
 def gegenbauer_2f1(d: float, s: float, x):
@@ -146,7 +147,7 @@ def gegenbauer_2f1(d: float, s: float, x):
     x = rho_< / rho_>, and gegenbauer_tails integrates its series term by
     term."""
     hyp2f1 = _cysp.hyp2f1 if isinstance(x, float) else _scisp.hyp2f1
-    return sin_power_integral(d, 0.0) * hyp2f1(
+    return sin_power_integral(d) * hyp2f1(
         s, s - d / 2.0, d / 2.0 + 1.0, x * x)
 
 
@@ -168,7 +169,7 @@ def gegenbauer_tails(d: float, alpha: float, x, y):
         sig, alpha + 1.0, d / 2.0 + 2.0, x * x)
     above = y ** (2.0 * alpha) / (2.0 * alpha) * _scisp.hyp2f1(
         sig, alpha, d / 2.0 + 1.0, y * y)
-    return sin_power_integral(d, 0.0) * (below + above)
+    return sin_power_integral(d) * (below + above)
 
 
 def gegenbauer_integral(d: float, s: float, r: float) -> float:
@@ -194,5 +195,5 @@ def gegenbauer_defect(d: float, s: float, r: float) -> float:
             total += term
             if abs(term) <= 1e-17 * abs(total):
                 break
-        return -sin_power_integral(d, 0.0) * total
-    return sin_power_integral(d, 0.0) - gegenbauer_integral(d, s, r)
+        return -sin_power_integral(d) * total
+    return sin_power_integral(d) - gegenbauer_integral(d, s, r)

@@ -48,7 +48,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import (ComputeError, DomainError, NegativityError,
                      StabilityViolation, TruncationWarning)
 from .specfun import (ModelParams, gegenbauer_2f1, gegenbauer_tails,
-                      sin_power_integral, sphere_surface)
+                      model_prefactor, sin_power_integral, sphere_surface)
 
 __all__ = [
     "RadialGrid", "SpectrumState", "KernelMatrix", "BalanceReport",
@@ -220,7 +220,7 @@ def _binomial_series(lo, hi, d: int, beta: float, mass: float, far: bool):
     if far:
         q, j1 = (hi - lo) ** -2.0, J(s + 1.0)
     else:
-        q, j1 = (hi + lo) ** 2, np.full_like(lo, sin_power_integral(d, 0.0))
+        q, j1 = (hi + lo) ** 2, np.full_like(lo, sin_power_integral(d))
     A = lo * lo + hi * hi
     P = ((hi - lo) * (hi + lo)) ** 2
     total = j0.copy()
@@ -374,7 +374,7 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
     d, a = grid.d, params.alpha
     nodes = grid.nodes
     n = grid.n
-    pref = (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2)
+    pref = model_prefactor(d)
     if selfsimilar:
         j = np.arange(1, n)
         row = np.r_[0.0, _upper_entries(grid, np.zeros_like(j), j, pref, a, 0.0)]

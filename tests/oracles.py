@@ -13,7 +13,9 @@ integrals, the scale-free flux -K |xi|^{2-2a-2s}, the continuum right
 side of the balance identity and the grid flux of a weight summed pair
 by pair; mode access to a lattice sample, the single-sample
 Euler-Maruyama step, the exact second-moment recursion of that scheme,
-and the Sobolev estimate of an ensemble record."""
+and the Sobolev estimate of an ensemble record.  The closed-form targets
+of K, of the residues of M[f, 1-z] and of J's leading coefficient are
+written with scipy.special.gamma, apart from the package's log_gamma."""
 
 import math
 
@@ -107,7 +109,7 @@ def off_grid_quad(ang, rho, rho_min, rho_max, d, alpha, rel_tol=1e-13):
         return value
 
     r_cut = 1e10 * rho_max
-    tail = (sin_power_integral(d, 0.0) * rho ** 2 * r_cut ** (-2.0 * alpha)
+    tail = (sin_power_integral(d) * rho ** 2 * r_cut ** (-2.0 * alpha)
             / (2.0 * alpha))
     x_cut = (rho_max / r_cut) ** (2.0 * alpha)
     total = side(rho_min, d + 2.0, 0.0) + side(rho_max, -2.0 * alpha, x_cut) + tail
@@ -206,8 +208,8 @@ def poisson_bessel_defect(d, x):
     if x < 1.0:
         k = np.arange(1.0, 17.0)
         terms = np.cumprod(-x * x / (4.0 * (d / 2.0 + k - 1.0) * k))
-        return -sin_power_integral(d - 2.0, 0.0) * float(terms.sum())
-    return sin_power_integral(d - 2.0, 0.0) * (
+        return -sin_power_integral(d - 2.0) * float(terms.sum())
+    return sin_power_integral(d - 2.0) * (
         1.0 - float(_scisp.hyp0f1(d / 2.0, -x * x / 4.0)))
 
 
@@ -224,7 +226,7 @@ def d_constant_quad(d, alpha, z_abs):
     # (d + 2a): the transverse part carries weight (1 + 2a/(d-1)) relative to
     # the longitudinal one, so Tr = (longitudinal coeff) * (d + 2a).  The
     # angular factor is Poisson's Bessel integral, which tends to a_inf.
-    a, a_inf = alpha, sin_power_integral(d - 2.0, 0.0)
+    a, a_inf = alpha, sin_power_integral(d - 2.0)
 
     def body(r):
         return r ** (-1.0 - 2.0 * a) * poisson_bessel_defect(d, z_abs * r)
@@ -364,6 +366,38 @@ def flux_F_m_direct(xi_abs, params, m, rel_tol=1e-8):
 
     v, _, _ = radial_quad(inner, lam, rel_tol, 400)
     return (2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * v
+
+
+def k_gamma_quotient(d, alpha, s):
+    """K(d, alpha, s) = -(d-1) 2^{-d/2-1} G(s+a) G(-a) G((d+2)/2 - s)
+    / [G(s) G((d+2a+2)/2) G((d+2-2a)/2 - s)], at real or complex s."""
+    a, G = alpha, _scisp.gamma
+    return (-(d - 1.0) * 2.0 ** (-d / 2.0 - 1.0) * G(s + a) * G(-a)
+            * G((d + 2.0) / 2.0 - s)
+            / (G(s) * G((d + 2.0 * a + 2.0) / 2.0) * G((d + 2.0 - 2.0 * a) / 2.0 - s)))
+
+
+def f_residue_at_d(d):
+    """Residue of M[f, 1-z] at z = d: -sqrt(pi) G((d+1)/2) / G((d+2)/2)."""
+    G = _scisp.gamma
+    return -math.sqrt(math.pi) * G((d + 1.0) / 2.0) / G((d + 2.0) / 2.0)
+
+
+def f_residue_at_d_plus_2(d, s):
+    """Residue of M[f, 1-z] at z = d + 2:
+    sqrt(pi) s (d-2s) G((d+1)/2) / (2 G((d+4)/2))."""
+    G = _scisp.gamma
+    return (math.sqrt(math.pi) * s * (d - 2.0 * s) * G((d + 1.0) / 2.0)
+            / (2.0 * G((d + 4.0) / 2.0)))
+
+
+def j_leading_coefficient(d, alpha):
+    """lim lam^d J(lam) = M[h](d) B(1/2, (d+1)/2)
+    = G(d/2) G(a) / (2 G(d/2+a)) * sqrt(pi) G((d+1)/2) / G((d+2)/2); also
+    G_term / (omega_{d-2} |xi|^{2-2s})."""
+    G = _scisp.gamma
+    return (G(d / 2.0) * G(alpha) / (2.0 * G(d / 2.0 + alpha))
+            * math.sqrt(math.pi) * G((d + 1.0) / 2.0) / G((d + 2.0) / 2.0))
 
 
 def flux_F_selfsimilar(xi_abs, params):

@@ -15,7 +15,8 @@ import pytest
 
 from kraichnan_lab import cli, flux, mc_spde, mellin, quad, spectral
 from kraichnan_lab.specfun import ModelParams, gamma_fn
-from oracles import (continuum_rhs, em_second_moments, f_inner_quad, mode_dict,
+from oracles import (continuum_rhs, em_second_moments, f_inner_quad,
+                     f_residue_at_d, f_residue_at_d_plus_2, mode_dict,
                      parseval_contour)
 
 K_GRID = [(d, a, f * d / 2.0) for d in (2, 3) for a in (0.25, 0.5, 0.75)
@@ -283,8 +284,7 @@ def test_c10_special_function_identity_suite():
         res_worst = max(res_worst, abs(exact - 1.0))
         res_worst = max(res_worst, abs(numeric_residue(hp, d + 2.0 * a) + 1.0))
         # z = d: -sqrt(pi) G((d+1)/2)/G((d+2)/2)
-        target_d = -math.sqrt(math.pi) * gamma_fn((d + 1.0) / 2.0).real \
-            / gamma_fn((d + 2.0) / 2.0).real
+        target_d = f_residue_at_d(d)
         exact_d = -mellin.residue_at(fp, float(d)).coefficient
         res_worst = max(res_worst, abs(exact_d - target_d) / abs(target_d))
         res_worst = max(res_worst,
@@ -293,9 +293,7 @@ def test_c10_special_function_identity_suite():
         # z = d + 2: sqrt(pi) s (d-2s) G((d+1)/2) / (2 G((d+4)/2)); this is
         # the value the meromorphic continuation actually has (it also fixes
         # the lambda^{-(d+2)} remainder scaling checked in criterion 4)
-        target_d2 = (math.sqrt(math.pi) * s * (d - 2.0 * s)
-                     * gamma_fn((d + 1.0) / 2.0).real
-                     / (2.0 * gamma_fn((d + 4.0) / 2.0).real))
+        target_d2 = f_residue_at_d_plus_2(d, s)
         exact_d2 = -mellin.residue_at(fp, float(d + 2)).coefficient
         res_worst = max(res_worst, abs(exact_d2 - target_d2) / abs(target_d2))
         res_worst = max(res_worst,

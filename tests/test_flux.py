@@ -1,5 +1,6 @@
 """Flux function: closed-form loss term, the dual evaluation routes, the
-regularized variants, and the residual diagnostics."""
+flux at other covariance masses (by the rescaling identity, against the
+direct massive integral), and the residual diagnostics."""
 
 import math
 
@@ -8,13 +9,20 @@ import pytest
 
 from kraichnan_lab import flux, mellin
 from kraichnan_lab.errors import DomainError
-from kraichnan_lab.flux import G_term, asymptotic_residual_table, flux_F, flux_F_m
+from kraichnan_lab.flux import G_term, asymptotic_residual_table, flux_F
 from kraichnan_lab.quad import quadpack
 from kraichnan_lab.specfun import ModelParams, sphere_surface
 from oracles import (expand_J, flux_F_m_direct, flux_F_reference_2d,
                      flux_F_selfsimilar)
 
 P = ModelParams(d=2, alpha=0.5, s=0.75)
+
+
+def flux_at_mass(xi_abs, params, m, method="auto"):
+    """The flux at covariance mass m by the rescaling identity
+    F^m(xi) = m^{2-2s-2a} F(xi/m)."""
+    return (m ** (2.0 - 2.0 * params.s - 2.0 * params.alpha)
+            * flux_F(xi_abs / m, params, method=method))
 
 
 class TestGTerm:
@@ -98,16 +106,17 @@ class TestFluxF:
 
 class TestFluxFm:
     def test_m_one_is_identity(self):
-        assert flux_F_m(3.0, P, 1.0) == pytest.approx(flux_F(3.0, P), rel=1e-13)
+        # the direct massive integral at the unit mass is the flux itself
+        assert flux_F_m_direct(3.0, P, 1.0) == pytest.approx(flux_F(3.0, P), rel=1e-8)
 
     def test_requires_positive_m(self):
         with pytest.raises(DomainError):
-            flux_F_m(1.0, P, 0.0)
+            flux_F_m_direct(1.0, P, 0.0)
         with pytest.raises(DomainError):
             flux_F_m_direct(1.0, P, -0.5)
 
     def test_direct_quadrature_cross_check(self):
-        got = flux_F_m(2.0, P, 0.5, method="quadrature")
+        got = flux_at_mass(2.0, P, 0.5, method="quadrature")
         ref = flux_F_m_direct(2.0, P, 0.5)
         assert abs(got - ref) <= 1e-5 * abs(ref)
 
@@ -117,9 +126,8 @@ class TestFluxFm:
         for _ in range(10):
             m = float(rng.uniform(0.2, 2.0))
             xi = float(rng.uniform(0.5, 8.0))
-            lhs = flux_F_m(xi, pbase, m)
-            rhs = m ** (2.0 - 2.0 * pbase.s - 2.0 * pbase.alpha) * flux_F(xi / m, pbase)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+            lhs = flux_at_mass(xi, pbase, m)
+            assert lhs == pytest.approx(flux_F_m_direct(xi, pbase, m), rel=1e-8)
 
     def test_selfsimilar_limit_rate(self):
         # |F^m - F^0| shrinks like m^{2-2a} at fixed xi
@@ -128,7 +136,7 @@ class TestFluxFm:
         errs = []
         ms = (0.5, 0.1, 0.02)
         for m in ms:
-            errs.append(abs(flux_F_m(xi, P, m) - f0))
+            errs.append(abs(flux_at_mass(xi, P, m) - f0))
         slope = np.polyfit(np.log(ms), np.log(errs), 1)[0]
         assert abs(slope - (2.0 - 2.0 * P.alpha)) < 0.2
 
@@ -141,7 +149,7 @@ class TestFluxFm:
         K = mellin.k_constant_gamma(p)
         for m in (0.5, 0.25):
             for xi in (1.0, 3.0, 10.0):
-                lhs = abs(flux_F_m(xi, p, m) + K * xi ** (2.0 - 2.0 * p.alpha - 2.0 * p.s))
+                lhs = abs(flux_at_mass(xi, p, m) + K * xi ** (2.0 - 2.0 * p.alpha - 2.0 * p.s))
                 rhs = 1.05 * C * m ** (2.0 - 2.0 * p.alpha) * xi ** (-2.0 * p.s)
                 assert lhs <= rhs
 

@@ -13,12 +13,14 @@ from kraichnan_lab.errors import (CaseOutOfRange, DomainError, HigherOrderPole,
 from kraichnan_lab.mellin import (GammaProduct, d_constant, expansion_terms,
                                   f_product, h_product, jl_product,
                                   k_constant_appendix, k_constant_gamma,
-                                  k_constant_integral, poles_in_strip,
-                                  residue_at, riesz_constant)
+                                  k_constant_integral, k_product,
+                                  poles_in_strip, residue_at, riesz_constant)
 from kraichnan_lab.quad import quadpack
-from kraichnan_lab.specfun import (ModelParams, gamma_fn, gegenbauer_defect,
+from kraichnan_lab.specfun import (ModelParams, gegenbauer_defect,
                                    sin_power_integral, sphere_surface)
-from oracles import StripViolation, d_constant_quad, expand_J, parseval_contour
+from oracles import (StripViolation, d_constant_quad, expand_J,
+                     f_residue_at_d, f_residue_at_d_plus_2, k_gamma_quotient,
+                     parseval_contour)
 
 P2 = ModelParams(d=2, alpha=0.5, s=0.5)
 
@@ -58,9 +60,7 @@ class TestResidues:
         for d, s in ((2, 0.5), (3, 1.2), (4, 0.7)):
             p = ModelParams(d=d, alpha=0.5, s=s)
             term = residue_at(f_product(p), float(d))
-            target = -math.sqrt(math.pi) * gamma_fn((d + 1.0) / 2.0).real \
-                / gamma_fn((d + 2.0) / 2.0).real
-            assert -term.coefficient == pytest.approx(target, rel=1e-12)
+            assert -term.coefficient == pytest.approx(f_residue_at_d(d), rel=1e-12)
 
     def test_f_residue_at_d_plus_2(self):
         # sqrt(pi) s (d-2s) G((d+1)/2) / (2 G((d+4)/2)); confirmed against the
@@ -68,10 +68,8 @@ class TestResidues:
         for d, s in ((2, 0.6), (3, 0.8)):
             p = ModelParams(d=d, alpha=0.4, s=s)
             term = residue_at(f_product(p), float(d + 2))
-            target = (math.sqrt(math.pi) * s * (d - 2.0 * s)
-                      * gamma_fn((d + 1.0) / 2.0).real
-                      / (2.0 * gamma_fn((d + 4.0) / 2.0).real))
-            assert -term.coefficient == pytest.approx(target, rel=1e-12)
+            assert -term.coefficient == pytest.approx(f_residue_at_d_plus_2(d, s),
+                                                      rel=1e-12)
 
     def test_product_residue_at_d_2alpha(self):
         # coefficient equals M[f, 1-z] at z = d+2alpha, in closed form
@@ -219,7 +217,7 @@ class TestKConstants:
         d, s = 2, 0.5
         vals = [gegenbauer_defect(d, s, r) / r ** 2 for r in (1e-2, 1e-3)]
         assert abs(vals[1] - vals[0]) <= 1e-3 * abs(vals[0])
-        limit = -sin_power_integral(d, 0.0) * s * (s - d / 2.0) / (d / 2.0 + 1.0)
+        limit = -sin_power_integral(d) * s * (s - d / 2.0) / (d / 2.0 + 1.0)
         assert abs(vals[1] - limit) <= 1e-5 * abs(limit)
 
     def test_gamma_vs_residue_route(self):
@@ -232,6 +230,29 @@ class TestKConstants:
                      if abs(t.exponent - (d + 2.0 * a)) < 1e-9][0]
             route = -(2.0 * math.pi) ** (-d / 2.0) * sphere_surface(d - 2) * coeff
             assert route == pytest.approx(k_constant_gamma(p), rel=1e-12)
+
+    @pytest.mark.parametrize("d,a,f", K_GRID)
+    def test_gamma_is_k_product_at_real_s(self, d, a, f):
+        s = f * d / 2.0
+        kg = k_constant_gamma(ModelParams(d=d, alpha=a, s=s))
+        assert kg == k_product(d, a)(s).real
+        assert kg == pytest.approx(k_gamma_quotient(d, a, s), rel=1e-14)
+
+    @pytest.mark.parametrize("d,a", [(2, 0.25), (2, 0.75), (3, 0.5), (5, 0.1)])
+    def test_k_product_at_complex_s(self, d, a):
+        # inside the strip 0 < Re s < d/2, against the quotient written with
+        # scipy.special.gamma
+        for s in (0.1 * d / 2 + 0.3j, 0.5 * d / 2 - 2.0j, 0.9 * d / 2 + 7.5j):
+            ref = k_gamma_quotient(d, a, s)
+            assert abs(k_product(d, a)(s) - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("d,a", [(2, 0.25), (2, 0.75), (3, 0.5), (5, 0.1)])
+    def test_k_product_poles(self, d, a):
+        # the nearest poles on each side of the strip, and none inside it
+        kp = k_product(d, a)
+        assert poles_in_strip(kp, 0.0, d / 2.0) == []
+        assert poles_in_strip(kp, -a - 0.5, d / 2.0 + 1.5) == [
+            (-a, 1), (d / 2.0 + 1.0, 1)]
 
     def test_appendix_spot(self):
         p = ModelParams(d=2, alpha=0.75, s=0.75)

@@ -3,7 +3,9 @@ caller in the package (or is listed below as library API), every name a
 module takes from a sibling is public there, and every function the
 benchmark's tracer wraps resolves (perfbench/tracing.py looks them up by
 name, so deleting or renaming one would break traced runs without failing a
-test).  Also the one quadrature layer: only quad.py reaches scipy.integrate,
+test).  Also the one log-Gamma: only specfun.log_gamma reaches loggamma,
+and nothing in the package reaches lgamma.  And the one quadrature layer:
+only quad.py reaches scipy.integrate,
 each tail map (the rational t = lo + u/(1-u) and the power t = lo u^{-1/p})
 is written once, inside quad.quadpack, and the package calls quadpack only
 from quad.radial_quad, which certifies it.
@@ -29,12 +31,12 @@ PACKAGE = sorted(glob.glob(os.path.join(ROOT, "src", "kraichnan_lab", "*.py")))
 SOURCES = PACKAGE + sorted(glob.glob(os.path.join(ROOT, "tests", "*.py")))
 QUAD = os.path.join(ROOT, "src", "kraichnan_lab", "quad.py")
 SPECTRAL = os.path.join(ROOT, "src", "kraichnan_lab", "spectral.py")
+SPECFUN = os.path.join(ROOT, "src", "kraichnan_lab", "specfun.py")
 
 # Public names that no code in the package calls, each with why it stays.
 LIBRARY_API = {
     "spectral.step": "the RK4 reference the exact propagator is tested "
                      "against; perfbench/tracing.py traces it",
-    "flux.flux_F_m": "the flux at any covariance mass, by the rescaling identity",
 }
 
 
@@ -144,6 +146,25 @@ def test_only_quad_imports_scipy_integrate():
     for path in SOURCES:
         tree = _parse(path)
         assert _imports_scipy_integrate(tree) == (path == QUAD), path
+
+
+def _references(tree, name):
+    """Line numbers of every reference to `name`, bare or as an attribute."""
+    return [n.lineno for n in ast.walk(tree)
+            if getattr(n, "id", None) == name or getattr(n, "attr", None) == name]
+
+
+def test_only_log_gamma_calls_loggamma():
+    for path in PACKAGE:
+        tree = _parse(path)
+        assert not _references(tree, "lgamma"), path
+        allowed = set()
+        if path == SPECFUN:
+            lg = _function(tree, "log_gamma")
+            allowed = set(range(lg.lineno, lg.end_lineno + 1))
+            assert len(_references(lg, "loggamma")) == 2  # scalar and array paths
+        stray = [n for n in _references(tree, "loggamma") if n not in allowed]
+        assert not stray, f"{path}: loggamma referenced on lines {stray}"
 
 
 def _tail_maps(tree):

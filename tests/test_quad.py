@@ -13,7 +13,7 @@ from kraichnan_lab import flux, mellin, quad
 from kraichnan_lab.errors import (DomainError, NonFiniteIntegrand,
                                   ToleranceNotReached)
 from kraichnan_lab.quad import J_direct, f_inner, quadpack, radial_quad
-from kraichnan_lab.specfun import ModelParams, gamma_fn, sin_power_integral
+from kraichnan_lab.specfun import ModelParams, sin_power_integral
 import oracles
 from oracles import f_inner_quad
 
@@ -177,9 +177,9 @@ class TestFInner:
         assert jumps.max() < 0.01
 
     def test_large_r_asymptote(self):
-        # f(r) / r^{d-1-2s} -> int_0^pi sin^d = sin_power_integral(d, 0)
+        # f(r) / r^{d-1-2s} -> int_0^pi sin^d = sin_power_integral(d)
         d, s = self.P2.d, self.P2.s
-        target = sin_power_integral(float(d), 0.0)
+        target = sin_power_integral(float(d))
         r = 2e3
         got = f_inner(r, self.P2) / r ** (d - 1.0 - 2.0 * s)
         assert abs(got - target) <= 2e-3 * target
@@ -236,13 +236,10 @@ class TestJDirect:
             assert J_direct(lam, p) > 0.0
 
     def test_large_lambda_leading_term(self):
-        # lam^d J(lam) -> G(d/2) G(a) / (2 G(d/2+a)) * sqrt(pi) G((d+1)/2)/G((d+2)/2)
+        # lam^d J(lam) -> M[h](d) B(1/2, (d+1)/2)
         p = ModelParams(d=2, alpha=0.5, s=0.5)
         d, a = p.d, p.alpha
-        target = (gamma_fn(d / 2.0).real * gamma_fn(a).real
-                  / (2.0 * gamma_fn(d / 2.0 + a).real)
-                  * math.sqrt(math.pi) * gamma_fn((d + 1.0) / 2.0).real
-                  / gamma_fn((d + 2.0) / 2.0).real)
+        target = oracles.j_leading_coefficient(d, a)
         lam = 4e3
         got = lam ** d * J_direct(lam, p, rel_tol=1e-10)
         assert abs(got - target) <= 2e-3 * target
