@@ -225,7 +225,9 @@ def _exp_mc_ensemble(cfg, params, lattice, times):
         [(st.time, kx, ky, m, e)
          for (kx, ky), m, e in zip(st.modes, st.mean_spectrum, st.std_err)])
         for idx, st in enumerate(stats)}
-    return artifacts, checks
+    diagnostics = {"dropped_samples": stats[-1].n_invalid,
+                   "samples": lattice.n_samples}
+    return artifacts, checks, diagnostics
 
 
 _GRID = {"rho_min": 1e-2, "rho_max": 1e3, "nodes": 512}

@@ -14,11 +14,14 @@ which acts as an absorbing spectral boundary.  The Ito drift uses the exact
 per-mode corrector c_{Lam,xi} = xi^T Q_Lam(0) xi.
 
 Randomness comes from counter-based Philox streams keyed by (seed, step
-index), so an identical LatticeConfig gives bit-identical output.
+index), so an identical LatticeConfig gives bit-identical output.  Each
+step's increments are drawn into one reused buffer, and the stepper forms
+the stream function from them in the order they are drawn.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,8 +42,9 @@ LATTICE_D = 2
 # steps between ensemble records for the master-equation rate check
 MC_RECORD_STRIDE = 5
 
-# samples per pass through the transforms: bounds the per-step working set
-# (about 25 MB at n_max = 16) whatever n_samples is
+# samples per pass through the transforms: bounds the stepper's working set
+# (26.4 MB of reused buffers at n_max = 16) whatever n_samples is; the
+# noise buffer adds 16 n_half bytes per sample (8.7 kB at n_max = 16)
 _CHUNK_SAMPLES = 128
 
 
@@ -154,11 +158,18 @@ class _BandStepper:
 
     With e_k = k_perp/|k| the velocity increment is u = grad_perp psi, with
     psi_k = -i sigma_k dbeta_k/|k|, so u.grad rho = psi_x rho_y - psi_y rho_x.
-    The four derivatives come from dense DFT matrices: one complex product
-    in y gives f and f_y on the y grid for f = psi, rho, and real products on
-    the interleaved (re, im) kx axis give f_x and f_y on the N x N grid.  The
+    The four derivatives come from dense DFT matrices: complex products in y
+    give f and f_y on the y grid for f = psi, rho, and real products on the
+    interleaved (re, im) kx axis give f_x and f_y on the N x N grid.  The
     forward transform (real in x, complex in y) produces band outputs only.
-    Samples pass through the transforms _CHUNK_SAMPLES at a time."""
+
+    psi is formed in the order the increments are drawn, (sample, kx, ky):
+    in the build_noise_modes order each sample's kx >= 1 modes are one
+    (n, 2n+1) block after its n kx = 0 modes, whose row is completed by their
+    conjugate mirror and a zero origin.  The y product reads that array
+    transposed and rho's reads the band slice in place, each writing its own
+    column block of one buffer.  Samples pass through the transforms
+    _CHUNK_SAMPLES at a time."""
 
     def __init__(self, noise: NoiseModes):
         n = noise.cfg.n_max
@@ -181,11 +192,10 @@ class _BandStepper:
         self.fwd_x = np.stack([cos.T, -sin.T], axis=2).reshape(N, 2 * n + 2)
         self.half_corrector = 0.5 * noise.corrector_grid[:, None, :]
         k_norm = np.sqrt((noise.k_half ** 2).sum(axis=1))
-        self.psi_amp = -1j * noise.sigma / k_norm
-        self.psi_ky = noise.k_half[:, 1] + n
-        self.psi_kx = noise.k_half[:, 0]
-        self.zero_col = self.psi_kx == 0
-        self.mirror_ky = n - noise.k_half[self.zero_col, 1]
+        psi_amp = -1j * noise.sigma / k_norm
+        # (0, ky) for ky = 1..n, then the kx = 1..n rows, as the noise lists them
+        self.psi_zero = psi_amp[:n]
+        self.psi_rows = psi_amp[n:].reshape(n, 2 * n + 1)
         self._work: Dict[str, np.ndarray] = {}
 
     def _buffer(self, name, shape, dtype=float):
@@ -197,6 +207,17 @@ class _BandStepper:
             buf = self._work[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
+    def _psi_y(self, dbeta: np.ndarray, out: np.ndarray) -> None:
+        """psi's (f, f_y) on the y grid into out, (2N, c (n+1)) with columns
+        (sample, kx), from the increments dbeta of c samples."""
+        c, (n, n1) = len(dbeta), self.psi_rows.shape
+        psi = self._buffer("psi", (c, n + 1, n1), complex)
+        np.multiply(dbeta[:, n:].reshape(c, n, n1), self.psi_rows, out=psi[:, 1:])
+        np.multiply(dbeta[:, :n], self.psi_zero, out=psi[:, 0, n + 1:])
+        np.conjugate(psi[:, 0, :n:-1], out=psi[:, 0, :n])
+        psi[:, 0, n] = 0.0
+        np.matmul(self.inv_y, psi.reshape(c * (n + 1), n1).T, out=out)
+
     def step(self, band: np.ndarray, dt: float, dbeta: np.ndarray) -> None:
         """One step, in place, of band (2n+1, S, n+1) with half-lattice
         increments dbeta of shape (S, n_half)."""
@@ -207,16 +228,11 @@ class _BandStepper:
             for s0 in range(0, n_samples, _CHUNK_SAMPLES):
                 rho = band[:, s0:s0 + _CHUNK_SAMPLES]
                 c = rho.shape[1]
-                fields = self._buffer("fields", (n1, 2, c, nx), complex)
-                psi = fields[:, 0]
-                vals = (dbeta[s0:s0 + c] * self.psi_amp).T          # (n_half, c)
-                psi[self.psi_ky, :, self.psi_kx] = vals
-                psi[self.mirror_ky, :, 0] = np.conj(vals[self.zero_col])
-                psi[n1 // 2, :, 0] = 0.0
-                fields[:, 1] = rho
-                # (f, f_y) x (psi, rho) on the y grid, kx as interleaved floats
+                # (f, f_y) of psi, then of rho read in place, on the y grid:
+                # columns (field, sample, kx), kx as interleaved floats below
                 fy = self._buffer("fy", (2 * N, 2 * c * nx), complex)
-                np.matmul(self.inv_y, fields.reshape(n1, -1), out=fy)
+                self._psi_y(dbeta[s0:s0 + c], fy[:, :c * nx])
+                np.matmul(self.inv_y, rho.reshape(n1, c * nx), out=fy[:, c * nx:])
                 fy = fy.view(float).reshape(2, N * 2 * c, 2 * nx)
                 dx = self._buffer("dx", (N * 2 * c, N))
                 dy = self._buffer("dy", (N * 2 * c, N))
@@ -238,22 +254,29 @@ class _BandStepper:
             _make_real(band)
 
 
-def _step_noise(cfg: LatticeConfig, n_half: int, step_index: int) -> np.ndarray:
+def _step_noise(cfg: LatticeConfig, step_index: int, out: np.ndarray) -> np.ndarray:
     """Counter-based stream for one global step: Philox keyed by
-    (seed, step index); sample i reads block i of the stream."""
+    (seed, step index); sample i reads block i of the stream.  Fills out,
+    (n_samples, n_half, 2) floats, with the scaled (re, im) pairs in place
+    and returns them as the (n_samples, n_half) complex increments."""
     key = np.array([np.uint64(cfg.seed & 0xFFFFFFFFFFFFFFFF),
                     np.uint64(step_index)], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
-    z = gen.standard_normal((cfg.n_samples, n_half, 2))
-    return math.sqrt(cfg.dt / 2.0) * z.view(complex)[..., 0]
+    gen.standard_normal(out=out)
+    out *= math.sqrt(cfg.dt / 2.0)
+    return out.view(complex)[..., 0]
 
 
+@functools.lru_cache(maxsize=8)
 def _band_modes(n_max: int):
     """Distinct representatives covering the full band: kx = 0 column in full
-    plus kx >= 1 half; with multiplicity 2 for the implicit (-kx, -ky)."""
+    plus kx >= 1 half; with multiplicity 2 for the implicit (-kx, -ky).
+    Built once per n_max and shared, so the arrays are read-only."""
     reps = [(kx, ky) for kx in range(n_max + 1) for ky in range(-n_max, n_max + 1)]
     mult = [1.0 if kx == 0 else 2.0 for kx, _ in reps]
-    return np.array(reps, dtype=int), np.array(mult)
+    modes, mult = np.array(reps, dtype=int), np.array(mult)
+    modes.flags.writeable = mult.flags.writeable = False
+    return modes, mult
 
 
 @dataclass
@@ -274,12 +297,12 @@ class EnsembleStats:
     n_invalid: int = 0
 
     def spectrum_map(self) -> Dict[Tuple[int, int], float]:
-        out = {}
-        for (kx, ky), v in zip(self.modes, self.mean_spectrum):
-            out[(int(kx), int(ky))] = float(v)
-            if kx > 0:
-                out[(-int(kx), -int(ky))] = float(v)
-        return out
+        """Every lattice mode's mean power: each half-band mode, followed by
+        its partner (-kx, -ky) when kx > 0."""
+        pair = np.stack([self.modes, -self.modes], axis=1)      # (M, 2, 2)
+        keep = np.stack([np.ones(len(pair), bool), self.modes[:, 0] > 0], axis=1)
+        values = np.repeat(self.mean_spectrum[:, None], 2, axis=1)
+        return dict(zip(map(tuple, pair[keep].tolist()), values[keep].tolist()))
 
 
 
@@ -328,6 +351,7 @@ def run_ensemble(cfg: LatticeConfig, initial: FieldSample, t_final: float,
 
     stepper = _BandStepper(noise)
     batch = np.repeat(initial.spec[:, None, :], cfg.n_samples, axis=1)
+    z = np.empty((cfg.n_samples, noise.n_half, 2))
     valid = np.ones(cfg.n_samples, dtype=bool)
     out: List[EnsembleStats] = []
     prev_powers = None
@@ -344,10 +368,13 @@ def run_ensemble(cfg: LatticeConfig, initial: FieldSample, t_final: float,
     if 0 in record_steps:
         record(0)
     for step_index in range(1, n_steps + 1):
-        dbeta = _step_noise(cfg, noise.n_half, step_index - 1)
-        stepper.step(batch, cfg.dt, dbeta)
-        bad = ~np.isfinite(batch).all(axis=(0, 2))
-        if bad.any():
+        stepper.step(batch, cfg.dt, _step_noise(cfg, step_index - 1, z))
+        # one reduction while every sample is finite; the per-sample mask
+        # only when it is not
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(batch.sum())
+        if not finite:
+            bad = ~np.isfinite(batch).all(axis=(0, 2))
             valid &= ~bad
             batch[:, bad] = 0.0
             frac_bad = 1.0 - valid.sum() / cfg.n_samples
@@ -371,8 +398,9 @@ def lattice_master_rate(noise: NoiseModes, spectrum: Dict[Tuple[int, int], float
     corrector.  Returns a map over the half band, like EnsembleStats."""
     n = noise.cfg.n_max
     a = np.zeros((2 * n + 1, 2 * n + 1))
-    for (kx, ky), v in spectrum.items():
-        a[kx + n, ky + n] = v
+    keys = np.array(list(spectrum), dtype=int).reshape(-1, 2)
+    a[keys[:, 0] + n, keys[:, 1] + n] = np.fromiter(spectrum.values(), float,
+                                                    len(spectrum))
     # weights of kx^2, kx ky and ky^2 in sigma_j^2 (e_j.k)^2, at j and -j
     ex, ey = noise.e_pol.T
     jx, jy = noise.k_half.T + n
@@ -387,7 +415,7 @@ def lattice_master_rate(noise: NoiseModes, spectrum: Dict[Tuple[int, int], float
     gain = conv[:, kx + 2 * n, ky + 2 * n]
     rates = (kx * kx * gain[0] + kx * ky * gain[1] + ky * ky * gain[2]
              - noise.corrector_grid[ky + n, kx] * a[kx + n, ky + n])
-    return {(int(x), int(y)): float(r) for x, y, r in zip(kx, ky, rates)}
+    return dict(zip(zip(kx.tolist(), ky.tolist()), rates.tolist()))
 
 
 # the share of modes rate_agreement must find within 3 standard errors

@@ -12,8 +12,10 @@ residue expansion; the unsplit polar and the direct massive flux
 integrals, the scale-free flux -K |xi|^{2-2a-2s}, the continuum right
 side of the balance identity and the grid flux of a weight summed pair
 by pair; mode access to a lattice sample, the single-sample
-Euler-Maruyama step, the exact second-moment recursion of that scheme,
-and the Sobolev estimate of an ensemble record.  The closed-form targets
+Euler-Maruyama step, the stream function scattered onto the band mode by
+mode, the loop forms of the lattice rate's and an ensemble record's dict
+conversions, the exact second-moment recursion of that scheme, and the
+Sobolev estimate of an ensemble record.  The closed-form targets
 of K, of the residues of M[f, 1-z] and of J's leading coefficient are
 written with scipy.special.gamma, apart from the package's log_gamma."""
 
@@ -25,7 +27,8 @@ from scipy import special as _scisp
 
 from kraichnan_lab.errors import DomainError, ToleranceNotReached
 from kraichnan_lab.flux import flux_F
-from kraichnan_lab.mc_spde import FieldSample, _BandStepper, lattice_master_rate
+from kraichnan_lab.mc_spde import (FieldSample, _BandStepper, _band_modes,
+                                   lattice_master_rate)
 from kraichnan_lab.mellin import (expansion_terms, jl_product, k_constant_gamma,
                                   poles_in_strip)
 from kraichnan_lab.quad import quadpack, radial_quad
@@ -459,6 +462,53 @@ def em_step(sample, noise, dt, rng=None, dbeta=None):
     spec = sample.spec.copy()
     _BandStepper(noise).step(spec[:, None, :], dt, np.asarray(dbeta)[None, :])
     return FieldSample(spec=spec)
+
+
+def psi_scatter(noise, dbeta):
+    """The stream function psi_k = -i sigma_k dbeta_k/|k| of c samples
+    scattered onto the band (2n+1, c, n+1) by fancy indexing, [ky + n, s, kx]:
+    every half-lattice mode, the conjugate mirror (0, -ky) of each kx = 0
+    mode and a zero origin."""
+    n = noise.cfg.n_max
+    kx, ky = noise.k_half.T
+    vals = (dbeta * (-1j * noise.sigma / np.sqrt(kx * kx + ky * ky))).T
+    psi = np.empty((2 * n + 1, len(dbeta), n + 1), dtype=complex)
+    psi[ky + n, :, kx] = vals
+    psi[n - ky[kx == 0], :, 0] = np.conj(vals[kx == 0])
+    psi[n, :, 0] = 0.0
+    return psi
+
+
+def spectrum_map_loop(stats):
+    """EnsembleStats.spectrum_map one mode at a time."""
+    out = {}
+    for (kx, ky), v in zip(stats.modes, stats.mean_spectrum):
+        out[(int(kx), int(ky))] = float(v)
+        if kx > 0:
+            out[(-int(kx), -int(ky))] = float(v)
+    return out
+
+
+def lattice_master_rate_loop(noise, spectrum):
+    """lattice_master_rate with its dict -> band fill and band -> dict
+    return one mode at a time."""
+    n = noise.cfg.n_max
+    a = np.zeros((2 * n + 1, 2 * n + 1))
+    for (kx, ky), v in spectrum.items():
+        a[kx + n, ky + n] = v
+    ex, ey = noise.e_pol.T
+    jx, jy = noise.k_half.T + n
+    weights = np.zeros((3,) + a.shape)
+    weights[:, jx, jy] = weights[:, 2 * n - jx, 2 * n - jy] = (
+        noise.sigma ** 2 * np.array([ex * ex, 2.0 * ex * ey, ey * ey]))
+    shape = (4 * n + 1, 4 * n + 1)
+    conv = np.fft.irfft2(np.fft.rfft2(weights, s=shape)
+                         * np.fft.rfft2(a, s=shape), s=shape)
+    kx, ky = _band_modes(n)[0].T
+    gain = conv[:, kx + 2 * n, ky + 2 * n]
+    rates = (kx * kx * gain[0] + kx * ky * gain[1] + ky * ky * gain[2]
+             - noise.corrector_grid[ky + n, kx] * a[kx + n, ky + n])
+    return {(int(x), int(y)): float(r) for x, y, r in zip(kx, ky, rates)}
 
 
 def em_second_moments(noise, spectrum, dt, n_steps):

@@ -13,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from kraichnan_lab import cli
+from kraichnan_lab import cli, mc_spde
 from kraichnan_lab.errors import TruncationWarning
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -455,6 +455,33 @@ class TestSmallMcEnsemble:
                     float(cell)
         summary = json.loads((out / "summary.json").read_text())
         assert [c["id"] for c in summary["checks"]] == ["mc.master_equation_rates"]
+        assert summary["diagnostics"] == {"dropped_samples": 0, "samples": 64}
+
+    def test_summary_counts_dropped_samples(self, tmp_path, monkeypatch):
+        # one of 200 samples turns non-finite: the run goes on without it,
+        # and the summary says so
+        draw = mc_spde._step_noise
+
+        def poisoned(cfg, step_index, out):
+            dbeta = draw(cfg, step_index, out)
+            if step_index == 3:
+                dbeta[42, 0] = np.nan
+            return dbeta
+
+        monkeypatch.setattr(mc_spde, "_step_noise", poisoned)
+        dt = 1e-4
+        cfg = {
+            "experiment": "mc-ensemble", "d": 2, "alpha": 0.5, "s": 0.5,
+            "time": {"t_final": 10 * dt},
+            "lattice": {"n_max": 4, "n_samples": 200, "dt": dt},
+            "seed": 3,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--output-dir", str(out)]) in (0, 1)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["diagnostics"] == {"dropped_samples": 1, "samples": 200}
 
     def test_three_dimensional_config_exits_2(self, tmp_path, capsys):
         # the lattice is 2-d only; a config asking for d = 3 is refused

@@ -7,12 +7,13 @@ import pytest
 
 from kraichnan_lab import flux, mc_spde
 from kraichnan_lab.errors import DomainError, InvalidSampleRate
-from kraichnan_lab.mc_spde import (LATTICE_D, FieldSample, LatticeConfig,
-                                   build_noise_modes, lattice_master_rate,
-                                   run_ensemble)
+from kraichnan_lab.mc_spde import (LATTICE_D, EnsembleStats, FieldSample,
+                                   LatticeConfig, build_noise_modes,
+                                   lattice_master_rate, run_ensemble)
 from kraichnan_lab.specfun import ModelParams
-from oracles import (amplitude, em_second_moments, em_step, mode_dict,
-                     sobolev_estimate)
+from oracles import (amplitude, em_second_moments, em_step,
+                     lattice_master_rate_loop, mode_dict, psi_scatter,
+                     sobolev_estimate, spectrum_map_loop)
 
 CFG4 = LatticeConfig(n_max=4, alpha=0.5, dt=1e-3, n_samples=64, seed=11)
 
@@ -217,6 +218,41 @@ class TestEmStep:
         assert abs(got - expect) <= 3.0 * se + 0.05 * expect
 
 
+class TestNoiseFeed:
+    @pytest.mark.parametrize("n_max", [4, 16])
+    def test_stream_function_matches_scatter(self, n_max):
+        # psi formed in the increments' own order and transformed as a
+        # transposed operand equals the band scatter followed by inv_y,
+        # the kx = 0 mirror and the zero origin included.  A different BLAS
+        # kernel for the two operand layouts may round differently
+        cfg = LatticeConfig(n_max=n_max, alpha=0.5, dt=1e-3, n_samples=1)
+        noise = build_noise_modes(cfg)
+        stepper = mc_spde._BandStepper(noise)
+        rng = np.random.default_rng(n_max)
+        for c in (1, 3, 8):
+            z = rng.standard_normal((c, noise.n_half, 2))
+            dbeta = z[..., 0] + 1j * z[..., 1]
+            psi = psi_scatter(noise, dbeta)
+            expect = stepper.inv_y @ psi.reshape(2 * n_max + 1, -1)
+            got = np.empty_like(expect)
+            stepper._psi_y(dbeta, got)
+            assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
+
+    def test_step_noise_into_reused_buffer(self):
+        # one buffer for two consecutive steps holds each step's fresh draw
+        cfg = LatticeConfig(n_max=4, alpha=0.5, dt=1e-3, n_samples=5, seed=2**63 + 7)
+        n_half = build_noise_modes(cfg).n_half
+        out = np.empty((cfg.n_samples, n_half, 2))
+        for step_index in (0, 1):
+            key = np.array([cfg.seed, step_index], dtype=np.uint64)
+            z = np.random.Generator(np.random.Philox(key=key)).standard_normal(
+                (cfg.n_samples, n_half, 2))
+            fresh = math.sqrt(cfg.dt / 2.0) * z.view(complex)[..., 0]
+            got = mc_spde._step_noise(cfg, step_index, out)
+            assert np.shares_memory(got, out)
+            assert np.array_equal(got, fresh)
+
+
 class TestRunEnsemble:
     def test_deterministic(self, noise4):
         fs = FieldSample.from_modes(noise4, {(1, 0): 1.0, (0, 2): 0.5j})
@@ -260,6 +296,30 @@ class TestRunEnsemble:
         fs = FieldSample.from_modes(noise, {(1, 0): 1.0})
         with pytest.raises(InvalidSampleRate):
             run_ensemble(cfg, fs, 5e3 * 400, record_times=[5e3 * 400])
+
+    def test_one_non_finite_sample_is_dropped(self, monkeypatch):
+        # 1 of 200 samples (0.5 %) turns non-finite at the third step: the
+        # run goes on without it and every statistic stays finite
+        cfg = LatticeConfig(n_max=4, alpha=0.5, dt=1e-3, n_samples=200, seed=6)
+        noise = build_noise_modes(cfg)
+        fs = FieldSample.from_modes(noise, {(1, 0): 1.0, (0, 2): 0.5j})
+        draw = mc_spde._step_noise
+
+        def poisoned(cfg, step_index, out):
+            dbeta = draw(cfg, step_index, out)
+            if step_index == 2:
+                dbeta[17, 5] = np.inf
+            return dbeta
+
+        monkeypatch.setattr(mc_spde, "_step_noise", poisoned)
+        records = [0.0, 2 * cfg.dt, 5 * cfg.dt]
+        stats = run_ensemble(cfg, fs, records[-1], record_times=records)
+        assert [st.n_invalid for st in stats] == [0, 0, 1]
+        last = stats[-1]
+        assert last.n_samples == 199
+        for value in (last.mean_spectrum, last.std_err, last.l2_mean,
+                      last.l2_std_err, last.diff_mean, last.diff_std_err):
+            assert np.all(np.isfinite(value))
 
     def test_sobolev_estimate_s_zero_is_l2(self, noise4):
         fs = FieldSample.from_modes(noise4, {(1, 0): 1.0, (0, 2): 0.5})
@@ -371,6 +431,40 @@ class TestLatticeMasterRate:
         scale = max(abs(v) for v in expect.values())
         err = max(abs(rates[k] - expect[k]) for k in expect)
         assert err <= 1e-13 * scale
+
+
+class TestDictConversions:
+    """The spectrum dicts are built and read with numpy, not one mode at a
+    time: the same keys in the same order and the same floats, bitwise."""
+
+    N_MAX = 16
+
+    def test_spectrum_map_matches_loop(self):
+        rng = np.random.default_rng(31)
+        modes, mult = mc_spde._band_modes(self.N_MAX)
+        stats = EnsembleStats(time=0.0, n_samples=1, modes=modes,
+                              multiplicity=mult,
+                              mean_spectrum=rng.random(len(modes)),
+                              std_err=np.zeros(len(modes)),
+                              l2_mean=0.0, l2_std_err=0.0)
+        got = stats.spectrum_map()
+        assert len(got) == (2 * self.N_MAX + 1) ** 2
+        assert list(got.items()) == list(spectrum_map_loop(stats).items())
+        assert all(type(k[0]) is int and type(v) is float
+                   for k, v in got.items())
+
+    def test_lattice_master_rate_matches_loop(self):
+        n = self.N_MAX
+        noise = build_noise_modes(LatticeConfig(n_max=n, alpha=0.5, dt=1e-3,
+                                                n_samples=1))
+        rng = np.random.default_rng(32)
+        keys = [(kx, ky) for kx in range(-n, n + 1) for ky in range(-n, n + 1)]
+        # neither reality-symmetric nor in band order
+        spectrum = {keys[i]: float(rng.random()) for i in rng.permutation(len(keys))}
+        got = lattice_master_rate(noise, spectrum)
+        assert list(got.items()) == list(lattice_master_rate_loop(noise, spectrum).items())
+        assert all(type(k[0]) is int and type(v) is float
+                   for k, v in got.items())
 
 
 class TestRateAgreement:
