@@ -12,16 +12,19 @@ integral (_angular_integral) of the covariance (m^2 + |k|^2)^-(d/2+a), with
 mass m = 1 for the massive kernel and m = 0 for the scale-free one: a
 binomial series of Gegenbauer 2F1s (specfun.gegenbauer_2f1), which at
 m = 0 is one 2F1 per pair, plus Gauss-Legendre panels doubling away from
-the peak for massive pairs near the unit scale, where no series converges.
-Each kernel entry is one radial sum of it (_radial_sums): the far field at
-the nodes and the near band on 16 Gauss-Legendre points per cell.  The
-massive kernel runs both rules on every pair, and its absorbing boundary
-is one more radial sum on log panels outside the grid, h/2 wide at each
-grid end and doubling outward, with the tail past the last panel as one
-more point.  The scale-free kernel is homogeneous, so on the log grid it
-is sigma = D T D with D diagonal and T Toeplitz: the two rules run on row
-0 alone, and its absorb rates are two closed-form 2F1s per node
-(specfun.gegenbauer_tails).  build_kernel holds the rules.
+the peak (_ladder_panels) for massive pairs near the unit scale, where no
+series converges.  Each kernel entry is one radial sum of it: the far field
+at the nodes and the near band on 16 Gauss-Legendre points per cell.  The
+massive kernel runs both rules on every pair.  Its points lie on the log
+lattice, where the ladder depends on a pair only through the ratio r/rho,
+fixed by the log offset, so one ladder per offset serves every row
+(_lattice_sums).  Its absorbing boundary is one more radial sum
+(_radial_sums) on log panels outside the grid, h/2 wide at each grid end
+and doubling outward, with the tail past the last panel as one more point.
+The scale-free kernel is homogeneous, so on the log grid it is
+sigma = D T D with D diagonal and T Toeplitz: the two rules run on row 0
+alone (_radial_sums), and its absorb rates are two closed-form 2F1s per
+node (specfun.gegenbauer_tails).  build_kernel holds the rules.
 
 The rate operator is L a = sigma a / w - loss a, with one loss diagonal:
 the row sums of sigma over w, the absorption to off-grid modes and the
@@ -57,14 +60,15 @@ __all__ = [
 ]
 
 _NEAR_BAND = 4          # cells each side of the diagonal with sub-cell radial quadrature
-# massive angular integral: binomial series in D^-2 for rho_> - rho_< >= _FAR_GAP,
-# in D^2 for rho_< + rho_> <= _SMALL_SUM, panel ladder in between.  The series
-# need _FAR_GAP > 1 and _SMALL_SUM < 1; build times are flat, within the host's
-# noise, for _FAR_GAP in [1.5, 4] and _SMALL_SUM in [0.4, 0.65]
+# massive angular integral per pair (the absorb points): binomial series in
+# D^-2 for rho_> - rho_< >= _FAR_GAP, in D^2 for rho_< + rho_> <= _SMALL_SUM,
+# panel ladder in between.  The series need _FAR_GAP > 1 and _SMALL_SUM < 1
 _FAR_GAP = 2.0
 _SMALL_SUM = 0.5
 _SERIES_TOL = 1e-16     # bound on the series truncation, relative to the sum
-_CHUNK_PAIRS = 16384    # bound on the (rho, r) pairs per angular call
+# bound on the (rho, r) pairs per angular call, and on the (pair, point)
+# terms per chunk of a lattice sum
+_CHUNK_PAIRS = 16384
 # the absorb rule leaves out e^-37 < 1e-16 of each rate: the r^(d+2) integrand
 # below 37/(d+2) e-folds under rho_min, and the relative (rho/R*)^2 (plus
 # m^2/R*^2) of the tail's leading term past R* = rho_max e^(37/2)
@@ -171,6 +175,10 @@ def _angular_integral(rho_i, rho_j, d: int, alpha: float, mass: float):
     converges, keep the panel ladder (_panel_ladder).  Every operation reads
     rho_< and rho_> only, so the result is bitwise symmetric in
     (rho_i, rho_j).
+
+    This per-pair path serves the pairs off the log lattice: the massive
+    absorb points and the scale-free kernel's row.  The massive kernel's
+    own entries take the ladder once per log offset (_lattice_sums).
     """
     lo, hi = np.minimum(rho_i, rho_j), np.maximum(rho_i, rho_j)
     shape, lo, hi = lo.shape, lo.ravel(), hi.ravel()
@@ -253,13 +261,28 @@ def _gauss_panels(lo, hi, rule):
     return mid[..., None] + half[..., None] * x, half[..., None] * w
 
 
+def _ladder_panels(t_w):
+    """The panel layout of the massive angular integral for peak widths t_w
+    (a 1-d array): 12-point Gauss-Legendre panels [0, t0] with
+    t0 = t_w/8 (clipped to [1e-9, pi/4]), then [t0, 2 t0], [2 t0, 4 t0], ...
+    up to pi, 1 + ceil(log2(pi/t0)) panels per ladder.  Yields (idx, t, wt):
+    the points and weights of the next panel of each ladder idx that has not
+    reached pi, one row per ladder."""
+    idx = np.arange(t_w.size)
+    lo = np.zeros_like(t_w)
+    hi = np.clip(0.125 * t_w, 1e-9, math.pi / 4.0)
+    while idx.size:
+        t, wt = _gauss_panels(lo, hi, _GL12)
+        yield idx, t, wt
+        live = hi < math.pi
+        idx, lo, hi = idx[live], hi[live], np.minimum(2.0 * hi[live], math.pi)
+
+
 def _panel_ladder(ri, rj, d: int, alpha: float):
     """The massive angular integral of _angular_integral on 1-d arrays of
-    pairs, by 12-point Gauss-Legendre panels that double in width away from
+    pairs, by the panels of _ladder_panels, which double in width away from
     t = 0, where the integrand peaks at scale t_w = |rho_i - rho_j| /
-    sqrt(rho_i rho_j): [0, t0] with t0 = t_w/8 (clipped to [1e-9, pi/4]),
-    then [t0, 2 t0], [2 t0, 4 t0], ... up to pi, 1 + ceil(log2(pi/t0))
-    panels per pair.  The integrand's singularities (near t = +-i t_w) lie
+    sqrt(rho_i rho_j).  The integrand's singularities (near t = +-i t_w) lie
     on the lines Re t = 0 and 2 pi, outside the Bernstein ellipse of
     parameter 3 + sqrt(8) of every panel [a, 2a], so each such panel is
     exact to about (3 + sqrt(8))^-24 ~ 4e-19.  Every operation is
@@ -267,26 +290,40 @@ def _panel_ladder(ri, rj, d: int, alpha: float):
     delta2 = (ri - rj) ** 2
     p = ri * rj
     total = np.zeros_like(ri)
-    idx = np.arange(ri.size)
-    lo = np.zeros_like(ri)
-    hi = np.clip(0.125 * np.sqrt(delta2 / p), 1e-9, math.pi / 4.0)
-    while idx.size:
-        t, wt = _gauss_panels(lo, hi, _GL12)
+    for idx, t, wt in _ladder_panels(np.sqrt(delta2 / p)):
         D2 = delta2[idx, None] + 4.0 * p[idx, None] * np.sin(0.5 * t) ** 2
         W = (1.0 + D2) ** (-(d + 2.0 * alpha) / 2.0) / D2
         total[idx] += p[idx] ** 2 * (np.sin(t) ** d * W * wt).sum(axis=1)
-        live = hi < math.pi
-        idx, lo, hi = idx[live], hi[live], np.minimum(2.0 * hi[live], math.pi)
     return total
 
 
+def _ladder_rules(t_w):
+    """Each ladder of _ladder_panels as one rule, grouped by length: a list
+    of (members, t, wt), the points and weights of every ladder in members
+    as one row each, 12 per panel."""
+    steps = list(_ladder_panels(t_w))
+    m = _GL12[0].size
+    t, wt = np.zeros((2, t_w.size, m * len(steps)))
+    panels = np.zeros(t_w.size, dtype=int)
+    for k, (idx, tk, wk) in enumerate(steps):
+        t[idx, m * k:m * (k + 1)], wt[idx, m * k:m * (k + 1)] = tk, wk
+        panels[idx] += 1
+    rules = []
+    for c in np.unique(panels):
+        members = np.flatnonzero(panels == c)
+        rules.append((members, t[members, :m * c], wt[members, :m * c]))
+    return rules
+
+
 def _radial_sums(rho, r, wr, d: int, alpha: float, mass: float):
-    """sum_k wr_k _angular_integral(rho, r_k) for each row rho: the one
-    radial rule of every kernel rate.  The points r and weights wr are
-    (m, K) arrays, one row per rho, or (K,) arrays shared by every row.  The
-    angular integral sees at most _CHUNK_PAIRS (rho, r) pairs per call, and
-    a row is summed once all its values are in, so the sums do not depend
-    on where the chunks cut."""
+    """sum_k wr_k _angular_integral(rho, r_k) for each row rho: the radial
+    rule of the scale-free row, whose angular integral is one 2F1 per pair,
+    and of the massive absorb rates, whose points lie off the log lattice of
+    _lattice_sums.  The points r and weights wr are (m, K) arrays, one row
+    per rho, or (K,) arrays shared by every row.  The angular integral sees
+    at most _CHUNK_PAIRS (rho, r) pairs per call, and a row is summed once
+    all its values are in, so the sums do not depend on where the chunks
+    cut."""
     shape = (rho.size, r.shape[-1])
     rows = np.broadcast_to(rho[:, None], shape).ravel()
     pts = np.broadcast_to(r, shape).ravel()
@@ -305,24 +342,81 @@ def _log_panels(lo_log, hi_log, d: int):
     return r, wt * r ** d
 
 
+def _lattice_sums(rho, r, wr, cls, ell, d: int, alpha: float):
+    """_radial_sums of the massive angular integral for points on the log
+    lattice, r_k = rho e^{ell[cls_k]}: rho is (m,), r, wr and the integer
+    classes cls are (m, K) arrays (cls may broadcast), and ell is one log
+    ratio per class.
+
+    The panel ladder sees a pair only through t_w = |r - rho| / sqrt(rho r)
+    = 2 sinh(|ell| / 2), and with D^2 = rho r E, E = t_w^2 + 4 sin^2(t/2),
+    the angular integral is rho r sum_m c_m (1 + rho r E_m)^-beta with
+    c_m = wt_m sin^d(t_m) / E_m.  So each class takes one rule (t, E, c),
+    shared by every row, and each (pair, point) one power.  t_w comes from
+    ell, not from r - rho of the rounded values, which next to the diagonal
+    has lost digits.  Rules are grouped by length, so no ladder is padded,
+    and a chunk holds at most _CHUNK_PAIRS (pair, point) terms; each pair's
+    terms are summed in one chunk, so the sums do not depend on where the
+    chunks cut."""
+    beta = (d + 2.0 * alpha) / 2.0
+    p = (rho[:, None] * r).ravel()
+    cls = np.broadcast_to(cls, r.shape).ravel()
+    present = np.flatnonzero(np.bincount(cls, minlength=ell.size))
+    t_w = 2.0 * np.sinh(0.5 * np.abs(ell[present]))
+    rules = _ladder_rules(t_w)
+    group, slot = np.empty((2, ell.size), dtype=int)
+    for g, (members, _, _) in enumerate(rules):
+        group[present[members]], slot[present[members]] = g, np.arange(members.size)
+    pair_group = group[cls]
+    vals = np.empty(p.size)
+    for g, (members, t, wt) in enumerate(rules):
+        E = t_w[members, None] ** 2 + 4.0 * np.sin(0.5 * t) ** 2
+        c = wt * np.sin(t) ** d / E
+        pairs = np.flatnonzero(pair_group == g)
+        chunk = max(1, _CHUNK_PAIRS // t.shape[1])
+        for k0 in range(0, pairs.size, chunk):
+            k = pairs[k0:k0 + chunk]
+            which = slot[cls[k]]
+            term = E[which]
+            term *= p[k, None]
+            term += 1.0
+            term **= -beta
+            term *= c[which]
+            vals[k] = p[k] * term.sum(axis=1)
+    return (vals.reshape(r.shape) * wr).sum(axis=1)
+
+
 def _upper_entries(grid: RadialGrid, i, j, pref: float, alpha: float, mass: float):
     """sigma_ij for the node pairs i < j, by build_kernel's far-field and
-    near-band rules."""
-    d, nodes, w = grid.d, grid.nodes, grid.weights
+    near-band rules: at mass 1 by _lattice_sums, at mass 0 by _radial_sums."""
+    d, nodes, w, h = grid.d, grid.nodes, grid.weights, grid.log_step
+    edges = grid.log_edges()
+    # the lattice's own step, as linspace takes it: h = edges[1] - edges[0]
+    # is a rounded difference (off by 1.4e-14 relative at n = 512 on
+    # [1e-2, 1e3]), which the far offsets (j - i) h would carry into t_w
+    step = (edges[-1] - edges[0]) / grid.n
     out = np.empty(i.size)
     band = j - i <= _NEAR_BAND
 
+    def sums(rows, r, wr, cls, ell):
+        if mass:
+            return _lattice_sums(nodes[rows], r, wr, cls, ell, d, alpha)
+        return _radial_sums(nodes[rows], r, wr, d, alpha, mass)
+
     fi, fj = i[~band], j[~band]
-    v = nodes[fj, None] ** d * grid.log_step
-    out[~band] = w[fi] * (pref * _radial_sums(nodes[fi], nodes[fj, None], v, d,
-                                              alpha, mass))
+    v = nodes[fj, None] ** d * h
+    # node j seen from node i: log offset (j - i) step, class j - i
+    out[~band] = w[fi] * (pref * sums(fi, nodes[fj, None], v, (fj - fi)[:, None],
+                                      step * np.arange(grid.n)))
 
     bi, bj = i[band], j[band]
-    edges = grid.log_edges()
-    cells = np.concatenate((bj, bi))
-    kappa = pref * _radial_sums(nodes[np.concatenate((bi, bj))],
-                                *_log_panels(edges[cells], edges[cells + 1], d),
-                                d, alpha, mass)
+    rows, cells = np.concatenate((bi, bj)), np.concatenate((bj, bi))
+    # point g of cell j seen from node i: log offset (j - i + x_g/2) step,
+    # class (j - i + _NEAR_BAND) 16 + g
+    x = _GL16[0]
+    ell = step * (np.arange(-_NEAR_BAND, _NEAR_BAND + 1)[:, None] + 0.5 * x).ravel()
+    cls = (cells - rows + _NEAR_BAND)[:, None] * x.size + np.arange(x.size)
+    kappa = pref * sums(rows, *_log_panels(edges[cells], edges[cells + 1], d), cls, ell)
     out[band] = 0.5 * (w[bi] * kappa[:bi.size] + w[bj] * kappa[bi.size:])
     return out
 
@@ -332,7 +426,7 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
     """Assemble the jump-kernel matrix on the grid.
 
     kappa_ij = (2 pi)^{-d/2} omega_{d-2} int_{cell j} ang(rho_i, r) r^d dlog r
-    is a _radial_sums of the angular integral, by two rules:
+    is a radial sum of the angular integral, by two rules:
 
     - far field, j - i > _NEAR_BAND: the node rho_j as its cell's single
       point, with weight v_j = rho_j^d h;
@@ -340,25 +434,32 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
       16 Gauss-Legendre points in log over cell j, and sigma_ij the mean of
       w_i kappa_ij and w_j kappa_ji.
 
-    ang is _angular_integral at mass 1 for the massive kernel, whose rules
-    run on every pair i < j, mirrored, so sigma = w kappa is exactly
-    symmetric with a zero diagonal.  The scale-free kernel (selfsimilar,
-    mass 0) is homogeneous of degree c = d + 2 - 2a in (rho_i, rho_j), and
-    the grid, the cells and the symmetrization are shift-invariant in log
-    index, so sigma = D T D with D = diag(rho^{c/2}) and T Toeplitz: the
-    rules run on row 0 alone and sigma_ij = sigma_{0,|i-j|}
-    (rho_min(i,j) / rho_0)^c, bitwise symmetric with a zero diagonal.  The
-    scale uses node ratios, not e^{c h i}: h is a rounded difference.
+    The massive kernel (mass 1) runs the rules on every pair i < j,
+    mirrored, so sigma = w kappa is exactly symmetric with a zero diagonal.
+    Every point of either rule sits at a fixed log offset from its row's
+    node, (j - i) h or (j - i + x/2) h, so _lattice_sums builds the panel
+    ladder once per offset and evaluates each pair with one power per
+    ladder point; no binomial series runs.  The scale-free kernel
+    (selfsimilar, mass 0) is homogeneous of degree c = d + 2 - 2a in
+    (rho_i, rho_j), and the grid, the cells and the symmetrization are
+    shift-invariant in log index, so sigma = D T D with
+    D = diag(rho^{c/2}) and T Toeplitz: the rules run on row 0 alone, by
+    _radial_sums of _angular_integral at mass 0 (one 2F1 per point), and
+    sigma_ij = sigma_{0,|i-j|} (rho_min(i,j) / rho_0)^c, bitwise symmetric
+    with a zero diagonal.  The scale uses node ratios, not e^{c h i}: h is
+    a rounded difference.
 
     absorb, the rate to the modes outside an absorbing boundary, is for the
     scale-free kernel (2 pi)^{-d/2} omega_{d-2} rho^{2-2a} times
     specfun.gegenbauer_tails at x = rho_min/rho and y = rho/rho_max, the
     radial integrals below and above the grid in closed form.  For the
-    massive kernel it is a _radial_sums on 16-point Gauss-Legendre log
-    panels outside the grid, h/2 wide at each grid end, where the edge
-    node's kernel peaks, and doubling in width outward: to _EFOLDS/(d+2)
-    e-folds below rho_min, past which the integrand ~ r^{d+2} in log r
-    leaves less than 1e-16, and to R* = rho_max e^{_EFOLDS/2} above.
+    massive kernel it is a _radial_sums of _angular_integral (per pair:
+    the series, or the ladder near the unit scale) on 16-point
+    Gauss-Legendre log panels outside the grid, h/2 wide at each grid end,
+    where the edge node's kernel peaks, and doubling in width outward: to
+    _EFOLDS/(d+2) e-folds below rho_min, past which the integrand
+    ~ r^{d+2} in log r leaves less than 1e-16, and to
+    R* = rho_max e^{_EFOLDS/2} above.
     Beyond R* the integrand is B rho^2 r^{-1-2a} (B = int_0^pi sin^d t dt)
     up to a relative (rho^2 + m^2) / R*^2, so the tail is one more point,
     R*, with weight R*^d / (2a): that integral's leading term.

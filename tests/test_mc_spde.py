@@ -297,6 +297,26 @@ class TestRunEnsemble:
         with pytest.raises(InvalidSampleRate):
             run_ensemble(cfg, fs, 5e3 * 400, record_times=[5e3 * 400])
 
+    def test_dropped_sample_leaves_no_trace(self, noise4):
+        # the statistics of S samples are those of the same S plus one
+        # dropped sample, to the bit: with every sample valid no selection
+        # is copied, with one dropped the selection runs
+        rng = np.random.default_rng(3)
+        n = noise4.cfg.n_max
+        a, b = (rng.standard_normal((2 * n + 1, 10, n + 1, 2)) @ [1.0, 1.0j]
+                for _ in range(2))
+        mask = np.arange(10) < 9
+        _, prev = mc_spde._collect_stats(a[:, :9], noise4, 0.0, None, None,
+                                         np.ones(9, dtype=bool))
+        _, prev_m = mc_spde._collect_stats(a, noise4, 0.0, None, None, mask)
+        got, _ = mc_spde._collect_stats(b[:, :9], noise4, 0.1, prev, 0.0,
+                                        np.ones(9, dtype=bool))
+        ref, _ = mc_spde._collect_stats(b, noise4, 0.1, prev_m, 0.0, mask)
+        for name in ("mean_spectrum", "std_err", "l2_mean", "l2_std_err",
+                     "diff_mean", "diff_std_err"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert (got.n_samples, got.n_invalid, ref.n_invalid) == (9, 0, 1)
+
     def test_one_non_finite_sample_is_dropped(self, monkeypatch):
         # 1 of 200 samples (0.5 %) turns non-finite at the third step: the
         # run goes on without it and every statistic stays finite

@@ -11,10 +11,10 @@ from numpy.polynomial.legendre import leggauss
 from kraichnan_lab import mellin, spectral
 from kraichnan_lab.errors import (DomainError, StabilityViolation,
                                   TruncationWarning)
-from kraichnan_lab.spectral import (_FAR_GAP, _SMALL_SUM, KernelMatrix,
-                                    RadialGrid, SpectrumState,
+from kraichnan_lab.spectral import (_FAR_GAP, _NEAR_BAND, _SMALL_SUM,
+                                    KernelMatrix, RadialGrid, SpectrumState,
                                     _angular_integral, _binomial_series,
-                                    _panel_ladder,
+                                    _lattice_sums, _panel_ladder,
                                     anomalous_dissipation_integral,
                                     balance_check, build_kernel, default_dt,
                                     evolve, propagate, sobolev_norm, step)
@@ -428,6 +428,59 @@ class TestMassiveKernel:
         monkeypatch.setattr(spectral, "_gauss_panels", counting)
         _panel_ladder(np.array([lo]), np.array([hi]), 2, 0.5)
         assert sum(evaluated) == 12 * panels
+
+
+class TestLatticeSums:
+    """The massive kernel's entries, one ladder per log offset
+    (_lattice_sums), against the per-pair ladder and against QUADPACK."""
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.75])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_equals_panel_ladder(self, n, d, alpha):
+        # every log offset of a massive build on n nodes over [1e-2, 1e3]:
+        # (j - i) h in the far field, (j - i + x_g/2) h in the near band.
+        # Ratios rounded to 40 bits and rows that are powers of two make
+        # r = rho e^ell exact, so the two rules see the same (rho, r)
+        h = math.log(1e5) / n
+        x = leggauss(16)[0]
+        offsets = np.concatenate((np.arange(_NEAR_BAND + 1, n), (
+            np.arange(-_NEAR_BAND, _NEAR_BAND + 1)[:, None] + 0.5 * x).ravel()))
+        frac, expo = np.frexp(np.exp(offsets * h))
+        q = np.ldexp(np.round(np.ldexp(frac, 40)), expo - 40)
+        scales = 2.0 ** np.arange(-7, 11)
+        rho = np.repeat(scales, q.size)
+        r = rho * np.tile(q, scales.size)
+        cls = np.tile(np.arange(q.size), scales.size)[:, None]
+        got = _lattice_sums(rho, r[:, None], np.ones((r.size, 1)), cls,
+                            np.log(q), d, alpha)
+        ref = _panel_ladder(rho, r, d, alpha)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-14
+
+    @pytest.fixture(scope="class", params=[(2, 0.75), (3, 0.25)])
+    def mk512(self, request):
+        d, a = request.param
+        grid = RadialGrid.log_spaced(1e-2, 1e3, 512, d)
+        return build_kernel(grid, ModelParams(d=d, alpha=a, s=0.6),
+                            boundary="closed")
+
+    # the far field over the whole offset range: a relative error e in h
+    # moves t_w = 2 sinh((j - i) h / 2) by (j - i) h e / 2 relative, 5.7 e
+    # at (0, 511), so h must be the lattice's step, not a rounded difference
+    @pytest.mark.parametrize("i,j", [(0, 511), (3, 508), (200, 300), (400, 407)])
+    def test_far_field_vs_quadrature(self, mk512, i, j):
+        ang = functools.partial(massive_ang_quad, rel_tol=2e-14)
+        ref = _far_field_reference(mk512, i, j, ang)
+        assert abs(entries(mk512)[i, j] - ref) <= 1e-13 * ref
+
+    # rho > 100, where the series' 2F1 next to x = 1 loses digits and the
+    # log offset of a point, not r - rho, fixes its ladder
+    @pytest.mark.parametrize("i,j", [(420, 421), (450, 454), (505, 503),
+                                     (511, 510)])
+    def test_near_band_vs_quadrature(self, mk512, i, j):
+        assert mk512.grid.nodes[min(i, j)] > 100.0
+        ref = _near_band_reference(mk512, i, j, massive_ang_quad)
+        assert abs(mk512.sigma[i, j] - ref) <= 1e-12 * ref
 
 
 class TestRadialSums:
