@@ -311,9 +311,7 @@ def _collect_stats(batch, noise, t, prev_powers, prev_time, valid):
     modes, mult = _band_modes(n)
     # (sample, kx, ky) flattens to the _band_modes order
     powers = np.abs(batch.transpose(1, 2, 0).reshape(batch.shape[1], -1)) ** 2
-    # select the valid samples only when one was dropped
-    every = valid.all()
-    pw = powers if every else powers[valid]
+    pw = powers[valid]
     nv = pw.shape[0]
     mean = pw.mean(axis=0)
     serr = pw.std(axis=0, ddof=1) / math.sqrt(nv) if nv > 1 else np.zeros_like(mean)
@@ -325,9 +323,7 @@ def _collect_stats(batch, noise, t, prev_powers, prev_time, valid):
         l2_std_err=float(l2.std(ddof=1) / math.sqrt(nv)) if nv > 1 else 0.0,
         n_invalid=int((~valid).sum()))
     if prev_powers is not None:
-        diff = powers - prev_powers
-        if not every:
-            diff = diff[valid]
+        diff = (powers - prev_powers)[valid]
         stats.diff_mean = diff.mean(axis=0)
         stats.diff_std_err = diff.std(axis=0, ddof=1) / math.sqrt(nv) if nv > 1 else np.zeros_like(mean)
         stats.diff_dt = t - prev_time

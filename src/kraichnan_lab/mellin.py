@@ -73,9 +73,8 @@ class GammaProduct:
         near = gamma_pole_index(args) >= 0
         if (near & (pows == 1)).any():
             raise PoleError("GammaProduct evaluated at a pole; use residue_at")
-        # the poles are tested once, here: log_gamma skips its own test
-        lg = log_gamma(np.where(near, 1.0, args), poles_tested=True)
-        tot = (pows * lg).sum(axis=0) + np.log(complex(self.prefactor))
+        tot = ((pows * log_gamma(np.where(near, 1.0, args))).sum(axis=0)
+               + np.log(complex(self.prefactor)))
         out = np.where(near.any(axis=0), 0.0, np.exp(tot))
         return complex(out) if zs.ndim == 0 else out
 

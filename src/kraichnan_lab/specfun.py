@@ -97,14 +97,12 @@ def gamma_pole_index(arg):
     return np.where((n >= 0) & (abs(arg + n) < POLE_TOL), n, -1).astype(int)
 
 
-def log_gamma(z, poles_tested: bool = False):
+def log_gamma(z):
     """Principal-branch log Gamma(z), elementwise.  A scalar goes to scipy's
     compiled scalar loggamma (cython_special) and returns a complex, an array
     to the ufunc: the same routine, so both paths agree bitwise.  Raises
     PoleError within POLE_TOL of a nonpositive integer, and DomainError where
-    an argument or value is not finite.  An array caller that has run
-    gamma_pole_index on z itself passes poles_tested=True, which skips the
-    second pole test."""
+    an argument or value is not finite."""
     if np.ndim(z) == 0:
         z = complex(z)
         if gamma_pole_index(z) >= 0:
@@ -114,7 +112,7 @@ def log_gamma(z, poles_tested: bool = False):
             raise DomainError(f"log_gamma is not finite at z = {z!r}")
         return out
     z = np.asarray(z, dtype=complex)
-    if not poles_tested and (gamma_pole_index(z) >= 0).any():
+    if (gamma_pole_index(z) >= 0).any():
         raise PoleError("log_gamma pole in its argument array")
     out = _scisp.loggamma(z)
     if not np.isfinite(out).all():

@@ -94,8 +94,11 @@ class RadialGrid:
     def log_spaced(rho_min: float, rho_max: float, n: int, d: int) -> "RadialGrid":
         if not (0 < rho_min < rho_max) or n < 2:
             raise DomainError("need 0 < rho_min < rho_max and n >= 2")
-        edges = np.linspace(math.log(rho_min), math.log(rho_max), n + 1)
-        h = edges[1] - edges[0]
+        lo, hi = math.log(rho_min), math.log(rho_max)
+        edges = np.linspace(lo, hi, n + 1)
+        # linspace's own step; edges[1] - edges[0] is a rounded difference,
+        # off by 1.4e-14 relative at n = 512 on [1e-2, 1e3]
+        h = (hi - lo) / n
         nodes = np.exp(0.5 * (edges[:-1] + edges[1:]))
         weights = sphere_surface(d - 1) * nodes ** d * h
         return RadialGrid(nodes=nodes, weights=weights, d=int(d), log_step=h,
@@ -386,37 +389,37 @@ def _lattice_sums(rho, r, wr, cls, ell, d: int, alpha: float):
     return (vals.reshape(r.shape) * wr).sum(axis=1)
 
 
-def _upper_entries(grid: RadialGrid, i, j, pref: float, alpha: float, mass: float):
+def _offset_classes(k, x, h: float):
+    """The classes and log ratios of _lattice_sums for points at log offsets
+    (k_m + x_g/2) h from their rows' nodes: point (m, g) is in class
+    (k_m - min k) K + g, K = x.size, and ell holds one offset per class."""
+    lo, hi = k.min(initial=0), k.max(initial=0)
+    cls = (k - lo)[:, None] * x.size + np.arange(x.size)
+    ell = h * (np.arange(lo, hi + 1)[:, None] + 0.5 * x).ravel()
+    return cls, ell
+
+
+def _upper_entries(grid: RadialGrid, i, j, pref: float, sums):
     """sigma_ij for the node pairs i < j, by build_kernel's far-field and
-    near-band rules: at mass 1 by _lattice_sums, at mass 0 by _radial_sums."""
+    near-band rules.  sums(rho, r, wr, k, x) is the radial sum of the
+    angular integral for the rows rho over the points r, weights wr ((m, K)
+    arrays), point (m, g) at log offset (k_m + x_g/2) h from rho_m."""
     d, nodes, w, h = grid.d, grid.nodes, grid.weights, grid.log_step
     edges = grid.log_edges()
-    # the lattice's own step, as linspace takes it: h = edges[1] - edges[0]
-    # is a rounded difference (off by 1.4e-14 relative at n = 512 on
-    # [1e-2, 1e3]), which the far offsets (j - i) h would carry into t_w
-    step = (edges[-1] - edges[0]) / grid.n
     out = np.empty(i.size)
     band = j - i <= _NEAR_BAND
 
-    def sums(rows, r, wr, cls, ell):
-        if mass:
-            return _lattice_sums(nodes[rows], r, wr, cls, ell, d, alpha)
-        return _radial_sums(nodes[rows], r, wr, d, alpha, mass)
-
+    # node j seen from node i: log offset (j - i) h, the node its cell's one point
     fi, fj = i[~band], j[~band]
     v = nodes[fj, None] ** d * h
-    # node j seen from node i: log offset (j - i) step, class j - i
-    out[~band] = w[fi] * (pref * sums(fi, nodes[fj, None], v, (fj - fi)[:, None],
-                                      step * np.arange(grid.n)))
+    out[~band] = w[fi] * (pref * sums(nodes[fi], nodes[fj, None], v, fj - fi,
+                                      np.zeros(1)))
 
+    # point g of cell j seen from node i: log offset (j - i + x_g/2) h
     bi, bj = i[band], j[band]
     rows, cells = np.concatenate((bi, bj)), np.concatenate((bj, bi))
-    # point g of cell j seen from node i: log offset (j - i + x_g/2) step,
-    # class (j - i + _NEAR_BAND) 16 + g
-    x = _GL16[0]
-    ell = step * (np.arange(-_NEAR_BAND, _NEAR_BAND + 1)[:, None] + 0.5 * x).ravel()
-    cls = (cells - rows + _NEAR_BAND)[:, None] * x.size + np.arange(x.size)
-    kappa = pref * sums(rows, *_log_panels(edges[cells], edges[cells + 1], d), cls, ell)
+    kappa = pref * sums(nodes[rows], *_log_panels(edges[cells], edges[cells + 1], d),
+                        cells - rows, _GL16[0])
     out[band] = 0.5 * (w[bi] * kappa[:bi.size] + w[bj] * kappa[bi.size:])
     return out
 
@@ -446,8 +449,8 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
     D = diag(rho^{c/2}) and T Toeplitz: the rules run on row 0 alone, by
     _radial_sums of _angular_integral at mass 0 (one 2F1 per point), and
     sigma_ij = sigma_{0,|i-j|} (rho_min(i,j) / rho_0)^c, bitwise symmetric
-    with a zero diagonal.  The scale uses node ratios, not e^{c h i}: h is
-    a rounded difference.
+    with a zero diagonal.  The scale uses node ratios, not e^{c h i}: the
+    entries are evaluated at the nodes' own rounded values.
 
     absorb, the rate to the modes outside an absorbing boundary, is for the
     scale-free kernel (2 pi)^{-d/2} omega_{d-2} rho^{2-2a} times
@@ -477,8 +480,11 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
     n = grid.n
     pref = model_prefactor(d)
     if selfsimilar:
+        def sums(rho, r, wr, k, x):
+            return _radial_sums(rho, r, wr, d, a, 0.0)
+
         j = np.arange(1, n)
-        row = np.r_[0.0, _upper_entries(grid, np.zeros_like(j), j, pref, a, 0.0)]
+        row = np.r_[0.0, _upper_entries(grid, np.zeros_like(j), j, pref, sums)]
         # toeplitz[i, j] = row[|i - j|], a view of one 2n - 1 array
         toeplitz = np.lib.stride_tricks.sliding_window_view(
             np.r_[row[:0:-1], row], n)[::-1]
@@ -486,9 +492,12 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
         scale = (nodes / nodes[0]) ** (d + 2.0 - 2.0 * a)
         sigma = toeplitz * np.minimum.outer(scale, scale)
     else:
+        def sums(rho, r, wr, k, x):
+            return _lattice_sums(rho, r, wr, *_offset_classes(k, x, grid.log_step), d, a)
+
         iu, ju = np.triu_indices(n, 1)
         sigma = np.zeros((n, n))
-        sigma[iu, ju] = _upper_entries(grid, iu, ju, pref, a, 1.0)
+        sigma[iu, ju] = _upper_entries(grid, iu, ju, pref, sums)
         sigma += sigma.T
 
     if np.any(sigma < 0.0):

@@ -299,8 +299,7 @@ class TestRunEnsemble:
 
     def test_dropped_sample_leaves_no_trace(self, noise4):
         # the statistics of S samples are those of the same S plus one
-        # dropped sample, to the bit: with every sample valid no selection
-        # is copied, with one dropped the selection runs
+        # dropped sample, to the bit
         rng = np.random.default_rng(3)
         n = noise4.cfg.n_max
         a, b = (rng.standard_normal((2 * n + 1, 10, n + 1, 2)) @ [1.0, 1.0j]

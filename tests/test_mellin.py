@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kraichnan_lab import mellin, quad, specfun
+from kraichnan_lab import quad
 from kraichnan_lab.errors import (CaseOutOfRange, DomainError, HigherOrderPole,
                                   PoleError, ToleranceNotReached)
 from kraichnan_lab.mellin import (GammaProduct, d_constant, expansion_terms,
@@ -16,9 +16,8 @@ from kraichnan_lab.mellin import (GammaProduct, d_constant, expansion_terms,
                                   k_constant_integral, k_product,
                                   poles_in_strip, residue_at, riesz_constant)
 from kraichnan_lab.quad import quadpack
-from kraichnan_lab.specfun import (ModelParams, gamma_pole_index,
-                                   gegenbauer_defect, sin_power_integral,
-                                   sphere_surface)
+from kraichnan_lab.specfun import (ModelParams, gegenbauer_defect,
+                                   sin_power_integral, sphere_surface)
 from oracles import (StripViolation, d_constant_quad, expand_J,
                      f_residue_at_d, f_residue_at_d_plus_2, k_gamma_quotient,
                      parseval_contour)
@@ -355,19 +354,6 @@ class TestGammaProductProperties:
         assert h_product(P2).pole_order(z) == 1
         with pytest.raises(PoleError):
             h_product(P2)(z)
-
-    @pytest.mark.parametrize("z", [0.75, np.array([0.75, 1.5 + 2.0j])])
-    def test_one_pole_test_per_call(self, monkeypatch, z):
-        prod, calls = k_product(2, 0.5), []
-
-        def counting(arg):
-            calls.append(np.shape(arg))
-            return gamma_pole_index(arg)
-
-        monkeypatch.setattr(mellin, "gamma_pole_index", counting)
-        monkeypatch.setattr(specfun, "gamma_pole_index", counting)
-        prod(z)
-        assert len(calls) == 1
 
     def test_reciprocal_factor_at_pole_is_zero(self):
         inv = GammaProduct(1.0, ((1.0, 0.0, -1),))

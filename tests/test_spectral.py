@@ -488,9 +488,12 @@ class TestRadialSums:
                              ids=["massive", "scale-free"])
     def test_chunk_size_invariance(self, monkeypatch, selfsimilar):
         # 37 divides neither the 16 points of a band cell nor the 273 shared
-        # points outside the grid, so chunks cut through rows of both; each
-        # row is summed only once all its values are in, so the kernel is
-        # the same to the bit
+        # points outside the grid, so the absorb rows and the scale-free row
+        # are cut through by chunks; each row is summed only once all its
+        # values are in, so the kernel is the same to the bit.  The massive
+        # entries (_lattice_sums) take max(1, 37 // L) = 1 pair per chunk,
+        # every ladder having L >= 36 points, so for them this compares
+        # one-pair chunks with whole ones
         grid = RadialGrid.log_spaced(0.05, 50.0, 48, 2)
         params = ModelParams(d=2, alpha=0.75, s=0.6)
         ref = build_kernel(grid, params, selfsimilar=selfsimilar)
