@@ -7,24 +7,27 @@ on a log-spaced grid of |xi|, plus Sobolev-norm tracking, balance checks and
 the anomalous-dissipation time integral.
 
 The kernel is stored in symmetric "flux form" sigma_ij = w_i kappa_ij, which
-the builder makes exactly symmetric.  Both kernels share one angular
-integral (_angular_integral) of the covariance (m^2 + |k|^2)^-(d/2+a), with
-mass m = 1 for the massive kernel and m = 0 for the scale-free one: a
-binomial series of Gegenbauer 2F1s (specfun.gegenbauer_2f1), which at
-m = 0 is one 2F1 per pair, plus Gauss-Legendre panels doubling away from
-the peak (_ladder_panels) for massive pairs near the unit scale, where no
-series converges.  Each kernel entry is one radial sum of it: the far field
-at the nodes and the near band on 16 Gauss-Legendre points per cell.  The
-massive kernel runs both rules on every pair.  Its points lie on the log
-lattice, where the ladder depends on a pair only through the ratio r/rho,
-fixed by the log offset, so one ladder per offset serves every row
-(_lattice_sums).  Its absorbing boundary is one more radial sum
-(_radial_sums) on log panels outside the grid, h/2 wide at each grid end
-and doubling outward, with the tail past the last panel as one more point.
-The scale-free kernel is homogeneous, so on the log grid it is
-sigma = D T D with D diagonal and T Toeplitz: the two rules run on row 0
-alone (_radial_sums), and its absorb rates are two closed-form 2F1s per
-node (specfun.gegenbauer_tails).  build_kernel holds the rules.
+the builder makes exactly symmetric.  Each kernel entry is one radial sum of
+the angular integral of the covariance (m^2 + |k|^2)^-(d/2+a), with mass
+m = 1 for the massive kernel and m = 0 for the scale-free one: the far
+field at the nodes and the near band on 16 Gauss-Legendre points per cell
+(build_kernel holds the rules).  The angular integral has two evaluators:
+a binomial series of Gegenbauer 2F1s (_binomial_series), one 2F1 per pair
+at m = 0, and, for massive pairs near the unit scale, where no series
+converges, Gauss-Legendre panels doubling away from the peak
+(_ladder_sums, on the layout of _ladder_rules), one ladder per class of
+pairs that share a peak width.  The massive kernel runs both radial rules
+on every pair.  Its points lie on the log lattice, where the peak width
+is fixed by the log offset, so every entry takes the ladder, one class per
+offset shared by every row (_lattice_sums).  Its absorbing boundary is one
+more radial sum (_radial_sums) of the per-pair angular integral
+(_angular_integral: the series, or the ladder with one class per pair) on
+log panels outside the grid, h/2 wide at each grid end and doubling
+outward, with the tail past the last panel as one more point.  The
+scale-free kernel is homogeneous, so on the log grid it is sigma = D T D
+with D diagonal and T Toeplitz: the two rules run on row 0 alone
+(_radial_sums), and its absorb rates are two closed-form 2F1s per node
+(specfun.gegenbauer_tails).
 
 The rate operator is L a = sigma a / w - loss a, with one loss diagonal:
 the row sums of sigma over w, the absorption to off-grid modes and the
@@ -66,8 +69,8 @@ _NEAR_BAND = 4          # cells each side of the diagonal with sub-cell radial q
 _FAR_GAP = 2.0
 _SMALL_SUM = 0.5
 _SERIES_TOL = 1e-16     # bound on the series truncation, relative to the sum
-# bound on the (rho, r) pairs per angular call, and on the (pair, point)
-# terms per chunk of a lattice sum
+# bound on the (rho, r) pairs per angular call, on the ladder points per
+# piece of rules and on the (pair, point) terms per chunk of a ladder sum
 _CHUNK_PAIRS = 16384
 # the absorb rule leaves out e^-37 < 1e-16 of each rate: the r^(d+2) integrand
 # below 37/(d+2) e-folds under rho_min, and the relative (rho/R*)^2 (plus
@@ -175,13 +178,15 @@ def _angular_integral(rho_i, rho_j, d: int, alpha: float, mass: float):
     rho_> - rho_< >= _FAR_GAP m, and small pairs, rho_< + rho_> <= _SMALL_SUM m,
     both in powers of a q <= 1/4; at m = 0 every pair is far.  Massive pairs
     near the unit scale, whose D reaches or crosses 1 where neither series
-    converges, keep the panel ladder (_panel_ladder).  Every operation reads
-    rho_< and rho_> only, so the result is bitwise symmetric in
+    converges, take the panel ladder (_ladder_sums), each pair its own
+    class with t_w = (rho_> - rho_<) / sqrt(rho_< rho_>).  Every operation
+    reads rho_< and rho_> only, so the result is bitwise symmetric in
     (rho_i, rho_j).
 
     This per-pair path serves the pairs off the log lattice: the massive
     absorb points and the scale-free kernel's row.  The massive kernel's
-    own entries take the ladder once per log offset (_lattice_sums).
+    own entries take the same ladder, one class per log offset
+    (_lattice_sums).
     """
     lo, hi = np.minimum(rho_i, rho_j), np.maximum(rho_i, rho_j)
     shape, lo, hi = lo.shape, lo.ravel(), hi.ravel()
@@ -194,7 +199,9 @@ def _angular_integral(rho_i, rho_j, d: int, alpha: float, mass: float):
     ladder = ~(far | small)
     out[far] = _binomial_series(lo[far], hi[far], d, beta, mass, far=True)
     out[small] = _binomial_series(lo[small], hi[small], d, beta, mass, far=False)
-    out[ladder] = _panel_ladder(lo[ladder], hi[ladder], d, alpha)
+    a, b = lo[ladder], hi[ladder]
+    p = a * b
+    out[ladder] = _ladder_sums(p, (b - a) / np.sqrt(p), np.arange(p.size), d, alpha)
     return out.reshape(shape)
 
 
@@ -264,58 +271,81 @@ def _gauss_panels(lo, hi, rule):
     return mid[..., None] + half[..., None] * x, half[..., None] * w
 
 
-def _ladder_panels(t_w):
-    """The panel layout of the massive angular integral for peak widths t_w
-    (a 1-d array): 12-point Gauss-Legendre panels [0, t0] with
-    t0 = t_w/8 (clipped to [1e-9, pi/4]), then [t0, 2 t0], [2 t0, 4 t0], ...
-    up to pi, 1 + ceil(log2(pi/t0)) panels per ladder.  Yields (idx, t, wt):
-    the points and weights of the next panel of each ladder idx that has not
-    reached pi, one row per ladder."""
-    idx = np.arange(t_w.size)
-    lo = np.zeros_like(t_w)
-    hi = np.clip(0.125 * t_w, 1e-9, math.pi / 4.0)
-    while idx.size:
-        t, wt = _gauss_panels(lo, hi, _GL12)
-        yield idx, t, wt
-        live = hi < math.pi
-        idx, lo, hi = idx[live], hi[live], np.minimum(2.0 * hi[live], math.pi)
-
-
-def _panel_ladder(ri, rj, d: int, alpha: float):
-    """The massive angular integral of _angular_integral on 1-d arrays of
-    pairs, by the panels of _ladder_panels, which double in width away from
-    t = 0, where the integrand peaks at scale t_w = |rho_i - rho_j| /
-    sqrt(rho_i rho_j).  The integrand's singularities (near t = +-i t_w) lie
-    on the lines Re t = 0 and 2 pi, outside the Bernstein ellipse of
-    parameter 3 + sqrt(8) of every panel [a, 2a], so each such panel is
-    exact to about (3 + sqrt(8))^-24 ~ 4e-19.  Every operation is
-    exchange-exact."""
-    delta2 = (ri - rj) ** 2
-    p = ri * rj
-    total = np.zeros_like(ri)
-    for idx, t, wt in _ladder_panels(np.sqrt(delta2 / p)):
-        D2 = delta2[idx, None] + 4.0 * p[idx, None] * np.sin(0.5 * t) ** 2
-        W = (1.0 + D2) ** (-(d + 2.0 * alpha) / 2.0) / D2
-        total[idx] += p[idx] ** 2 * (np.sin(t) ** d * W * wt).sum(axis=1)
-    return total
-
-
 def _ladder_rules(t_w):
-    """Each ladder of _ladder_panels as one rule, grouped by length: a list
-    of (members, t, wt), the points and weights of every ladder in members
-    as one row each, 12 per panel."""
-    steps = list(_ladder_panels(t_w))
-    m = _GL12[0].size
-    t, wt = np.zeros((2, t_w.size, m * len(steps)))
-    panels = np.zeros(t_w.size, dtype=int)
-    for k, (idx, tk, wk) in enumerate(steps):
-        t[idx, m * k:m * (k + 1)], wt[idx, m * k:m * (k + 1)] = tk, wk
-        panels[idx] += 1
-    rules = []
-    for c in np.unique(panels):
-        members = np.flatnonzero(panels == c)
-        rules.append((members, t[members, :m * c], wt[members, :m * c]))
-    return rules
+    """The panel ladders of the massive angular integral for the peak
+    widths t_w (a 1-d array).  A ladder is 12-point Gauss-Legendre panels
+    [0, t0] with t0 = t_w/8 (clipped to [1e-9, pi/4]), then [t0, 2 t0],
+    [2 t0, 4 t0], ... up to pi, 1 + ceil(log2(pi/t0)) panels.  The
+    integrand peaks at t = 0 with width t_w, and its singularities (near
+    t = +-i t_w) lie on the lines Re t = 0 and 2 pi, outside the Bernstein
+    ellipse of parameter 3 + sqrt(8) of every panel [a, 2a], so each such
+    panel is exact to about (3 + sqrt(8))^-24 ~ 4e-19.
+
+    Returns the piece of each ladder and an iterator over the pieces in
+    turn, (members, t, wt): the points and weights of the ladders members,
+    one row each.  A piece holds ladders of one length, so none is padded,
+    and at most _CHUNK_PAIRS points (or one ladder); each is built only
+    when it is reached."""
+    t0 = np.clip(0.125 * t_w, 1e-9, math.pi / 4.0)
+    # k, the least number of doublings with 2^k t0 >= pi, from the binary
+    # exponents (pi = (pi/4) 2^2); 2^k t0 is exact, and so are the edges
+    frac, expo = np.frexp(t0)
+    k = 2 - expo + (frac < math.pi / 4.0)
+    order = np.argsort(k, kind="stable")
+    counts, end = np.bincount(k), 0
+    piece, layout = np.empty(t0.size, dtype=int), []
+    for c in np.flatnonzero(counts):
+        start, end = end, end + counts[c]
+        size = max(1, _CHUNK_PAIRS // (_GL12[0].size * (c + 1)))
+        for s in range(start, end, size):
+            members = order[s:min(s + size, end)]
+            piece[members] = len(layout)
+            layout.append((c, members))
+
+    def rules():
+        for c, members in layout:
+            edges = np.minimum(np.ldexp(t0[members, None], np.arange(-1, c + 1)),
+                               math.pi)
+            edges[:, 0] = 0.0
+            t, wt = _gauss_panels(edges[:, :-1], edges[:, 1:], _GL12)
+            yield members, t.reshape(members.size, -1), wt.reshape(members.size, -1)
+
+    return piece, rules()
+
+
+def _ladder_sums(p, t_w, cls, d: int, alpha: float):
+    """The massive angular integral of _angular_integral by the panel
+    ladder, for the pairs with products p = rho r (a 1-d array): pair k is
+    in class cls[k], and the pairs of a class share the peak width t_w[cls]
+    and so one ladder.  With t_w = |r - rho| / sqrt(rho r),
+    D^2 = p E, E = t_w^2 + 4 sin^2(t/2), the integral is
+    p sum_m c_m (1 + p E_m)^-beta with c_m = wt_m sin^d(t_m) / E_m: each
+    class takes one rule (t, E, c) and each (pair, point) one power.  The
+    pairs are taken a piece of rules at a time, and a chunk holds at most
+    _CHUNK_PAIRS (pair, point) terms; each pair's terms are summed in one
+    chunk, so the values do not depend on where the chunks cut, nor on the
+    other pairs of the call."""
+    beta = (d + 2.0 * alpha) / 2.0
+    piece, rules = _ladder_rules(t_w)
+    pair_piece = piece[cls]
+    slot = np.empty(t_w.size, dtype=int)
+    vals = np.empty(p.size)
+    for q, (members, t, wt) in enumerate(rules):
+        slot[members] = np.arange(members.size)
+        E = t_w[members, None] ** 2 + 4.0 * np.sin(0.5 * t) ** 2
+        c = wt * np.sin(t) ** d / E
+        pairs = np.flatnonzero(pair_piece == q)
+        chunk = max(1, _CHUNK_PAIRS // t.shape[1])
+        for k0 in range(0, pairs.size, chunk):
+            k = pairs[k0:k0 + chunk]
+            which = slot[cls[k]]
+            term = E[which]
+            term *= p[k, None]
+            term += 1.0
+            term **= -beta
+            term *= c[which]
+            vals[k] = p[k] * term.sum(axis=1)
+    return vals
 
 
 def _radial_sums(rho, r, wr, d: int, alpha: float, mass: float):
@@ -345,58 +375,24 @@ def _log_panels(lo_log, hi_log, d: int):
     return r, wt * r ** d
 
 
-def _lattice_sums(rho, r, wr, cls, ell, d: int, alpha: float):
+def _lattice_sums(rho, r, wr, k, x, h: float, d: int, alpha: float):
     """_radial_sums of the massive angular integral for points on the log
-    lattice, r_k = rho e^{ell[cls_k]}: rho is (m,), r, wr and the integer
-    classes cls are (m, K) arrays (cls may broadcast), and ell is one log
-    ratio per class.
+    lattice: rho is (m,), r and wr are (m, K) arrays, and point (m, g) sits
+    at log offset ell = (k_m + x_g/2) h from rho_m, r = rho e^ell.
 
-    The panel ladder sees a pair only through t_w = |r - rho| / sqrt(rho r)
-    = 2 sinh(|ell| / 2), and with D^2 = rho r E, E = t_w^2 + 4 sin^2(t/2),
-    the angular integral is rho r sum_m c_m (1 + rho r E_m)^-beta with
-    c_m = wt_m sin^d(t_m) / E_m.  So each class takes one rule (t, E, c),
-    shared by every row, and each (pair, point) one power.  t_w comes from
-    ell, not from r - rho of the rounded values, which next to the diagonal
-    has lost digits.  Rules are grouped by length, so no ladder is padded,
-    and a chunk holds at most _CHUNK_PAIRS (pair, point) terms; each pair's
-    terms are summed in one chunk, so the sums do not depend on where the
-    chunks cut."""
-    beta = (d + 2.0 * alpha) / 2.0
-    p = (rho[:, None] * r).ravel()
-    cls = np.broadcast_to(cls, r.shape).ravel()
-    present = np.flatnonzero(np.bincount(cls, minlength=ell.size))
-    t_w = 2.0 * np.sinh(0.5 * np.abs(ell[present]))
-    rules = _ladder_rules(t_w)
-    group, slot = np.empty((2, ell.size), dtype=int)
-    for g, (members, _, _) in enumerate(rules):
-        group[present[members]], slot[present[members]] = g, np.arange(members.size)
-    pair_group = group[cls]
-    vals = np.empty(p.size)
-    for g, (members, t, wt) in enumerate(rules):
-        E = t_w[members, None] ** 2 + 4.0 * np.sin(0.5 * t) ** 2
-        c = wt * np.sin(t) ** d / E
-        pairs = np.flatnonzero(pair_group == g)
-        chunk = max(1, _CHUNK_PAIRS // t.shape[1])
-        for k0 in range(0, pairs.size, chunk):
-            k = pairs[k0:k0 + chunk]
-            which = slot[cls[k]]
-            term = E[which]
-            term *= p[k, None]
-            term += 1.0
-            term **= -beta
-            term *= c[which]
-            vals[k] = p[k] * term.sum(axis=1)
+    The ladder sees a pair only through t_w = |r - rho| / sqrt(rho r)
+    = 2 sinh(|ell| / 2), so each offset present is one class of
+    _ladder_sums, whose rule every row shares.  t_w comes from ell, not
+    from r - rho of the rounded values, which next to the diagonal has lost
+    digits."""
+    lo = k.min(initial=0)
+    present = np.bincount(k - lo, minlength=1) > 0
+    index = np.cumsum(present) - 1
+    cls = (index[k - lo][:, None] * x.size + np.arange(x.size)).ravel()
+    ell = h * ((np.flatnonzero(present) + lo)[:, None] + 0.5 * x).ravel()
+    vals = _ladder_sums((rho[:, None] * r).ravel(), 2.0 * np.sinh(0.5 * np.abs(ell)),
+                        cls, d, alpha)
     return (vals.reshape(r.shape) * wr).sum(axis=1)
-
-
-def _offset_classes(k, x, h: float):
-    """The classes and log ratios of _lattice_sums for points at log offsets
-    (k_m + x_g/2) h from their rows' nodes: point (m, g) is in class
-    (k_m - min k) K + g, K = x.size, and ell holds one offset per class."""
-    lo, hi = k.min(initial=0), k.max(initial=0)
-    cls = (k - lo)[:, None] * x.size + np.arange(x.size)
-    ell = h * (np.arange(lo, hi + 1)[:, None] + 0.5 * x).ravel()
-    return cls, ell
 
 
 def _upper_entries(grid: RadialGrid, i, j, pref: float, sums):
@@ -440,9 +436,9 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
     The massive kernel (mass 1) runs the rules on every pair i < j,
     mirrored, so sigma = w kappa is exactly symmetric with a zero diagonal.
     Every point of either rule sits at a fixed log offset from its row's
-    node, (j - i) h or (j - i + x/2) h, so _lattice_sums builds the panel
-    ladder once per offset and evaluates each pair with one power per
-    ladder point; no binomial series runs.  The scale-free kernel
+    node, (j - i) h or (j - i + x/2) h, so _lattice_sums makes each offset
+    one class of _ladder_sums: one panel ladder per offset, and one power
+    per pair and ladder point; no binomial series runs.  The scale-free kernel
     (selfsimilar, mass 0) is homogeneous of degree c = d + 2 - 2a in
     (rho_i, rho_j), and the grid, the cells and the symmetrization are
     shift-invariant in log index, so sigma = D T D with
@@ -457,9 +453,9 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
     specfun.gegenbauer_tails at x = rho_min/rho and y = rho/rho_max, the
     radial integrals below and above the grid in closed form.  For the
     massive kernel it is a _radial_sums of _angular_integral (per pair:
-    the series, or the ladder near the unit scale) on 16-point
-    Gauss-Legendre log panels outside the grid, h/2 wide at each grid end,
-    where the edge node's kernel peaks, and doubling in width outward: to
+    the series, or near the unit scale the ladder, one class per pair) on
+    16-point Gauss-Legendre log panels outside the grid, h/2 wide at each
+    grid end, where the edge node's kernel peaks, and doubling outward: to
     _EFOLDS/(d+2) e-folds below rho_min, past which the integrand
     ~ r^{d+2} in log r leaves less than 1e-16, and to
     R* = rho_max e^{_EFOLDS/2} above.
@@ -493,7 +489,7 @@ def build_kernel(grid: RadialGrid, params: ModelParams, selfsimilar: bool = Fals
         sigma = toeplitz * np.minimum.outer(scale, scale)
     else:
         def sums(rho, r, wr, k, x):
-            return _lattice_sums(rho, r, wr, *_offset_classes(k, x, grid.log_step), d, a)
+            return _lattice_sums(rho, r, wr, k, x, grid.log_step, d, a)
 
         iu, ju = np.triu_indices(n, 1)
         sigma = np.zeros((n, n))

@@ -13,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from kraichnan_lab import cli, mc_spde
+from kraichnan_lab import cli, flux, mc_spde
 from kraichnan_lab.errors import TruncationWarning
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -374,6 +374,20 @@ class TestRun:
         out = tmp_path / "out"
         assert cli.run(path, str(out)) == 0
         assert json.loads((out / "summary.json").read_text())["passed"] is True
+
+    def test_nonfinite_residual_is_reported(self, tmp_path, monkeypatch):
+        # max([1.0, nan, 2.0]) is 2.0: the failing check reports the NaN
+        def table(params, xi):
+            return [1.0] * len(xi), [1.0, math.nan, 2.0], 0.5
+
+        monkeypatch.setattr(flux, "asymptotic_residual_table", table)
+        path = write_cfg(tmp_path, grid={"rho_min": 1.0, "rho_max": 10.0,
+                                         "nodes": 3})
+        out = tmp_path / "out"
+        assert cli.main(["run", path, "--output-dir", str(out)]) == 1
+        (check,) = json.loads((out / "summary.json").read_text())["checks"]
+        assert check["id"] == "flux.residuals_finite" and not check["passed"]
+        assert math.isnan(check["value"])
 
     def test_output_dir_from_config(self, tmp_path):
         out = tmp_path / "from_cfg"

@@ -10,8 +10,10 @@ each tail map (the rational t = lo + u/(1-u) and the power t = lo u^{-1/p})
 is written once, inside quad.quadpack, and the package calls quadpack only
 from quad.radial_quad, which certifies it.
 And the one table writer: no module defines a to_csv or reaches io or
-csv, so every artifact is formatted by cli._csv; and the one radial rule:
-in spectral.py only _radial_sums calls the angular integral."""
+csv, so every artifact is formatted by cli._csv; the one radial rule:
+in spectral.py only _radial_sums calls the angular integral; and the one
+panel ladder: only _ladder_sums builds ladder rules (_ladder_rules), and
+only _ladder_rules reads the 12-point Gauss-Legendre rule _GL12."""
 
 import ast
 import functools
@@ -238,6 +240,22 @@ def test_angular_called_only_in_radial_sums():
     assert [n for n in calls if n in allowed], "_radial_sums calls no angular integral"
     stray = [n for n in calls if n not in allowed]
     assert not stray, f"spectral.py: angular integral called on lines {stray}"
+
+
+@pytest.mark.parametrize("name,owner", [("_ladder_rules", "_ladder_sums"),
+                                        ("_GL12", "_ladder_rules")])
+def test_one_panel_ladder(name, owner):
+    # one evaluator of the massive panel ladder: only _ladder_sums builds
+    # ladder rules, and only _ladder_rules reads the 12-point panel rule, so
+    # no second per-pair or per-offset ladder can be written beside it
+    tree = _parse(SPECTRAL)
+    fn = _function(tree, owner)
+    allowed = set(range(fn.lineno, fn.end_lineno + 1))
+    reads = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name)
+             and n.id == name and isinstance(n.ctx, ast.Load)]
+    assert [n for n in reads if n in allowed], f"{owner} does not read {name}"
+    stray = [n for n in reads if n not in allowed]
+    assert not stray, f"spectral.py: {name} read on lines {stray}"
 
 
 def _formats_tables(tree):

@@ -14,7 +14,7 @@ from kraichnan_lab.errors import (DomainError, StabilityViolation,
 from kraichnan_lab.spectral import (_FAR_GAP, _NEAR_BAND, _SMALL_SUM,
                                     KernelMatrix, RadialGrid, SpectrumState,
                                     _angular_integral, _binomial_series,
-                                    _lattice_sums, _panel_ladder,
+                                    _ladder_sums,
                                     anomalous_dissipation_integral,
                                     balance_check, build_kernel, default_dt,
                                     evolve, propagate, sobolev_norm, step)
@@ -201,6 +201,15 @@ def _check_angular_vs_quadrature(d, alpha, mass, oracle):
     got = _angular_integral(lo, hi, d, alpha, mass)
     ref = np.array([oracle(x, y, d, alpha) for x, y in MASSIVE_PAIRS])
     assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+
+@pytest.fixture
+def pair_ladder(monkeypatch):
+    """The massive _angular_integral with neither series' region open, so
+    every pair takes the panel ladder, one class per pair."""
+    monkeypatch.setattr(spectral, "_FAR_GAP", math.inf)
+    monkeypatch.setattr(spectral, "_SMALL_SUM", 0.0)
+    return functools.partial(_angular_integral, mass=1.0)
 
 
 def _check_exchange_symmetry(mass):
@@ -390,7 +399,7 @@ class TestMassiveKernel:
     @pytest.mark.parametrize("d,alpha", [(2, 0.25), (2, 0.75), (3, 0.25),
                                          (3, 0.75)])
     @pytest.mark.parametrize("far", [True, False], ids=["far", "small"])
-    def test_ladder_vs_series(self, d, alpha, far):
+    def test_ladder_vs_series(self, pair_ladder, d, alpha, far):
         # the ladder just outside its region, where either series converges
         # fast: rho_> - rho_< in [2, 2.5] or rho_< + rho_> in [0.4, 0.5]; far
         # pairs keep rho_< <= 30, so x = rho_< / rho_> <= 0.94, short of
@@ -403,21 +412,21 @@ class TestMassiveKernel:
             x = rng.uniform(0.01, 1.0, 200)
             hi = rng.uniform(0.4, 0.5, x.size) / (1.0 + x)
             lo = x * hi
-        got = _panel_ladder(lo, hi, d, alpha)
+        got = pair_ladder(lo, hi, d, alpha)
         ref = _binomial_series(lo, hi, d, (d + 2.0 * alpha) / 2.0, 1.0, far)
         assert np.max(np.abs(got - ref) / ref) <= 1e-14
 
     @pytest.mark.parametrize("d,alpha", [(2, 0.25), (3, 0.75)])
-    def test_ladder_at_clip(self, d, alpha):
+    def test_ladder_at_clip(self, pair_ladder, d, alpha):
         # t_w/8 = 1.25e-10 is clipped to a first panel [0, 1e-9]
-        got = _panel_ladder(np.array([1.0]), np.array([1.0 + 1e-9]), d, alpha)
+        got = pair_ladder(np.array([1.0]), np.array([1.0 + 1e-9]), d, alpha)
         ref = massive_ang_quad(1.0, 1.0 + 1e-9, d, alpha)
         assert abs(got[0] - ref) <= 1e-12 * ref
 
     # [0, t0], then panels doubling to pi: 1 + ceil(log2(pi/t0)) panels of
     # 12 points; t0 = pi/4 (clipped) takes 3, t0 = 9.96e-4 takes 13
     @pytest.mark.parametrize("lo,hi,panels", [(0.01, 1.5, 3), (1.0, 1.008, 13)])
-    def test_ladder_panels_double(self, monkeypatch, lo, hi, panels):
+    def test_ladder_panels_double(self, monkeypatch, pair_ladder, lo, hi, panels):
         gauss_panels, evaluated = spectral._gauss_panels, []
 
         def counting(a, b, rule):
@@ -426,22 +435,41 @@ class TestMassiveKernel:
             return t, wt
 
         monkeypatch.setattr(spectral, "_gauss_panels", counting)
-        _panel_ladder(np.array([lo]), np.array([hi]), 2, 0.5)
+        pair_ladder(np.array([lo]), np.array([hi]), 2, 0.5)
         assert sum(evaluated) == 12 * panels
+
+    def test_ladder_rules_built_in_pieces(self, monkeypatch, pair_ladder):
+        # 2000 pairs, each its own class with t_w ~ 1e-6: 26 panels, 312
+        # points per ladder.  The rules are built a piece at a time, each at
+        # most _CHUNK_PAIRS points, never all 624 000 at once
+        gauss_panels, evaluated = spectral._gauss_panels, []
+
+        def counting(a, b, rule):
+            t, wt = gauss_panels(a, b, rule)
+            evaluated.append(t.size)
+            return t, wt
+
+        monkeypatch.setattr(spectral, "_gauss_panels", counting)
+        lo = np.linspace(1.0, 2.0, 2000)
+        pair_ladder(lo, lo * (1.0 + 1e-6), 2, 0.5)
+        assert sum(evaluated) == 2000 * 312
+        assert max(evaluated) <= spectral._CHUNK_PAIRS
 
 
 class TestLatticeSums:
     """The massive kernel's entries, one ladder per log offset
-    (_lattice_sums), against the per-pair ladder and against QUADPACK."""
+    (_lattice_sums), against ladders built per pair and against QUADPACK."""
 
     @pytest.mark.parametrize("alpha", [0.25, 0.75])
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("n", [64, 512])
-    def test_equals_panel_ladder(self, n, d, alpha):
+    def test_equals_panel_ladder(self, pair_ladder, n, d, alpha):
         # every log offset of a massive build on n nodes over [1e-2, 1e3]:
-        # (j - i) h in the far field, (j - i + x_g/2) h in the near band.
-        # Ratios rounded to 40 bits and rows that are powers of two make
-        # r = rho e^ell exact, so the two rules see the same (rho, r)
+        # (j - i) h in the far field, (j - i + x_g/2) h in the near band,
+        # one class per ratio q = r/rho with t_w = 2 sinh(|log q|/2), shared
+        # by 18 rows, against one class per pair with t_w = (r - rho) /
+        # sqrt(rho r).  Ratios rounded to 40 bits and rows that are powers
+        # of two make r = rho q exact, so both see the same (rho, r)
         h = math.log(1e5) / n
         x = leggauss(16)[0]
         offsets = np.concatenate((np.arange(_NEAR_BAND + 1, n), (
@@ -451,10 +479,10 @@ class TestLatticeSums:
         scales = 2.0 ** np.arange(-7, 11)
         rho = np.repeat(scales, q.size)
         r = rho * np.tile(q, scales.size)
-        cls = np.tile(np.arange(q.size), scales.size)[:, None]
-        got = _lattice_sums(rho, r[:, None], np.ones((r.size, 1)), cls,
-                            np.log(q), d, alpha)
-        ref = _panel_ladder(rho, r, d, alpha)
+        cls = np.tile(np.arange(q.size), scales.size)
+        got = _ladder_sums(rho * r, 2.0 * np.sinh(0.5 * np.abs(np.log(q))), cls,
+                           d, alpha)
+        ref = pair_ladder(rho, r, d, alpha)
         assert np.max(np.abs(got - ref) / ref) <= 1e-14
 
     @pytest.fixture(scope="class", params=[(2, 0.75), (3, 0.25)])
